@@ -265,7 +265,7 @@ func evalSpec(spec scenario.Scenario, opt experiment.Options, cacheDir, owner st
 	}
 	defer store.Close()
 	eng := scenario.NewEngine(opt)
-	eng.SuperviseFleet(nil, dispatch.New(store, dispatch.Options{Owner: owner}))
+	eng.Supervise(nil, dispatch.New(store, dispatch.Options{Owner: owner}))
 	start := time.Now()
 	fig, err := eng.Run(&spec)
 	if err != nil {

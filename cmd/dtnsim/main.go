@@ -19,13 +19,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/atomicio"
-	"repro/internal/checkpoint"
 	"repro/internal/contact"
 	"repro/internal/core"
 	"repro/internal/dispatch"
@@ -77,10 +75,8 @@ func run(args []string, out io.Writer) error {
 		graphPath   = fs.String("graph", "", "load the contact graph from a file (contact exchange format)")
 		saveGraph   = fs.String("save-graph", "", "save the generated contact graph to a file")
 		tracePath   = fs.String("trace", "", "replay a contact trace file instead of a synthetic graph (onion protocol only; deadline in seconds)")
-		ckptDir     = fs.String("checkpoint", "", "directory for the run's checkpoint file (onion protocol only); completed trials persist across interruptions")
-		resume      = fs.Bool("resume", false, "load completed trials from -checkpoint and run only the remainder")
 		trialTO     = fs.Duration("trial-timeout", 0, "per-trial watchdog: a trial exceeding this is retried once, then quarantined (0 = no watchdog)")
-		cacheDir    = fs.String("cache", "", "content-addressed result cache directory (onion protocol only); identical runs reuse trials across commits, and concurrent processes form a work-stealing fleet")
+		cacheDir    = fs.String("cache", "", "content-addressed result cache directory (onion protocol only); completed trials persist across interruptions and commits (rerun to resume), and concurrent processes form a work-stealing fleet")
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "fleet lease staleness bound: a chunk whose holder has not heartbeat within this is stolen")
 		fleetID     = fs.String("fleet-id", defaultFleetID(), "worker name for cache shards and leases (default hostname-pid)")
 	)
@@ -98,24 +94,10 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-runs must be positive, got %d", *runs)
 	}
 	// Persistence flags fail at validation time, before any simulation
-	// state is built: a -resume with no checkpoint, both persistence
-	// modes at once, or a directory path occupied by a regular file.
-	if *resume && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint DIR")
-	}
-	if *ckptDir != "" && *cacheDir != "" {
-		return fmt.Errorf("-checkpoint and -cache are mutually exclusive (the cache already persists and resumes trials)")
-	}
-	if *ckptDir != "" && (*protocol != "onion" || *tracePath != "") {
-		return fmt.Errorf("-checkpoint supports only the synthetic-graph onion protocol")
-	}
+	// state is built: a -cache for a protocol without a trial pool, or a
+	// directory path occupied by a regular file.
 	if *cacheDir != "" && (*protocol != "onion" || *tracePath != "") {
 		return fmt.Errorf("-cache supports only the synthetic-graph onion protocol")
-	}
-	if *ckptDir != "" {
-		if err := atomicio.EnsureDir(*ckptDir); err != nil {
-			return fmt.Errorf("-checkpoint: %w", err)
-		}
 	}
 	if *cacheDir != "" {
 		if err := atomicio.EnsureDir(*cacheDir); err != nil {
@@ -131,8 +113,8 @@ func run(args []string, out io.Writer) error {
 	}
 	defer obsRun.Abort()
 
-	// SIGINT/SIGTERM drain the supervised trial loop (flushing the
-	// checkpoint) instead of losing the run.
+	// SIGINT/SIGTERM drain the supervised trial loop (saving completed
+	// trials under -cache) instead of losing the run.
 	sup := runner.NewSupervisor(*trialTO)
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -140,7 +122,7 @@ func run(args []string, out io.Writer) error {
 	go func() {
 		select {
 		case s := <-sigc:
-			fmt.Fprintf(os.Stderr, "dtnsim: received %v, draining (completed trials are checkpointed)\n", s)
+			fmt.Fprintf(os.Stderr, "dtnsim: received %v, draining%s\n", s, drainNote(*cacheDir))
 			obsRun.RecordEvent(obs.RunEvent{Kind: obs.EventInterrupted, Detail: s.String()})
 			sup.Stop()
 		case <-sigDone:
@@ -163,7 +145,6 @@ func run(args []string, out io.Writer) error {
 			n: *n, g: *g, k: *k, l: *l, spray: *spray, deadline: *deadline,
 			runs: *runs, seed: *seed, frac: *compromised, faults: *faults,
 			graphPath: *graphPath, saveGraph: *saveGraph,
-			ckptDir: *ckptDir, resume: *resume,
 			cacheDir: *cacheDir, leaseTTL: *leaseTTL, fleetID: *fleetID,
 		}
 		err = runOnion(out, oc, sup, obsRun)
@@ -182,9 +163,6 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 	if err != nil {
-		if errors.Is(err, runner.ErrInterrupted) && *ckptDir != "" {
-			return fmt.Errorf("%w; rerun with -resume to continue", err)
-		}
 		if errors.Is(err, runner.ErrInterrupted) && *cacheDir != "" {
 			return fmt.Errorf("%w; rerun with the same -cache to continue", err)
 		}
@@ -215,8 +193,17 @@ func run(args []string, out io.Writer) error {
 	return obsRun.Finish(mc, *seed, 1, *faults)
 }
 
-// onionConfig carries runOnion's scenario parameters; the checkpoint
-// key hashes every field that changes trial outcomes.
+// drainNote tells an interrupted user whether completed trials survive:
+// only a -cache run persists them.
+func drainNote(cacheDir string) string {
+	if cacheDir == "" {
+		return ""
+	}
+	return " (completed trials are cached)"
+}
+
+// onionConfig carries runOnion's scenario parameters; the cache
+// content key hashes every field that changes trial outcomes.
 type onionConfig struct {
 	n, g, k, l           int
 	spray                bool
@@ -226,45 +213,29 @@ type onionConfig struct {
 	frac, faults         float64
 	graphPath, saveGraph string
 	graphSum             string // hex sha256 of the loaded graph file's bytes ("" when synthetic)
-	ckptDir              string
-	resume               bool
 	cacheDir             string
 	leaseTTL             time.Duration
 	fleetID              string
 }
 
-// digest hashes every outcome-affecting parameter of the onion run:
-// the scalar flags, the seed (seeds drive every trial, and the cache
-// entry directory is this digest — compare scenario.ContentKey, which
-// also embeds Seed), and the sha256 of the loaded graph file's bytes
-// rather than its path, so regenerating or editing the file at the
-// same path changes the key instead of silently serving stale cached
-// trials. Unlike the figure engine there is no scenario spec to hash,
-// so the parameters go into the digest directly.
-func (c onionConfig) digest() string {
+// contentKey derives the run's content-addressed cache identity by
+// hashing every outcome-affecting parameter: the scalar flags, the
+// seed (seeds drive every trial, and the cache entry directory is this
+// key — compare scenario.ContentKey, which also embeds Seed), and the
+// sha256 of the loaded graph file's bytes rather than its path, so
+// regenerating or editing the file at the same path changes the key
+// instead of silently serving stale cached trials. Unlike the figure
+// engine there is no scenario spec to hash, so the parameters go into
+// the hash directly.
+func (c onionConfig) contentKey() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "dtnsim/onion|n=%d|g=%d|K=%d|L=%d|spray=%v|T=%v|runs=%d|seed=%d|frac=%v|faults=%v|graphsha=%s",
 		c.n, c.g, c.k, c.l, c.spray, c.deadline, c.runs, c.seed, c.frac, c.faults, c.graphSum)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// key derives the per-run checkpoint identity: digest plus the git
-// revision, so checkpoints never survive a commit.
-func (c onionConfig) key() checkpoint.Key {
-	return checkpoint.Key{
-		GitRevision: obs.GitRevision(),
-		SpecHash:    c.digest(),
-		Seed:        c.seed,
-	}
-}
-
-// contentKey derives the content-addressed cache identity: the same
-// digest without the revision, so unchanged runs reuse cached trials
-// across commits.
-func (c onionConfig) contentKey() string { return c.digest() }
-
 // onionTrial is one routed message's outcome; gob-encoded into the
-// checkpoint, so every field is exported.
+// cache, so every field is exported.
 type onionTrial struct {
 	Delivered       bool
 	Time            float64
@@ -287,9 +258,8 @@ func runOnion(out io.Writer, c onionConfig, sup *runner.Supervisor, obsRun *obs.
 			return fmt.Errorf("open graph: %w", err)
 		}
 		// The graph determines the topology and with it every trial
-		// outcome, so the persistence keys must track the file's
-		// contents, not its path. Set graphSum before any digest()
-		// caller below (checkpoint key, cache content key).
+		// outcome, so the cache key must track the file's contents,
+		// not its path. Set graphSum before contentKey() below.
 		sum := sha256.Sum256(raw)
 		c.graphSum = hex.EncodeToString(sum[:])
 		loaded, err := contact.ReadGraph(bytes.NewReader(raw))
@@ -317,40 +287,9 @@ func runOnion(out io.Writer, c onionConfig, sup *runner.Supervisor, obsRun *obs.
 		}
 	}
 
-	var store runner.ResultStore
-	if c.ckptDir != "" {
-		// The directory itself was validated at flag-parse time.
-		path := filepath.Join(c.ckptDir, "dtnsim-onion.ckpt")
-		_, statErr := os.Stat(path)
-		var ck *checkpoint.Store
-		if c.resume && statErr == nil {
-			ck, err = checkpoint.Resume(path, c.key())
-			if err != nil {
-				return err
-			}
-			if n := ck.Loaded(); n > 0 {
-				fmt.Fprintf(os.Stderr, "dtnsim: resumed %d completed trials from %s\n", n, path)
-				obsRun.RecordEvent(obs.RunEvent{
-					Kind:   obs.EventResumed,
-					Detail: fmt.Sprintf("%d trials from %s", n, path),
-				})
-			}
-		} else {
-			if c.resume {
-				fmt.Fprintf(os.Stderr, "dtnsim: no checkpoint at %s, starting fresh\n", path)
-			}
-			ck, err = checkpoint.Create(path, c.key())
-			if err != nil {
-				return err
-			}
-		}
-		defer ck.Close()
-		store = ck
-	}
-
 	// One worker: trials share the network object, whose model caches
-	// are not synchronized. Supervision still buys checkpointing, drain
-	// on SIGINT, and panic/watchdog quarantine.
+	// are not synchronized. Supervision still buys caching, drain on
+	// SIGINT, and panic/watchdog quarantine.
 	trialFn := func(i int) (onionTrial, error) {
 		trial, err := nw.NewTrial(i)
 		if err != nil {
@@ -378,26 +317,26 @@ func runOnion(out io.Writer, c onionConfig, sup *runner.Supervisor, obsRun *obs.
 		}
 		return o, nil
 	}
-	var trials []onionTrial
+	var d *dispatch.Dispatcher
 	if c.cacheDir != "" {
-		cs, err := resultcache.Open(c.cacheDir, c.contentKey(), "dtnsim-onion", c.seed, c.fleetID)
+		key := c.contentKey()
+		cs, err := resultcache.Open(c.cacheDir, key, "dtnsim-onion", c.seed, c.fleetID)
 		if err != nil {
 			return err
 		}
 		defer cs.Close()
 		if n := cs.Loaded(); n > 0 {
-			fmt.Fprintf(os.Stderr, "dtnsim: cache entry %.12s holds %d completed trials\n", c.contentKey(), n)
+			fmt.Fprintf(os.Stderr, "dtnsim: cache entry %.12s holds %d completed trials\n", key, n)
+			obsRun.RecordEvent(obs.RunEvent{
+				Kind:   obs.EventResumed,
+				Detail: fmt.Sprintf("%d trials from cache entry %.12s", n, key),
+			})
 		}
-		d := dispatch.New(cs, dispatch.Options{Owner: c.fleetID, LeaseTTL: c.leaseTTL})
-		trials, err = dispatch.Run(d, sup, "dtnsim/onion", 1, c.runs, trialFn)
-		if err != nil {
-			return err
-		}
-	} else {
-		trials, err = runner.Supervised(sup, store, "dtnsim/onion", 1, c.runs, trialFn)
-		if err != nil {
-			return err
-		}
+		d = dispatch.New(cs, dispatch.Options{Owner: c.fleetID, LeaseTTL: c.leaseTTL})
+	}
+	trials, err := dispatch.Run(d, sup, "dtnsim/onion", 1, c.runs, trialFn)
+	if err != nil {
+		return err
 	}
 	var delivered int
 	var delay, tx, modelDelivery stats.Accumulator

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -145,51 +146,59 @@ func TestRuntimeMode(t *testing.T) {
 	}
 }
 
-// TestOnionCheckpointResume pins dtnsim's crash-safety wiring: a run
-// with -checkpoint reruns byte-identically with -resume (trials served
-// from the checkpoint), -resume without -checkpoint is refused, the
-// flag is rejected for protocols without a trial pool, and a foreign
-// checkpoint (different parameters) is rejected loudly.
-func TestOnionCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
+// TestOnionCacheResume pins dtnsim's crash-safety wiring: a -cache
+// run reruns byte-identically against the same cache with every trial
+// served from it (zero cache misses), and the manifest records the
+// resume.
+func TestOnionCacheResume(t *testing.T) {
+	cache := t.TempDir()
 	args := []string{
 		"-n", "40", "-g", "4", "-k", "2", "-l", "2", "-runs", "30",
-		"-deadline", "300", "-checkpoint", dir,
+		"-deadline", "300", "-cache", cache, "-fleet-id", "w",
 	}
 	var first bytes.Buffer
 	if err := run(args, &first); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "dtnsim-onion.ckpt")); err != nil {
-		t.Fatalf("checkpoint file missing: %v", err)
-	}
-	var resumed bytes.Buffer
-	if err := run(append(args, "-resume"), &resumed); err != nil {
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	var warm bytes.Buffer
+	if err := run(append(args, "-manifest", manifest), &warm); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first.Bytes(), resumed.Bytes()) {
-		t.Fatalf("resumed report differs:\n%s\nvs\n%s", resumed.String(), first.String())
+	if !bytes.Equal(first.Bytes(), warm.Bytes()) {
+		t.Fatalf("warm rerun report differs:\n%s\nvs\n%s", warm.String(), first.String())
 	}
-
-	if err := run([]string{"-resume"}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "-checkpoint") {
-		t.Fatalf("-resume without -checkpoint: err = %v, want flag error", err)
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"-protocol", "epidemic", "-checkpoint", dir}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "onion") {
-		t.Fatalf("-checkpoint with epidemic: err = %v, want rejection", err)
+	m, err := obs.ValidateManifestBytes(raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	foreign := append(append([]string(nil), args...), "-resume", "-seed", "9")
-	if err := run(foreign, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("foreign checkpoint: err = %v, want key mismatch", err)
+	misses := int64(-1)
+	for _, c := range m.Counters {
+		if c.Name == "cache.misses" {
+			misses = c.Value
+		}
+	}
+	if misses != 0 {
+		t.Fatalf("warm rerun cache.misses = %d; want 0", misses)
+	}
+	resumed := false
+	for _, ev := range m.Events {
+		resumed = resumed || ev.Kind == obs.EventResumed
+	}
+	if !resumed {
+		t.Fatalf("manifest events lack the resume: %+v", m.Events)
 	}
 }
 
 // TestOnionDigestSensitivity pins the content key's inputs: every
 // outcome-affecting parameter — including the seed and the loaded
-// graph's content hash — must change the digest, while bookkeeping
-// fields (cache/checkpoint paths, fleet id, and notably the graph's
-// *path*, whose content hash already covers it) must not.
+// graph's content hash — must change the key, while bookkeeping fields
+// (cache path, fleet id, and notably the graph's *path*, whose content
+// hash already covers it) must not.
 func TestOnionDigestSensitivity(t *testing.T) {
 	base := onionConfig{
 		n: 40, g: 4, k: 2, l: 2, spray: true, deadline: 300,
@@ -211,16 +220,15 @@ func TestOnionDigestSensitivity(t *testing.T) {
 	for name, mutate := range affecting {
 		c := base
 		mutate(&c)
-		if c.digest() == base.digest() {
-			t.Errorf("mutating %s did not change the digest", name)
+		if c.contentKey() == base.contentKey() {
+			t.Errorf("mutating %s did not change the key", name)
 		}
 	}
 	c := base
 	c.graphPath, c.saveGraph = "elsewhere.graph", "out.graph"
-	c.ckptDir, c.cacheDir, c.fleetID = "ck", "cache", "host-1"
-	c.resume = true
-	if c.digest() != base.digest() {
-		t.Error("bookkeeping fields changed the digest")
+	c.cacheDir, c.fleetID = "cache", "host-1"
+	if c.contentKey() != base.contentKey() {
+		t.Error("bookkeeping fields changed the key")
 	}
 }
 

@@ -10,6 +10,11 @@ import (
 // TestPersistenceFlagValidation pins the loud flag-time failures of
 // the persistence options: they must reject before any trial runs, so
 // a mistyped path never silently computes without persistence.
+//
+// The -checkpoint and -resume flags went away with the checkpoint
+// store (-cache persists and resumes on its own). Invocations that
+// still pass them must fail at parse time, never run without
+// persistence.
 func TestPersistenceFlagValidation(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "occupied")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
@@ -23,12 +28,12 @@ func TestPersistenceFlagValidation(t *testing.T) {
 		{
 			name:    "resume without checkpoint",
 			args:    []string{"-fig", "fig06", "-resume"},
-			wantErr: "-resume requires -checkpoint",
+			wantErr: "flag provided but not defined: -resume",
 		},
 		{
 			name:    "checkpoint at a regular file",
 			args:    []string{"-fig", "fig06", "-checkpoint", file},
-			wantErr: "not a directory",
+			wantErr: "flag provided but not defined: -checkpoint",
 		},
 		{
 			name:    "cache at a regular file",
@@ -38,7 +43,7 @@ func TestPersistenceFlagValidation(t *testing.T) {
 		{
 			name:    "checkpoint and cache together",
 			args:    []string{"-fig", "fig06", "-checkpoint", t.TempDir(), "-cache", t.TempDir()},
-			wantErr: "mutually exclusive",
+			wantErr: "flag provided but not defined: -checkpoint",
 		},
 		{
 			name:    "non-positive lease ttl",

@@ -1,25 +1,23 @@
 // Command figures regenerates the paper's evaluation figures
 // (Figs. 4-19). For each figure it can print an ASCII plot and write a
-// tidy CSV next to it. Runs are crash-safe: with -checkpoint, every
-// completed trial is persisted and an interrupted run resumes via
-// -resume with byte-identical final artifacts.
+// tidy CSV next to it.
 //
-// With -cache instead, trials persist in a content-addressed result
-// cache keyed by the spec's numerical inputs (never the git revision
-// or presentation fields), so completed work survives commits and is
-// shared: any number of processes pointed at the same cache directory
-// split the trial range via work-stealing leases and every one emits
-// artifacts byte-identical to a single-process run. No -resume flag
-// exists for the cache — reruns resume implicitly.
+// With -cache, every completed trial persists in a content-addressed
+// result cache keyed by the spec's numerical inputs (never the git
+// revision or presentation fields). Runs are crash-safe: an
+// interrupted or killed run resumes by rerunning with the same -cache,
+// and its artifacts are byte-identical to an uninterrupted run.
+// Completed work survives commits and is shared: any number of
+// processes pointed at the same cache directory split the trial range
+// via work-stealing leases and every one emits artifacts
+// byte-identical to a single-process run.
 //
 // Usage:
 //
 //	figures -fig all -out results/
 //	figures -fig fig11 -runs 1000
 //	figures -fig fig04 -manifest out.json -cpuprofile cpu.prof
-//	figures -fig fig04 -checkpoint .ckpt     # Ctrl-C safe
-//	figures -fig fig04 -checkpoint .ckpt -resume
-//	figures -fig fig04 -cache .cache         # content-addressed, shareable
+//	figures -fig fig04 -cache .cache         # Ctrl-C safe; rerun to resume
 //	figures -fig fig04 -cache .cache -fleet-id worker-b  # fleet member
 package main
 
@@ -35,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/atomicio"
-	"repro/internal/checkpoint"
 	"repro/internal/dispatch"
 	"repro/internal/experiment"
 	"repro/internal/obs"
@@ -78,10 +75,8 @@ func run(args []string, out *os.File) error {
 		parallel     = fs.Int("parallel", 1, "figures generated concurrently")
 		width        = fs.Int("width", 72, "plot width")
 		height       = fs.Int("height", 18, "plot height")
-		ckptDir      = fs.String("checkpoint", "", "directory for per-figure checkpoint files; completed trials persist across interruptions")
-		resume       = fs.Bool("resume", false, "load completed trials from -checkpoint and run only the remainder (byte-identical to an uninterrupted run at any -workers)")
 		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial watchdog: a trial exceeding this is retried once, then quarantined (0 = no watchdog)")
-		cacheDir     = fs.String("cache", "", "content-addressed result cache directory; unchanged specs reuse trials across commits, and concurrent processes on the same directory form a work-stealing fleet")
+		cacheDir     = fs.String("cache", "", "content-addressed result cache directory; completed trials persist across interruptions and commits (rerun to resume), and concurrent processes on the same directory form a work-stealing fleet")
 		leaseTTL     = fs.Duration("lease-ttl", 30*time.Second, "fleet lease staleness bound: a chunk whose holder has not heartbeat within this is stolen")
 		fleetID      = fs.String("fleet-id", defaultFleetID(), "worker name for cache shards and leases (default hostname-pid)")
 	)
@@ -96,20 +91,8 @@ func run(args []string, out *os.File) error {
 			return fmt.Errorf("create output dir: %w", err)
 		}
 	}
-	// Persistence flags are validated before any computation: a -resume
-	// with nowhere to resume from, a -checkpoint/-cache path occupied by
-	// a regular file, or both persistence modes at once all fail here.
-	if *resume && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint DIR")
-	}
-	if *ckptDir != "" && *cacheDir != "" {
-		return fmt.Errorf("-checkpoint and -cache are mutually exclusive (the cache already persists and resumes trials)")
-	}
-	if *ckptDir != "" {
-		if err := atomicio.EnsureDir(*ckptDir); err != nil {
-			return fmt.Errorf("-checkpoint: %w", err)
-		}
-	}
+	// Persistence flags are validated before any computation: a -cache
+	// path occupied by a regular file fails here.
 	if *cacheDir != "" {
 		if err := atomicio.EnsureDir(*cacheDir); err != nil {
 			return fmt.Errorf("-cache: %w", err)
@@ -158,11 +141,11 @@ func run(args []string, out *os.File) error {
 		if err != nil {
 			return err
 		}
-		if *ckptDir == "" && *cacheDir == "" {
+		if *cacheDir == "" {
 			// One engine shared across the file's specs so repeated
-			// analytical-model evaluations hit the memo cache. With
-			// checkpoints or a result cache each spec needs its own
-			// store, hence its own engine.
+			// analytical-model evaluations hit the memo cache. With a
+			// result cache each spec needs its own cache entry, hence
+			// its own engine.
 			sharedEng = scenario.NewEngine(opt)
 		}
 	} else {
@@ -201,9 +184,9 @@ func run(args []string, out *os.File) error {
 	}
 
 	// One supervisor for the whole invocation: SIGINT/SIGTERM request a
-	// drain (in-flight trials finish, checkpoints flush, the run exits
-	// nonzero), and a panicking or hung trial is quarantined instead of
-	// killing the process.
+	// drain (in-flight trials finish and, under -cache, are saved; the
+	// run exits nonzero), and a panicking or hung trial is quarantined
+	// instead of killing the process.
 	sup := runner.NewSupervisor(*trialTimeout)
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -211,7 +194,7 @@ func run(args []string, out *os.File) error {
 	go func() {
 		select {
 		case s := <-sigc:
-			fmt.Fprintf(os.Stderr, "figures: received %v, draining (completed trials are checkpointed)\n", s)
+			fmt.Fprintf(os.Stderr, "figures: received %v, draining%s\n", s, drainNote(*cacheDir))
 			obsRun.RecordEvent(obs.RunEvent{Kind: obs.EventInterrupted, Detail: s.String()})
 			sup.Stop()
 		case <-sigDone:
@@ -230,6 +213,7 @@ func run(args []string, out *os.File) error {
 			return sharedEng.Run(spec)
 		}
 		eng := scenario.NewEngine(opt)
+		var d *dispatch.Dispatcher
 		if *cacheDir != "" {
 			key, err := scenario.ContentKey(spec, opt)
 			if err != nil {
@@ -242,46 +226,14 @@ func run(args []string, out *os.File) error {
 			defer store.Close()
 			if n := store.Loaded(); n > 0 {
 				fmt.Fprintf(os.Stderr, "figures: %s: cache entry %.12s holds %d completed trials\n", spec.ID, key, n)
+				obsRun.RecordEvent(obs.RunEvent{
+					Kind:   obs.EventResumed,
+					Detail: fmt.Sprintf("%s: %d trials from cache entry %.12s", spec.ID, n, key),
+				})
 			}
-			eng.SuperviseFleet(sup, dispatch.New(store, dispatch.Options{
-				Owner: *fleetID, LeaseTTL: *leaseTTL,
-			}))
-			return eng.Run(spec)
+			d = dispatch.New(store, dispatch.Options{Owner: *fleetID, LeaseTTL: *leaseTTL})
 		}
-		var store *checkpoint.Store
-		if *ckptDir != "" {
-			key, err := scenario.RunKey(spec, opt)
-			if err != nil {
-				return nil, err
-			}
-			path := filepath.Join(*ckptDir, spec.ID+".ckpt")
-			_, statErr := os.Stat(path)
-			if *resume && statErr == nil {
-				store, err = checkpoint.Resume(path, key)
-				if err != nil {
-					return nil, err
-				}
-				if n := store.Loaded(); n > 0 {
-					fmt.Fprintf(os.Stderr, "figures: %s: resumed %d completed trials from %s\n", spec.ID, n, path)
-					obsRun.RecordEvent(obs.RunEvent{
-						Kind:   obs.EventResumed,
-						Detail: fmt.Sprintf("%s: %d trials from %s", spec.ID, n, path),
-					})
-				}
-			} else {
-				if *resume {
-					fmt.Fprintf(os.Stderr, "figures: %s: no checkpoint at %s, starting fresh\n", spec.ID, path)
-				}
-				store, err = checkpoint.Create(path, key)
-				if err != nil {
-					return nil, err
-				}
-			}
-			defer store.Close()
-			eng.Supervise(sup, store)
-		} else {
-			eng.Supervise(sup, nil)
-		}
+		eng.Supervise(sup, d)
 		return eng.Run(spec)
 	}
 
@@ -365,8 +317,6 @@ func run(args []string, out *os.File) error {
 		SecurityRuns int      `json:"securityRuns"`
 		TraceRuns    int      `json:"traceRuns"`
 		Parallel     int      `json:"parallel"`
-		Checkpoint   string   `json:"checkpoint,omitempty"`
-		Resume       bool     `json:"resume,omitempty"`
 		Cache        string   `json:"cache,omitempty"`
 		FleetID      string   `json:"fleetId,omitempty"`
 	}
@@ -379,16 +329,24 @@ func run(args []string, out *os.File) error {
 	finishErr := obsRun.Finish(manifestConfig{
 		Figures: ids, Runs: opt.Runs, SecurityRuns: opt.SecurityRuns,
 		TraceRuns: opt.TraceRuns, Parallel: *parallel,
-		Checkpoint: *ckptDir, Resume: *resume,
 		Cache: *cacheDir, FleetID: fleetIDForManifest(*cacheDir, *fleetID),
 	}, opt.Seed, opt.Workers, opt.FaultRate)
 	if firstErr != nil {
-		if errors.Is(firstErr, runner.ErrInterrupted) && *ckptDir != "" {
-			return fmt.Errorf("%w; rerun with -resume to continue", firstErr)
+		if errors.Is(firstErr, runner.ErrInterrupted) && *cacheDir != "" {
+			return fmt.Errorf("%w; rerun with the same -cache to continue", firstErr)
 		}
 		return firstErr
 	}
 	return finishErr
+}
+
+// drainNote tells an interrupted user whether completed trials survive:
+// only a -cache run persists them.
+func drainNote(cacheDir string) string {
+	if cacheDir == "" {
+		return ""
+	}
+	return " (completed trials are cached)"
 }
 
 // fleetIDForManifest records the worker name only when a cache is in

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -20,7 +17,7 @@ import (
 
 // execArgsEnv re-execs the test binary as the figures CLI: when set,
 // TestMain runs run() with the JSON-decoded args instead of the tests.
-// This is how the kill/resume suite gets a real process to SIGKILL.
+// This is how the kill-and-rerun suite gets a real process to SIGKILL.
 const execArgsEnv = "FIGURES_EXEC_ARGS"
 
 func TestMain(m *testing.M) {
@@ -69,101 +66,6 @@ func tmpDroppings(t *testing.T, dir string) []string {
 	return matches
 }
 
-// TestKillResumeByteIdentical is the crash-safety acceptance test: a
-// figures run SIGKILLed at a seeded random point and resumed from its
-// checkpoint produces artifacts byte-identical to an uninterrupted run,
-// across seeds and worker counts (resume may happen at a different
-// -workers value than the interrupted run used).
-func TestKillResumeByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns and kills subprocesses")
-	}
-	var midRunKills int64
-	for _, seed := range []uint64{1, 42} {
-		for _, workers := range []int{1, 4} {
-			seed, workers := seed, workers
-			t.Run(fmt.Sprintf("seed%d-workers%d", seed, workers), func(t *testing.T) {
-				t.Parallel()
-				base := []string{
-					"-fig", "fig06", "-no-plot", "-json",
-					"-runs", "40", "-security-runs", "4000", "-trace-runs", "5",
-					"-seed", fmt.Sprint(seed), "-workers", fmt.Sprint(workers),
-				}
-				goldenDir := t.TempDir()
-				if err := run(append([]string{"-out", goldenDir}, base...), os.Stdout); err != nil {
-					t.Fatal(err)
-				}
-				goldenCSV, err := os.ReadFile(filepath.Join(goldenDir, "fig06.csv"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				goldenJSON, err := os.ReadFile(filepath.Join(goldenDir, "fig06.json"))
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				outDir, ckptDir := t.TempDir(), t.TempDir()
-				args := append([]string{"-out", outDir, "-checkpoint", ckptDir}, base...)
-				// Seeded random kill point somewhere inside the run.
-				rnd := rand.New(rand.NewSource(int64(seed)*31 + int64(workers)))
-				delay := 150*time.Millisecond + time.Duration(rnd.Int63n(int64(600*time.Millisecond)))
-				victim, _ := figuresCmd(t, args)
-				if err := victim.Start(); err != nil {
-					t.Fatal(err)
-				}
-				time.Sleep(delay)
-				_ = victim.Process.Kill() // SIGKILL: no cleanup runs
-				if err := victim.Wait(); err != nil {
-					atomic.AddInt64(&midRunKills, 1)
-				} else {
-					t.Logf("run finished in under %v; resume will replay a complete checkpoint", delay)
-				}
-				if left := tmpDroppings(t, outDir); len(left) != 0 {
-					t.Fatalf("SIGKILL left temp artifacts: %v", left)
-				}
-
-				// Resume at a different worker count than the victim ran.
-				resumeArgs := append([]string(nil), args...)
-				for i, a := range resumeArgs {
-					if a == "-workers" {
-						resumeArgs[i+1] = fmt.Sprint(workers%4 + 1)
-					}
-				}
-				resume, stderr := figuresCmd(t, append(resumeArgs, "-resume"))
-				if err := resume.Run(); err != nil {
-					t.Fatalf("resume failed: %v\n%s", err, stderr.String())
-				}
-				if strings.Contains(stderr.String(), "resumed") {
-					t.Logf("resume loaded checkpointed trials (%s)", strings.TrimSpace(stderr.String()))
-				}
-
-				gotCSV, err := os.ReadFile(filepath.Join(outDir, "fig06.csv"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(gotCSV, goldenCSV) {
-					t.Errorf("resumed CSV differs from uninterrupted golden (%d vs %d bytes)", len(gotCSV), len(goldenCSV))
-				}
-				gotJSON, err := os.ReadFile(filepath.Join(outDir, "fig06.json"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(gotJSON, goldenJSON) {
-					t.Errorf("resumed JSON differs from uninterrupted golden (%d vs %d bytes)", len(gotJSON), len(goldenJSON))
-				}
-				if left := tmpDroppings(t, outDir); len(left) != 0 {
-					t.Fatalf("resume left temp artifacts: %v", left)
-				}
-			})
-		}
-	}
-	t.Cleanup(func() {
-		if !t.Failed() && atomic.LoadInt64(&midRunKills) == 0 {
-			t.Error("no subprocess was killed mid-run; the kill window no longer overlaps the run — retune the delays")
-		}
-	})
-}
-
 // TestCSVWriteFailureLeavesNoPartial pins satellite (b): when the CSV
 // write fails mid-run (here: a directory squats on the target path),
 // the command errors out without leaving partial or temp files.
@@ -181,32 +83,6 @@ func TestCSVWriteFailureLeavesNoPartial(t *testing.T) {
 	}
 	if left := tmpDroppings(t, dir); len(left) != 0 {
 		t.Fatalf("failed write left temp artifacts: %v", left)
-	}
-}
-
-// TestResumeRequiresCheckpoint pins the flag contract: -resume without
-// -checkpoint is a loud error, not a silent fresh run.
-func TestResumeRequiresCheckpoint(t *testing.T) {
-	err := run([]string{"-fig", "fig04", "-no-plot", "-resume"}, os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
-		t.Fatalf("err = %v, want a -checkpoint requirement", err)
-	}
-}
-
-// TestForeignCheckpointRefused pins loud key rejection end to end: a
-// checkpoint recorded at one seed must refuse to resume another.
-func TestForeignCheckpointRefused(t *testing.T) {
-	ckptDir := t.TempDir()
-	base := []string{
-		"-fig", "fig04", "-no-plot", "-checkpoint", ckptDir,
-		"-runs", "10", "-security-runs", "30", "-trace-runs", "5",
-	}
-	if err := run(append(base, "-seed", "1"), os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	err := run(append(base, "-seed", "2", "-resume"), os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("err = %v, want checkpoint key mismatch", err)
 	}
 }
 

@@ -11,6 +11,11 @@ import (
 // TestPersistenceFlagValidation pins the loud flag-time failures of
 // the persistence options (see cmd/figures for the same table): a
 // mistyped path must fail before any trial runs.
+//
+// The -checkpoint and -resume flags went away with the checkpoint
+// store (-cache persists and resumes on its own). Invocations that
+// still pass them must fail at parse time, never run without
+// persistence.
 func TestPersistenceFlagValidation(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "occupied")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
@@ -25,12 +30,12 @@ func TestPersistenceFlagValidation(t *testing.T) {
 		{
 			name:    "resume without checkpoint",
 			args:    []string{"-resume"},
-			wantErr: "-resume requires -checkpoint",
+			wantErr: "flag provided but not defined: -resume",
 		},
 		{
 			name:    "checkpoint at a regular file",
 			args:    []string{"-checkpoint", file},
-			wantErr: "not a directory",
+			wantErr: "flag provided but not defined: -checkpoint",
 		},
 		{
 			name:    "cache at a regular file",
@@ -40,7 +45,7 @@ func TestPersistenceFlagValidation(t *testing.T) {
 		{
 			name:    "checkpoint and cache together",
 			args:    []string{"-checkpoint", t.TempDir(), "-cache", t.TempDir()},
-			wantErr: "mutually exclusive",
+			wantErr: "flag provided but not defined: -checkpoint",
 		},
 		{
 			name:    "non-positive lease ttl",

@@ -21,7 +21,6 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/atomicio"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/obs"
@@ -82,10 +80,8 @@ func run(args []string, out io.Writer) error {
 		runs        = fs.Int("runs", 400, "routed messages per point")
 		seed        = fs.Uint64("seed", 1, "root random seed")
 		workers     = fs.Int("workers", 0, "concurrent trial workers (0 = GOMAXPROCS); output is identical for any value")
-		ckptDir     = fs.String("checkpoint", "", "directory for the sweep's checkpoint file; completed trials persist across interruptions")
-		resume      = fs.Bool("resume", false, "load completed trials from -checkpoint and run only the remainder")
 		trialTO     = fs.Duration("trial-timeout", 0, "per-trial watchdog: a trial exceeding this is retried once, then quarantined (0 = no watchdog)")
-		cacheDir    = fs.String("cache", "", "content-addressed result cache directory; identical sweeps reuse trials across commits, and concurrent processes form a work-stealing fleet")
+		cacheDir    = fs.String("cache", "", "content-addressed result cache directory; completed trials persist across interruptions and commits (rerun to resume), and concurrent processes form a work-stealing fleet")
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "fleet lease staleness bound: a chunk whose holder has not heartbeat within this is stolen")
 		fleetID     = fs.String("fleet-id", defaultFleetID(), "worker name for cache shards and leases (default hostname-pid)")
 	)
@@ -112,17 +108,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown parameter %q (want g, K, L, c, T, or f)", *param)
 	}
 	// Persistence flags fail at validation time, before any computation.
-	if *resume && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint DIR")
-	}
-	if *ckptDir != "" && *cacheDir != "" {
-		return fmt.Errorf("-checkpoint and -cache are mutually exclusive (the cache already persists and resumes trials)")
-	}
-	if *ckptDir != "" {
-		if err := atomicio.EnsureDir(*ckptDir); err != nil {
-			return fmt.Errorf("-checkpoint: %w", err)
-		}
-	}
 	if *cacheDir != "" {
 		if err := atomicio.EnsureDir(*cacheDir); err != nil {
 			return fmt.Errorf("-cache: %w", err)
@@ -155,8 +140,8 @@ func run(args []string, out io.Writer) error {
 		Workers: *workers,
 	}
 
-	// Supervision: SIGINT/SIGTERM drain in-flight trials (flushing the
-	// checkpoint) instead of losing the run.
+	// Supervision: SIGINT/SIGTERM drain in-flight trials (saving them
+	// under -cache) instead of losing the run.
 	sup := runner.NewSupervisor(*trialTO)
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -164,7 +149,7 @@ func run(args []string, out io.Writer) error {
 	go func() {
 		select {
 		case s := <-sigc:
-			fmt.Fprintf(os.Stderr, "sweep: received %v, draining (completed trials are checkpointed)\n", s)
+			fmt.Fprintf(os.Stderr, "sweep: received %v, draining%s\n", s, drainNote(*cacheDir))
 			obsRun.RecordEvent(obs.RunEvent{Kind: obs.EventInterrupted, Detail: s.String()})
 			sup.Stop()
 		case <-sigDone:
@@ -175,6 +160,7 @@ func run(args []string, out io.Writer) error {
 		close(sigDone)
 	}()
 	eng := scenario.NewEngine(opt)
+	var d *dispatch.Dispatcher
 	if *cacheDir != "" {
 		key, err := scenario.ContentKey(&spec, opt)
 		if err != nil {
@@ -187,47 +173,14 @@ func run(args []string, out io.Writer) error {
 		defer store.Close()
 		if n := store.Loaded(); n > 0 {
 			fmt.Fprintf(os.Stderr, "sweep: cache entry %.12s holds %d completed trials\n", key, n)
+			obsRun.RecordEvent(obs.RunEvent{
+				Kind:   obs.EventResumed,
+				Detail: fmt.Sprintf("%d trials from cache entry %.12s", n, key),
+			})
 		}
-		eng.SuperviseFleet(sup, dispatch.New(store, dispatch.Options{
-			Owner: *fleetID, LeaseTTL: *leaseTTL,
-		}))
+		d = dispatch.New(store, dispatch.Options{Owner: *fleetID, LeaseTTL: *leaseTTL})
 	}
-	// rs stays a nil interface when no checkpoint is in play; assigning
-	// a nil *checkpoint.Store would make it non-nil and panic downstream.
-	var rs runner.ResultStore
-	if *ckptDir != "" {
-		var store *checkpoint.Store
-		key, err := scenario.RunKey(&spec, opt)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*ckptDir, spec.ID+".ckpt")
-		_, statErr := os.Stat(path)
-		if *resume && statErr == nil {
-			store, err = checkpoint.Resume(path, key)
-			if err != nil {
-				return err
-			}
-			if n := store.Loaded(); n > 0 {
-				fmt.Fprintf(os.Stderr, "sweep: resumed %d completed trials from %s\n", n, path)
-				obsRun.RecordEvent(obs.RunEvent{
-					Kind:   obs.EventResumed,
-					Detail: fmt.Sprintf("%d trials from %s", n, path),
-				})
-			}
-		} else {
-			if *resume {
-				fmt.Fprintf(os.Stderr, "sweep: no checkpoint at %s, starting fresh\n", path)
-			}
-			store, err = checkpoint.Create(path, key)
-			if err != nil {
-				return err
-			}
-		}
-		defer store.Close()
-		rs = store
-	}
-	eng.Supervise(sup, rs)
+	eng.Supervise(sup, d)
 	fig, err := eng.Run(&spec)
 	for _, te := range sup.Quarantined() {
 		obsRun.RecordEvent(obs.RunEvent{
@@ -235,8 +188,8 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 	if err != nil {
-		if errors.Is(err, runner.ErrInterrupted) && *ckptDir != "" {
-			return fmt.Errorf("%w; rerun with -resume to continue", err)
+		if errors.Is(err, runner.ErrInterrupted) && *cacheDir != "" {
+			return fmt.Errorf("%w; rerun with the same -cache to continue", err)
 		}
 		return err
 	}
@@ -274,6 +227,15 @@ func run(args []string, out io.Writer) error {
 		mc.FleetID = *fleetID
 	}
 	return obsRun.Finish(mc, *seed, *workers, *faults)
+}
+
+// drainNote tells an interrupted user whether completed trials survive:
+// only a -cache run persists them.
+func drainNote(cacheDir string) string {
+	if cacheDir == "" {
+		return ""
+	}
+	return " (completed trials are cached)"
 }
 
 // validateParamValues rejects sweep values that the integer-valued

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestSweepGroupSize(t *testing.T) {
@@ -86,43 +88,48 @@ func TestSweepRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpointResume pins the crash-safety wiring: a sweep run
-// with -checkpoint can be rerun with -resume (all trials served from
-// the checkpoint) and prints a byte-identical table; -resume without
-// -checkpoint is refused; a foreign checkpoint (different seed) is
-// rejected loudly.
-func TestSweepCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
+// TestSweepCacheResume pins the crash-safety wiring: a sweep run with
+// -cache reruns warm against the same cache — every trial served from
+// it, zero cache misses — and prints a byte-identical table, while the
+// manifest records the resume.
+func TestSweepCacheResume(t *testing.T) {
 	args := []string{
 		"-param", "g", "-values", "1,5", "-n", "30", "-runs", "10",
-		"-checkpoint", dir, "-seed", "1",
+		"-cache", t.TempDir(), "-fleet-id", "w", "-seed", "1",
 	}
 	var first bytes.Buffer
 	if err := run(args, &first); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "sweep-g.ckpt")); err != nil {
-		t.Fatalf("checkpoint file missing: %v", err)
-	}
-	var resumed bytes.Buffer
-	if err := run(append(args, "-resume"), &resumed); err != nil {
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	var warm bytes.Buffer
+	if err := run(append(args, "-manifest", manifest), &warm); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first.Bytes(), resumed.Bytes()) {
-		t.Fatalf("resumed table differs:\n%s\nvs\n%s", resumed.String(), first.String())
+	if !bytes.Equal(first.Bytes(), warm.Bytes()) {
+		t.Fatalf("warm table differs:\n%s\nvs\n%s", warm.String(), first.String())
 	}
-
-	if err := run([]string{"-param", "g", "-values", "1", "-resume"}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "-checkpoint") {
-		t.Fatalf("-resume without -checkpoint: err = %v, want flag error", err)
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
 	}
-	foreign := append(append([]string(nil), args...), "-resume")
-	for i, a := range foreign {
-		if a == "-seed" {
-			foreign[i+1] = "2"
-		}
+	m, err := obs.ValidateManifestBytes(raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := run(foreign, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("foreign checkpoint: err = %v, want key mismatch", err)
+	counters := map[string]int64{}
+	for _, c := range m.Counters {
+		counters[c.Name] = c.Value
+	}
+	if counters["cache.misses"] != 0 || counters["cache.hits"] == 0 {
+		t.Fatalf("warm rerun cache.misses = %d, cache.hits = %d; want 0 and > 0",
+			counters["cache.misses"], counters["cache.hits"])
+	}
+	resumed := false
+	for _, ev := range m.Events {
+		resumed = resumed || ev.Kind == obs.EventResumed
+	}
+	if !resumed {
+		t.Fatalf("manifest events lack the resume: %+v", m.Events)
 	}
 }

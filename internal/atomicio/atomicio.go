@@ -26,8 +26,8 @@ func WriteFile(path string, data []byte, perm os.FileMode) error {
 // EnsureDir verifies that path can serve as a writable directory,
 // creating it (and parents) if absent. A path that exists but is not a
 // directory is a configuration error — the flag-validation paths of
-// the CLIs call this so a -checkpoint or -cache pointing at a regular
-// file fails loudly before any computation starts, not after.
+// the CLIs call this so a -cache pointing at a regular file fails
+// loudly before any computation starts, not after.
 func EnsureDir(path string) error {
 	st, err := os.Stat(path)
 	switch {

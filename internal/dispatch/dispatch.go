@@ -1,17 +1,23 @@
-// Package dispatch schedules Monte Carlo trial batches across a fleet
-// of workers sharing a content-addressed result cache
-// (internal/resultcache). Workers may be goroutines of one process or
+// Package dispatch is the one entry point every Monte Carlo batch runs
+// through. Without a Dispatcher, Run is the plain supervised worker
+// pool (internal/runner). With one, it schedules the batch across a
+// fleet of workers sharing a content-addressed result cache
+// (internal/resultcache), which is also how runs survive interruption:
+// a rerun against the same cache serves every persisted trial and
+// computes only the rest. Workers may be goroutines of one process or
 // separate processes on a shared directory — the protocol is the same:
 //
 //  1. A batch is split into fixed trial-index chunks.
-//  2. A worker claims a chunk by creating its lease file with
-//     O_CREATE|O_EXCL in the cache entry's lease directory — the
-//     filesystem arbitrates, exactly one creator wins.
+//  2. A worker claims a chunk by creating its lease file exclusively
+//     (a hard link, which fails if the file exists) in the cache
+//     entry's lease directory — the filesystem arbitrates, exactly one
+//     creator wins.
 //  3. While computing, the holder heartbeats the lease (mtime bumps).
 //     A lease whose mtime is older than the TTL belonged to a dead or
 //     stalled worker; any other worker steals it by renaming the lease
 //     file aside (rename is atomic, so exactly one stealer wins) and
-//     re-claiming the chunk.
+//     re-claiming the chunk. A lease naming this worker's own Owner can
+//     only be a dead predecessor's, so it is reclaimed at once.
 //  4. Completed trials are appended to the worker's own cache shard;
 //     everyone else picks them up by polling Refresh.
 //  5. When every trial of the batch is in the cache, each worker
@@ -26,7 +32,9 @@
 package dispatch
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -83,7 +91,7 @@ func (o Options) withDefaults() Options {
 
 // Dispatcher runs batches against one open cache entry. Create one per
 // (spec, seed) cache entry and attach it to the scenario engine via
-// Engine.SuperviseFleet.
+// Engine.Supervise.
 type Dispatcher struct {
 	store *resultcache.Store
 	opt   Options
@@ -103,13 +111,20 @@ type chunk struct {
 	done   bool
 }
 
-// Run executes one batch of trials through the fleet protocol and
-// returns the results in trial-index order, byte-identical to
-// runner.Supervised at any fleet size. fn must be deterministic in its
-// index. workers bounds this process's concurrency within a claimed
-// chunk; sup (optional) provides the watchdog, quarantine and drain
-// semantics of runner.Supervised for the chunks this worker executes.
+// Run executes one batch of trials and returns the results in
+// trial-index order. fn must be deterministic in its index. workers
+// bounds this process's concurrency; sup (optional) provides the
+// watchdog, quarantine and drain semantics of runner.Supervised.
+//
+// A nil d runs the batch on the plain runner.Supervised pool with no
+// persistence. Otherwise the batch runs through the fleet protocol:
+// every trial already in the cache is served, the rest are leased in
+// chunks, computed and saved, and the assembled results are
+// byte-identical to the nil-d run at any fleet size.
 func Run[T any](d *Dispatcher, sup *runner.Supervisor, batch string, workers, trials int, fn func(i int) (T, error)) ([]T, error) {
+	if d == nil {
+		return runner.Supervised(sup, batch, workers, trials, fn)
+	}
 	if trials <= 0 {
 		return nil, nil
 	}
@@ -126,7 +141,7 @@ func Run[T any](d *Dispatcher, sup *runner.Supervisor, batch string, workers, tr
 	var executed atomic.Int64 // trials this process computed (cache misses)
 	remaining := len(chunks)
 	for remaining > 0 {
-		if sup != nil && sup.Stopping() {
+		if sup.Stopping() {
 			return nil, fmt.Errorf("dispatch: batch %q: %w", batch, runner.ErrInterrupted)
 		}
 		progressed := false
@@ -147,6 +162,13 @@ func Run[T any](d *Dispatcher, sup *runner.Supervisor, batch string, workers, tr
 			if !held {
 				continue // another live worker owns it; revisit after Refresh
 			}
+			// A holder saves its records before releasing, so a lease
+			// freed since the last scan may cover finished trials: pick
+			// them up before computing (execute skips cached trials).
+			if err := d.store.Refresh(); err != nil {
+				d.release(batch, ch)
+				return nil, fmt.Errorf("dispatch: batch %q: %w", batch, err)
+			}
 			err = execute(d, sup, batch, workers, ch, &executed, fn)
 			d.release(batch, ch)
 			if err != nil {
@@ -162,7 +184,7 @@ func Run[T any](d *Dispatcher, sup *runner.Supervisor, batch string, workers, tr
 		if !progressed {
 			// Everything left is leased elsewhere: wait for peers'
 			// appends (or for their leases to go stale) and rescan.
-			if sup != nil && sup.Stopping() {
+			if sup.Stopping() {
 				return nil, fmt.Errorf("dispatch: batch %q: %w", batch, runner.ErrInterrupted)
 			}
 			time.Sleep(d.opt.Poll)
@@ -210,16 +232,8 @@ func (d *Dispatcher) leasePath(batch string, ch *chunk) string {
 func (d *Dispatcher) lease(batch string, ch *chunk, c *obs.Collector) (bool, error) {
 	path := d.leasePath(batch, ch)
 	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		err := d.createLease(path)
 		if err == nil {
-			_, werr := fmt.Fprintf(f, "%s\n", d.opt.Owner)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				os.Remove(path)
-				return false, fmt.Errorf("write lease: %w", werr)
-			}
 			if c != nil {
 				c.Add(obs.DispatchLeases, 1)
 			}
@@ -232,12 +246,14 @@ func (d *Dispatcher) lease(batch string, ch *chunk, c *obs.Collector) (bool, err
 		if serr != nil {
 			continue // holder released between our attempts; retry create
 		}
-		if time.Since(st.ModTime()) < d.opt.LeaseTTL {
+		if time.Since(st.ModTime()) < d.opt.LeaseTTL && !d.ownLease(path) {
 			return false, nil // live holder
 		}
-		// Stale: the holder died or stalled past the TTL. Rename the
-		// lease aside — atomic, so exactly one stealer proceeds — and
-		// loop back to create our own.
+		// Stale — the holder died or stalled past the TTL — or our own:
+		// this worker releases every lease before claiming the next, so
+		// a lease naming its Owner was left by a killed predecessor
+		// with the same name. Rename the lease aside — atomic, so
+		// exactly one stealer proceeds — and loop back to create our own.
 		aside := path + ".stale-" + resultcache.SanitizeOwner(d.opt.Owner)
 		if rerr := os.Rename(path, aside); rerr != nil {
 			return false, nil // another stealer won; treat as held
@@ -250,6 +266,27 @@ func (d *Dispatcher) lease(batch string, ch *chunk, c *obs.Collector) (bool, err
 	return false, nil
 }
 
+// createLease creates the lease file at path naming this worker, or
+// fails with os.ErrExist when the chunk is already leased. The owner
+// is written to a private file first and hard-linked into place
+// (link(2) refuses an existing target, like O_EXCL), so a lease is
+// never visible without its owner: a kill mid-create cannot leave an
+// anonymous lease that only the TTL would clear.
+func (d *Dispatcher) createLease(path string) error {
+	tmp := path + ".new-" + resultcache.SanitizeOwner(d.opt.Owner)
+	if err := os.WriteFile(tmp, []byte(d.opt.Owner+"\n"), 0o644); err != nil {
+		return err
+	}
+	defer os.Remove(tmp)
+	return os.Link(tmp, path)
+}
+
+// ownLease reports whether the lease file at path names this worker.
+func (d *Dispatcher) ownLease(path string) bool {
+	data, err := os.ReadFile(path)
+	return err == nil && strings.TrimSpace(string(data)) == d.opt.Owner
+}
+
 // release removes the chunk's lease, but only if it still names this
 // worker. A missing file, or one naming someone else, means a stealer
 // claimed the chunk while we were computing (TTL shorter than the
@@ -259,28 +296,37 @@ func (d *Dispatcher) lease(batch string, ch *chunk, c *obs.Collector) (bool, err
 // the owner check only prevents wasted work, never corruption.
 func (d *Dispatcher) release(batch string, ch *chunk) {
 	path := d.leasePath(batch, ch)
-	data, err := os.ReadFile(path)
-	if err != nil || strings.TrimSpace(string(data)) != d.opt.Owner {
-		return
+	if d.ownLease(path) {
+		os.Remove(path)
 	}
-	os.Remove(path)
 }
 
-// execute runs one claimed chunk through runner.Supervised, persisting
-// every completed trial into this worker's shard, with a heartbeat
-// keeping the lease fresh for the duration. (A free function because
-// Go methods cannot take type parameters.)
+// execute runs one claimed chunk on the supervised pool with a
+// heartbeat keeping the lease fresh. Each trial is looked up in the
+// cache before it is computed — a killed predecessor may have finished
+// part of the chunk — and saved to this worker's shard right after, so
+// a drain or a kill loses at most the trials in flight. (A free
+// function because Go methods cannot take type parameters.)
 func execute[T any](d *Dispatcher, sup *runner.Supervisor, batch string, workers int, ch *chunk, executed *atomic.Int64, fn func(i int) (T, error)) error {
 	stop := d.heartbeat(batch, ch)
 	defer stop()
-	rs := &rangeStore{store: d.store, batch: batch, lo: ch.lo, executed: executed}
-	_, err := runner.Supervised(sup, rs, batch, workers, ch.hi-ch.lo, func(i int) (T, error) {
-		return fn(ch.lo + i)
+	_, err := runner.Supervised(sup, batch, workers, ch.hi-ch.lo, func(i int) (struct{}, error) {
+		trial := ch.lo + i
+		if d.store.Has(batch, trial) {
+			return struct{}{}, nil
+		}
+		v, err := fn(trial)
+		if err != nil {
+			return struct{}{}, err
+		}
+		data, err := EncodeResult(v)
+		if err != nil {
+			return struct{}{}, err
+		}
+		executed.Add(1)
+		return struct{}{}, d.store.Save(batch, trial, data)
 	})
-	if err != nil {
-		return err
-	}
-	return nil
+	return err
 }
 
 // heartbeat bumps the lease mtime every Heartbeat until the returned
@@ -306,26 +352,6 @@ func (d *Dispatcher) heartbeat(batch string, ch *chunk) (stop func()) {
 	return func() { close(done) }
 }
 
-// rangeStore adapts the cache entry to runner.ResultStore for one
-// chunk: chunk-local index i maps to global trial index lo+i, so the
-// runner's whole quarantine/watchdog/resume machinery runs unchanged.
-// Save also counts executed trials — the process's cache-miss tally.
-type rangeStore struct {
-	store    *resultcache.Store
-	batch    string
-	lo       int
-	executed *atomic.Int64
-}
-
-func (r *rangeStore) Lookup(batch string, i int) ([]byte, bool) {
-	return r.store.Peek(r.batch, r.lo+i)
-}
-
-func (r *rangeStore) Save(batch string, i int, data []byte) error {
-	r.executed.Add(1)
-	return r.store.Save(r.batch, r.lo+i, data)
-}
-
 // assemble reads the completed batch out of the cache in trial-index
 // order. Every trial must be present; a gap here is a protocol bug,
 // not a recoverable condition.
@@ -336,11 +362,32 @@ func assemble[T any](store *resultcache.Store, batch string, trials int) ([]T, e
 		if !ok {
 			return nil, fmt.Errorf("dispatch: batch %q: trial %d missing after all chunks completed", batch, i)
 		}
-		v, err := runner.DecodeResult[T](data)
+		v, err := DecodeResult[T](data)
 		if err != nil {
 			return nil, fmt.Errorf("dispatch: batch %q trial %d: %w", batch, i, err)
 		}
 		out[i] = v
 	}
 	return out, nil
+}
+
+// EncodeResult serializes one trial result for the cache. Gob
+// preserves float64 bit patterns exactly, so a decoded result is
+// bit-identical to the computed one — the property the byte-identical
+// resume and cache-reuse guarantees rest on.
+func EncodeResult[T any](v T) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
+		return nil, fmt.Errorf("encode trial result: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeResult is the inverse of EncodeResult.
+func DecodeResult[T any](data []byte) (T, error) {
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
+		return v, fmt.Errorf("decode trial result: %w", err)
+	}
+	return v, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -267,7 +268,7 @@ func TestFreshLeaseBlocksThenServes(t *testing.T) {
 		defer close(done)
 		time.Sleep(30 * time.Millisecond)
 		for i := 0; i < 8; i++ {
-			data, err := runner.EncodeResult(i * 7)
+			data, err := EncodeResult(i * 7)
 			if err == nil {
 				err = holder.Save("batch", i, data)
 			}
@@ -304,7 +305,7 @@ func TestFreshLeaseBlocksThenServes(t *testing.T) {
 // path must hand back results gob-identical to runner.Supervised.
 func TestByteIdenticalToSupervised(t *testing.T) {
 	fn := func(i int) (float64, error) { return 1.0 / float64(i+1), nil }
-	want, err := runner.Supervised[float64](nil, nil, "batch", 3, 20, fn)
+	want, err := runner.Supervised[float64](nil, "batch", 3, 20, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,5 +319,147 @@ func TestByteIdenticalToSupervised(t *testing.T) {
 		if wb, gb := fmt.Sprintf("%x", want[i]), fmt.Sprintf("%x", got[i]); wb != gb {
 			t.Fatalf("trial %d: dispatch %s != supervised %s", i, gb, wb)
 		}
+	}
+}
+
+// TestRunNilDispatcherIsPlainPool pins the unpersisted path: a nil
+// dispatcher runs the batch on the supervised pool, touching no disk.
+func TestRunNilDispatcherIsPlainPool(t *testing.T) {
+	var calls atomic.Int64
+	out, err := Run[float64](nil, nil, "batch", 3, 10, trialFn(&calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 10 {
+		t.Fatalf("trial fn called %d times; want 10", calls.Load())
+	}
+	for i, v := range out {
+		if v != float64(i)*1.5 {
+			t.Fatalf("out[%d] = %v; want %v", i, v, float64(i)*1.5)
+		}
+	}
+}
+
+// TestResumeFromCacheIsIdentical interrupts a batch partway, then
+// reruns it against the same cache entry at another worker count: the
+// rerun computes only the missing trials — including the rest of the
+// chunk the drain cut short — and its results are bit-identical to an
+// uninterrupted run.
+func TestResumeFromCacheIsIdentical(t *testing.T) {
+	trial := func(i int) (float64, error) {
+		// Irrational-ish values so bit-identity is a real check.
+		return math.Sqrt(float64(i)+2) * math.Pi, nil
+	}
+	golden, err := Run[float64](nil, nil, "resume", 1, 12, trial)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	sup := runner.NewSupervisor(0)
+	var ran atomic.Int64
+	d := New(openStore(t, dir, "resume", "w"), Options{Owner: "w", ChunkSize: 5})
+	_, err = Run(d, sup, "resume", 1, 12, func(i int) (float64, error) {
+		if ran.Add(1) == 7 {
+			sup.Stop()
+		}
+		return trial(i)
+	})
+	if !errors.Is(err, runner.ErrInterrupted) {
+		t.Fatalf("first run: err = %v, want ErrInterrupted", err)
+	}
+
+	var executed atomic.Int64
+	d2 := New(openStore(t, dir, "resume", "w"), Options{Owner: "w", ChunkSize: 5})
+	out, err := Run(d2, nil, "resume", 4, 12, func(i int) (float64, error) {
+		executed.Add(1)
+		return trial(i)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := executed.Load(); got != 12-7 {
+		t.Fatalf("rerun executed %d trials, want %d (rest from the cache)", got, 12-7)
+	}
+	for i := range golden {
+		if math.Float64bits(out[i]) != math.Float64bits(golden[i]) {
+			t.Fatalf("out[%d] = %x, golden = %x: resume not bit-identical",
+				i, math.Float64bits(out[i]), math.Float64bits(golden[i]))
+		}
+	}
+}
+
+// TestStoreRoundTripsStructs pins that struct results — including NaN
+// and Inf fields — come back from the cache bit-identical, and that a
+// warm rerun never invokes the trial function.
+func TestStoreRoundTripsStructs(t *testing.T) {
+	type trialResult struct {
+		Delivered bool
+		Time      float64
+		Model     []float64
+	}
+	trial := func(i int) (trialResult, error) {
+		return trialResult{
+			Delivered: i%2 == 0,
+			Time:      math.Log1p(float64(i)),
+			Model:     []float64{float64(i), math.NaN(), math.Inf(1)},
+		}, nil
+	}
+	s := openStore(t, t.TempDir(), "structs", "w")
+	first, err := Run(New(s, Options{Owner: "w"}), nil, "structs", 2, 6, trial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Run(New(s, Options{Owner: "w"}), nil, "structs", 2, 6,
+		func(i int) (trialResult, error) {
+			t.Errorf("trial %d executed despite a cache hit", i)
+			return trialResult{}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		if first[i].Delivered != second[i].Delivered ||
+			math.Float64bits(first[i].Time) != math.Float64bits(second[i].Time) {
+			t.Fatalf("trial %d scalar mismatch: %+v vs %+v", i, first[i], second[i])
+		}
+		for j := range first[i].Model {
+			if math.Float64bits(first[i].Model[j]) != math.Float64bits(second[i].Model[j]) {
+				t.Fatalf("trial %d model[%d] bits differ (NaN/Inf must round-trip)", i, j)
+			}
+		}
+	}
+}
+
+// TestOwnLeaseReclaimedImmediately pins kill-then-rerun under a fixed
+// worker name: a fresh lease naming this worker's own Owner can only
+// be a killed predecessor's, so it is reclaimed at once instead of
+// waiting out the TTL — while a fresh lease naming anyone else is
+// still respected.
+func TestOwnLeaseReclaimedImmediately(t *testing.T) {
+	s := openStore(t, t.TempDir(), "own", "me")
+	d := New(s, Options{Owner: "me", LeaseTTL: time.Hour})
+	ch := &chunk{lo: 0, hi: 8}
+	path := d.leasePath("batch", ch)
+
+	if err := os.WriteFile(path, []byte("someone-else\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if held, err := d.lease("batch", ch, nil); err != nil || held {
+		t.Fatalf("lease over a fresh foreign lease = %v, %v; want false, nil", held, err)
+	}
+
+	if err := os.WriteFile(path, []byte("me\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if held, err := d.lease("batch", ch, nil); err != nil || !held {
+		t.Fatalf("lease over a fresh own lease = %v, %v; want true, nil", held, err)
+	}
+	if !d.ownLease(path) {
+		t.Fatal("reclaimed lease does not name this worker")
+	}
+	d.release("batch", ch)
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("release kept the reclaimed lease: %v", err)
 	}
 }

@@ -160,7 +160,7 @@ func ablationTPS(e *scenario.Engine, sc *scenario.Scenario) ([]stats.Series, []s
 }
 
 // obsPoint is one simulated delivery observation awaiting in-order
-// aggregation into an ECDF. Fields are exported so checkpointed trial
+// aggregation into an ECDF. Fields are exported so cached trial
 // results gob-encode.
 type obsPoint struct {
 	Delivered bool

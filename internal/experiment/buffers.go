@@ -36,7 +36,7 @@ func ablationBuffers(e *scenario.Engine, sc *scenario.Scenario) ([]stats.Series,
 	// Each (anti, limit, rep) cell is an independent deterministic run;
 	// cells execute on the supervised trial pool (flattened index j) and
 	// aggregate in cell order, so output is worker-count invariant and
-	// checkpointable per cell.
+	// cacheable per cell.
 	perAnti := len(limits) * reps
 	cells, err := scenario.Trials(e, sc.ID+"/cells", 2*perAnti, func(j int) (float64, error) {
 		anti := j >= perAnti

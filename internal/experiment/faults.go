@@ -114,7 +114,7 @@ func ablationFaults(e *scenario.Engine, sc *scenario.Scenario) ([]stats.Series, 
 
 	// Runtime layer: real encrypted bundles over internal/node with the
 	// uniform fault mix. Each (rate, rep) cell is an independent
-	// deterministic run; cells execute concurrently via MapTrials and
+	// deterministic run; cells execute concurrently via scenario.Trials and
 	// aggregate in cell order, so output is worker-count invariant.
 	const (
 		rtNodes = 40

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dispatch"
@@ -16,7 +18,7 @@ type cacheRunResult struct {
 	json   []byte
 	hits   int64
 	misses int64
-	trials int64 // obs ExpTrials: trials that entered runner.Supervised
+	trials int64 // obs ExpTrials: trials that entered the worker pool
 }
 
 func cacheRun(t *testing.T, spec scenario.Scenario, opt Options, cacheDir, owner string) cacheRunResult {
@@ -38,7 +40,7 @@ func cacheRun(t *testing.T, spec scenario.Scenario, opt Options, cacheDir, owner
 	}
 	defer store.Close()
 	eng := scenario.NewEngine(opt)
-	eng.SuperviseFleet(nil, dispatch.New(store, dispatch.Options{Owner: owner}))
+	eng.Supervise(nil, dispatch.New(store, dispatch.Options{Owner: owner}))
 	fig, err := eng.Run(&spec)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +89,7 @@ func TestCrossEditInvalidation(t *testing.T) {
 
 	// Warm: zero computation. The pinned counters: misses == 0, hits ==
 	// the cold run's miss count, and ExpTrials == 0 because satisfied
-	// chunks never enter runner.Supervised — the machine-independent
+	// chunks never enter the worker pool — the machine-independent
 	// "warm run executed nothing" gate CI uses.
 	for id, s := range specs {
 		r := cacheRun(t, s, opt, cacheDir, "warm")
@@ -194,6 +196,21 @@ func TestContentKeySensitivity(t *testing.T) {
 			t.Fatal("fault-rate change did not move the key")
 		}
 	}
+	if o := opt; true {
+		o.SecurityRuns++
+		if key(base, o) == ref {
+			t.Fatal("security-runs change did not move the key")
+		}
+	}
+	if o := opt; true {
+		o.TraceRuns++
+		if key(base, o) == ref {
+			t.Fatal("trace-runs change did not move the key")
+		}
+	}
+	if key(FigureSpecs()[1], opt) == ref {
+		t.Fatal("two different specs share a content key")
+	}
 
 	// Must NOT move: presentation and worker count.
 	if s := base; true {
@@ -210,5 +227,51 @@ func TestContentKeySensitivity(t *testing.T) {
 		if key(base, o) != ref {
 			t.Fatal("worker count moved the key")
 		}
+	}
+}
+
+// TestParentShardServedWarm pins cache compatibility across releases:
+// a fig04 shard written by an earlier release (committed under
+// internal/framelog/testdata) serves a whole run — zero trials enter
+// the pool, zero cache misses — and the figure is byte-identical to a
+// cacheless run.
+func TestParentShardServedWarm(t *testing.T) {
+	opt := Options{Seed: 1, Runs: 4, SecurityRuns: 4, TraceRuns: 2, Workers: 2}
+	var spec scenario.Scenario
+	for _, s := range FigureSpecs() {
+		if s.ID == "fig04" {
+			spec = s
+		}
+	}
+	key, err := scenario.ContentKey(&spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := os.ReadFile(filepath.Join("..", "framelog", "testdata", "parent-fig04.shard"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cacheDir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(cacheDir, key), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cacheDir, key, "shard-parent.log"), shard, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := cacheRun(t, spec, opt, cacheDir, "reader")
+	if r.misses != 0 || r.trials != 0 || r.hits == 0 {
+		t.Fatalf("parent shard: cache.misses = %d, experiment.trials = %d, cache.hits = %d; want 0, 0, > 0", r.misses, r.trials, r.hits)
+	}
+	golden, err := scenario.NewEngine(opt).Run(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenJSON, err := golden.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r.json, goldenJSON) {
+		t.Fatal("figure served from the parent shard differs from a cacheless run")
 	}
 }

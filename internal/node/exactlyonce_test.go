@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/contact"
-	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/node"
 	"repro/internal/rng"
+	"repro/internal/runner"
 )
 
 // trialDigest is one trial's observable outcome, comparable across
@@ -81,7 +81,7 @@ func TestTruncationDeliversExactlyOnce(t *testing.T) {
 		var ref []trialDigest
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				digests, err := experiment.MapTrials(workers, trials, func(i int) (trialDigest, error) {
+				digests, err := runner.MapTrials(workers, trials, func(i int) (trialDigest, error) {
 					return faultTrial(seed, i)
 				})
 				if err != nil {

@@ -43,7 +43,7 @@ type Manifest struct {
 	Phases            []PhaseTiming       `json:"phases,omitempty"`
 	WorkerUtilization float64             `json:"workerUtilization,omitempty"`
 
-	// Events record run-supervision incidents — resumed checkpoints,
+	// Events record run-supervision incidents — cache resumes,
 	// drain requests, quarantined trials — in occurrence order. Optional:
 	// absent on clean unsupervised runs, so no version bump.
 	Events []RunEvent `json:"events,omitempty"`
@@ -51,7 +51,7 @@ type Manifest struct {
 
 // Run-supervision event kinds.
 const (
-	// EventResumed: the run loaded completed trials from a checkpoint.
+	// EventResumed: the run found completed trials in its result cache.
 	EventResumed = "resumed"
 	// EventInterrupted: a drain (SIGINT/SIGTERM) stopped the run before
 	// every trial completed.
@@ -64,7 +64,7 @@ const (
 // RunEvent is one supervision incident.
 type RunEvent struct {
 	Kind string `json:"kind"`
-	// Detail identifies the subject: the checkpoint file for resumed,
+	// Detail identifies the subject: the cache entry for resumed,
 	// the batch and trial index for quarantines.
 	Detail string `json:"detail,omitempty"`
 	// Batch/Trial pinpoint a quarantined trial.

@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/checkpoint"
+	"repro/internal/framelog"
 )
 
 // EntryInfo summarizes one cache entry for tooling: its identity from
@@ -73,12 +73,12 @@ func describe(entry, key string) (EntryInfo, error) {
 		if err != nil {
 			return EntryInfo{}, fmt.Errorf("resultcache: read %s: %w", p, err)
 		}
-		_, off, err := checkpoint.DecodeHeader(data)
+		_, off, err := framelog.DecodeHeader(data)
 		if err != nil {
 			return EntryInfo{}, fmt.Errorf("resultcache: %s: %w", p, err)
 		}
-		records, _, derr := checkpoint.DecodeRecordsFrom(data, off)
-		if derr != nil && !errors.Is(derr, checkpoint.ErrTruncated) {
+		records, _, derr := framelog.DecodeRecordsFrom(data, off)
+		if derr != nil && !errors.Is(derr, framelog.ErrTruncated) {
 			return EntryInfo{}, fmt.Errorf("resultcache: %s: %w", p, derr)
 		}
 		for _, r := range records {

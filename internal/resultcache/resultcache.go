@@ -1,37 +1,36 @@
 // Package resultcache is the content-addressed trial result store: a
 // directory of cache entries, one per (spec content, effort options,
 // seed) triple, each holding the gob encodings of completed Monte
-// Carlo trials keyed by (batch, trial index).
+// Carlo trials keyed by (batch, trial index). It is the one place trial
+// results persist across process lifetimes: an interrupted or killed
+// run resumes by rerunning against the same directory.
 //
-// It differs from internal/checkpoint in two deliberate ways:
-//
-//   - Addressing. A checkpoint is keyed by the git revision of the
-//     writing binary, so every commit invalidates it. A cache entry is
-//     addressed by a sha256 content hash of the spec's numerical
-//     inputs (base config, axis params and values, measurement
-//     parameters, effort options, seed) — computed by the caller, e.g.
-//     scenario.ContentKey — so unchanged (spec, seed, trial) cells
-//     survive commits that do not touch them, and regenerating every
-//     figure after a one-spec edit recomputes only the edited spec.
-//   - Sharing. A checkpoint has one writer. A cache entry is a shared
-//     directory written by a whole fleet: every worker appends to its
-//     own shard log (single-writer, so appends never interleave) and
-//     reads everyone's shards, which is what the work-stealing
-//     dispatch layer (internal/dispatch) builds on.
+//   - Addressing. An entry is addressed by a sha256 content hash of the
+//     spec's numerical inputs (base config, axis params and values,
+//     measurement parameters, effort options, seed) — computed by the
+//     caller, e.g. scenario.ContentKey — so unchanged (spec, seed,
+//     trial) cells survive commits that do not touch them, and
+//     regenerating every figure after a one-spec edit recomputes only
+//     the edited spec.
+//   - Sharing. An entry is a shared directory written by a whole fleet:
+//     every worker appends to its own shard log (single-writer, so
+//     appends never interleave) and reads everyone's shards, which is
+//     what the work-stealing dispatch layer (internal/dispatch) builds
+//     on.
 //
 // # Layout
 //
 //	cachedir/
 //	  <content-key>/            one entry per content hash (hex sha256)
 //	    meta.json               spec id, key, seed, creation time (tooling)
-//	    shard-<owner>.log       frame logs (checkpoint format), one per writer
+//	    shard-<owner>.log       frame logs (internal/framelog), one per writer
 //	    leases/                 dispatch lease files (transient)
 //
-// Shards reuse the checkpoint frame-log format byte for byte, with the
-// content sentinel in place of a git revision in the key frame, so the
-// same torn-tail repair and corruption classification applies. Reading
-// a shard that another live process is appending to is safe: a torn
-// trailing frame is simply retried on the next Refresh.
+// Shards are frame logs whose key frame carries the content sentinel
+// in its revision slot, so torn-tail repair and corruption
+// classification come from internal/framelog. Reading a shard that
+// another live process is appending to is safe: a torn trailing frame
+// is simply retried on the next Refresh.
 package resultcache
 
 import (
@@ -47,13 +46,12 @@ import (
 	"time"
 
 	"repro/internal/atomicio"
-	"repro/internal/checkpoint"
+	"repro/internal/framelog"
 )
 
 // ContentRevision is the sentinel stored in the key frame's revision
 // slot of every cache shard. It marks the file as content-addressed —
-// valid across git revisions — distinguishing it from a per-run
-// checkpoint, which a specific revision wrote.
+// valid across git revisions.
 const ContentRevision = "content-addressed"
 
 // metaFile is the per-entry description written for tooling.
@@ -99,7 +97,7 @@ type recordKey struct {
 type Store struct {
 	mu      sync.Mutex
 	dir     string // entry directory
-	key     checkpoint.Key
+	key     framelog.Key
 	own     *os.File
 	ownPath string
 	loaded  map[recordKey][]byte
@@ -130,7 +128,7 @@ func Open(dir, contentKey, specID string, seed uint64, owner string) (*Store, er
 			return nil, err
 		}
 	}
-	key := checkpoint.Key{GitRevision: ContentRevision, SpecHash: contentKey, Seed: seed}
+	key := framelog.Key{GitRevision: ContentRevision, SpecHash: contentKey, Seed: seed}
 	s := &Store{
 		dir:     entry,
 		key:     key,
@@ -149,11 +147,11 @@ func Open(dir, contentKey, specID string, seed uint64, owner string) (*Store, er
 }
 
 // openOwnShard creates this worker's shard, or reopens a leftover one
-// from a previous process with the same owner name (repairing a torn
-// tail exactly like checkpoint.Resume).
+// from a previous process with the same owner name, repairing a torn
+// tail by truncating to the last complete frame.
 func (s *Store) openOwnShard() error {
 	if _, err := os.Stat(s.ownPath); errors.Is(err, os.ErrNotExist) {
-		hdr, err := checkpoint.HeaderBytes(s.key)
+		hdr, err := framelog.HeaderBytes(s.key)
 		if err != nil {
 			return err
 		}
@@ -165,17 +163,17 @@ func (s *Store) openOwnShard() error {
 		if err != nil {
 			return fmt.Errorf("resultcache: read %s: %w", s.ownPath, err)
 		}
-		gotKey, off, err := checkpoint.DecodeHeader(data)
+		gotKey, off, err := framelog.DecodeHeader(data)
 		if err != nil {
 			return fmt.Errorf("resultcache: %s: %w", s.ownPath, err)
 		}
 		if gotKey != s.key {
 			return fmt.Errorf("resultcache: %s: shard key %+v does not match entry key %+v: %w",
-				s.ownPath, gotKey, s.key, checkpoint.ErrKeyMismatch)
+				s.ownPath, gotKey, s.key, framelog.ErrKeyMismatch)
 		}
-		_, validEnd, derr := checkpoint.DecodeRecordsFrom(data, off)
+		_, validEnd, derr := framelog.DecodeRecordsFrom(data, off)
 		if derr != nil {
-			if !errors.Is(derr, checkpoint.ErrTruncated) {
+			if !errors.Is(derr, framelog.ErrTruncated) {
 				return fmt.Errorf("resultcache: %s: %w", s.ownPath, derr)
 			}
 			// Our own previous process died mid-append: repair the tail
@@ -254,21 +252,21 @@ func (s *Store) refreshShard(path string) error {
 	}
 	off := 0
 	if !seen {
-		gotKey, hdrEnd, err := checkpoint.DecodeHeader(data)
+		gotKey, hdrEnd, err := framelog.DecodeHeader(data)
 		if err != nil {
-			if errors.Is(err, checkpoint.ErrTruncated) {
+			if errors.Is(err, framelog.ErrTruncated) {
 				return nil // another process is mid-create; retry later
 			}
 			return fmt.Errorf("resultcache: %s: %w", path, err)
 		}
 		if gotKey != s.key {
 			return fmt.Errorf("resultcache: %s: shard key %+v does not match entry key %+v: %w",
-				path, gotKey, s.key, checkpoint.ErrKeyMismatch)
+				path, gotKey, s.key, framelog.ErrKeyMismatch)
 		}
 		off = hdrEnd
 	}
-	records, validEnd, derr := checkpoint.DecodeRecordsFrom(data, off)
-	if derr != nil && !errors.Is(derr, checkpoint.ErrTruncated) {
+	records, validEnd, derr := framelog.DecodeRecordsFrom(data, off)
+	if derr != nil && !errors.Is(derr, framelog.ErrTruncated) {
 		return fmt.Errorf("resultcache: %s: %w", path, derr)
 	}
 	for _, r := range records {
@@ -293,15 +291,11 @@ func (s *Store) Has(batch string, trial int) bool {
 	return ok
 }
 
-// Lookup implements runner.ResultStore as an alias of Peek, so a Store
-// can also serve as a plain (non-fleet) checkpoint replacement.
-func (s *Store) Lookup(batch string, trial int) ([]byte, bool) { return s.Peek(batch, trial) }
-
 // Save durably appends one completed trial result to this worker's
 // shard (a single write, so a SIGKILL tears at most the in-flight
 // frame) and indexes it.
 func (s *Store) Save(batch string, trial int, data []byte) error {
-	frame, err := checkpoint.EncodeRecord(checkpoint.Record{Batch: batch, Trial: trial, Data: data})
+	frame, err := framelog.EncodeRecord(framelog.Record{Batch: batch, Trial: trial, Data: data})
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/checkpoint"
+	"repro/internal/framelog"
 )
 
 func testKey(t *testing.T, salt string) string {
@@ -57,8 +57,8 @@ func TestRoundtripAndReopen(t *testing.T) {
 	if s2.Loaded() != 2 {
 		t.Fatalf("Loaded = %d after reopen; want 2", s2.Loaded())
 	}
-	if got, ok := s2.Lookup("fig-1/delivery/s0", 0); !ok || string(got) != "r0" {
-		t.Fatalf("Lookup after reopen = %q, %v; want r0, true", got, ok)
+	if got, ok := s2.Peek("fig-1/delivery/s0", 0); !ok || string(got) != "r0" {
+		t.Fatalf("Peek after reopen = %q, %v; want r0, true", got, ok)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestRefreshToleratesTornForeignTail(t *testing.T) {
 
 	// Simulate worker-b dying mid-append: tear its last frame.
 	shard := filepath.Join(dir, key, "shard-worker-b.log")
-	rec, err := checkpoint.EncodeRecord(checkpoint.Record{Batch: "batch", Trial: 1, Data: []byte("torn")})
+	rec, err := framelog.EncodeRecord(framelog.Record{Batch: "batch", Trial: 1, Data: []byte("torn")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestForeignShardKeyRejected(t *testing.T) {
 	defer s.Close()
 
 	// Plant a shard written under a different seed in the same entry.
-	hdr, err := checkpoint.HeaderBytes(checkpoint.Key{GitRevision: ContentRevision, SpecHash: key, Seed: 999})
+	hdr, err := framelog.HeaderBytes(framelog.Key{GitRevision: ContentRevision, SpecHash: key, Seed: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestForeignShardKeyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = s.Refresh()
-	if !errors.Is(err, checkpoint.ErrKeyMismatch) {
+	if !errors.Is(err, framelog.ErrKeyMismatch) {
 		t.Fatalf("Refresh over a foreign shard: err = %v; want ErrKeyMismatch", err)
 	}
 }
@@ -349,5 +349,49 @@ func TestListAndGC(t *testing.T) {
 	}
 	if len(infos) != 2 {
 		t.Fatalf("after GC, List returned %d entries; want 2", len(infos))
+	}
+}
+
+func TestSaveAfterCloseFails(t *testing.T) {
+	s, err := Open(t.TempDir(), testKey(t, "closed"), "fig-1", 1, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save("b", 0, []byte{1}); err == nil {
+		t.Fatal("Save after Close should fail")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestLastRecordWinsOnDuplicate pins the index's duplicate policy:
+// a later record for the same (batch, trial) replaces an earlier one
+// when a shard is read back. (Racing fleet workers append bit-identical
+// duplicates, so the policy never changes a result.)
+func TestLastRecordWinsOnDuplicate(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(t, "dup")
+	s, err := Open(dir, key, "fig-1", 1, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save("b", 0, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save("b", 0, []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	r, err := Open(dir, key, "fig-1", 1, "reader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if data, ok := r.Peek("b", 0); !ok || string(data) != "\x02" {
+		t.Fatalf("Peek = %v, %v; want the later record", data, ok)
 	}
 }

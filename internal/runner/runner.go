@@ -1,31 +1,25 @@
 // Package runner provides the deterministic bounded worker pool that
 // every Monte Carlo loop in this repository runs on. It sits below the
 // experiment and scenario layers (it imports only obs) so both can
-// share one pool without an import cycle.
+// share one pool without an import cycle. It knows nothing about
+// persistence: internal/dispatch layers the result cache on top.
 package runner
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // MapTrials runs trial(i) for every index in [0, trials) on a bounded
 // pool of worker goroutines and returns the per-trial results in trial
-// order. workers <= 0 means runtime.GOMAXPROCS(0).
+// order. workers <= 0 means runtime.GOMAXPROCS(0). It is Supervised
+// with no supervisor and no batch label.
 //
 // Determinism contract: trial must derive all of its randomness from
 // its index (e.g. via rng.Stream.SplitN with the index as the stream
 // label), never from shared mutable state, so that the result slice is
 // bit-identical for every worker count and every completion order.
 // Every Monte Carlo loop in the experiment and scenario packages runs
-// on MapTrials, and the equivalence tests assert the resulting figures
+// on this pool, and the equivalence tests assert the resulting figures
 // are byte-identical for workers in {1, 4, GOMAXPROCS}.
 //
 // Error contract: when one or more trials fail, the remaining workers
@@ -37,105 +31,7 @@ import (
 // before cancellation is scheduling-dependent; the value results are
 // only meaningful when the returned error is nil.
 func MapTrials[T any](workers, trials int, trial func(i int) (T, error)) ([]T, error) {
-	if trials <= 0 {
-		return nil, nil
-	}
-	workers = ResolveWorkers(workers, trials)
-	// Per-batch instrumentation: wall-clock, offered worker capacity,
-	// and summed per-trial busy time (their ratio is worker
-	// utilization). Collection draws no RNG and does not touch the
-	// trial results, so figures are byte-identical either way; when no
-	// collector is installed the batch pays one atomic load and no
-	// clock reads.
-	c := obs.Active()
-	var batchStart time.Time
-	if c != nil {
-		batchStart = time.Now()
-		c.Add(obs.ExpTrialBatches, 1)
-		c.Add(obs.ExpTrials, int64(trials))
-		c.Observe(obs.HistTrialBatchTrials, int64(trials))
-		defer func() {
-			wall := time.Since(batchStart)
-			c.Add(obs.ExpBatchWallNanos, wall.Nanoseconds())
-			c.Add(obs.ExpBatchCapacityNanos, wall.Nanoseconds()*int64(workers))
-		}()
-	}
-	timed := trial
-	if c != nil {
-		timed = func(i int) (T, error) {
-			start := time.Now()
-			v, err := trial(i)
-			c.Add(obs.ExpTrialBusyNanos, time.Since(start).Nanoseconds())
-			return v, err
-		}
-	}
-	// Panic shield: a panicking trial surfaces as a *TrialError naming
-	// its index instead of tearing down the whole run unattributed.
-	run := func(i int) (v T, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = &TrialError{
-					Trial: i, Attempts: 1,
-					PanicValue: fmt.Sprint(p), Stack: string(debug.Stack()),
-				}
-			}
-		}()
-		return timed(i)
-	}
-	out := make([]T, trials)
-	if workers == 1 {
-		for i := 0; i < trials; i++ {
-			v, err := run(i)
-			if err != nil {
-				return nil, wrapTrialErr(i, err)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
-	errs := make([]error, trials)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= trials || failed.Load() {
-					return
-				}
-				v, err := run(i)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				out[i] = v
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		for i, err := range errs {
-			if err != nil {
-				return nil, wrapTrialErr(i, err)
-			}
-		}
-	}
-	return out, nil
-}
-
-// wrapTrialErr prefixes a trial failure with the runner and index. A
-// *TrialError already names its own trial, so it is not double-labeled.
-func wrapTrialErr(i int, err error) error {
-	var te *TrialError
-	if errors.As(err, &te) {
-		return fmt.Errorf("runner: %w", err)
-	}
-	return fmt.Errorf("runner: trial %d: %w", i, err)
+	return Supervised(nil, "", workers, trials, trial)
 }
 
 // ResolveWorkers clamps a worker count to [1, trials], defaulting

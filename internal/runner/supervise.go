@@ -1,8 +1,6 @@
 package runner
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -15,10 +13,10 @@ import (
 
 // TrialError identifies one failed trial: which batch and index it was,
 // how it failed (panic, watchdog timeout, or a returned error), and how
-// many attempts were made. It is the error type plain MapTrials returns
-// for a panicking trial and the unit the supervised runner quarantines.
+// many attempts were made. It is the error an unsupervised batch
+// returns for a panicking trial and the unit a supervisor quarantines.
 type TrialError struct {
-	Batch      string // batch label (scenario ID + series); empty in plain MapTrials
+	Batch      string // batch label (scenario ID + series); empty in MapTrials
 	Trial      int    // trial index within the batch
 	Attempts   int    // attempts made before giving up
 	TimedOut   bool   // the watchdog expired on every attempt
@@ -65,24 +63,17 @@ func (e *QuarantineError) Error() string {
 func (e *QuarantineError) Unwrap() error { return e.Trials[0] }
 
 // ErrInterrupted is returned (wrapped) by the supervised runner when a
-// drain request stopped the batch before every trial ran. Completed
-// trials are already persisted when a ResultStore is attached, so a
-// resumed run picks up exactly where this one stopped.
+// drain request stopped the batch before every trial ran. When the
+// batch runs through a dispatcher over a result cache
+// (internal/dispatch), completed trials are already persisted, so a
+// rerun against the same cache picks up exactly where this one stopped.
 var ErrInterrupted = errors.New("interrupted before all trials completed")
-
-// ResultStore persists completed per-trial results across process
-// lifetimes. Lookup returns the stored encoding of a completed trial;
-// Save records one. Implementations must be safe for concurrent use —
-// internal/checkpoint provides the durable one.
-type ResultStore interface {
-	Lookup(batch string, trial int) (data []byte, ok bool)
-	Save(batch string, trial int, data []byte) error
-}
 
 // Supervisor carries the run-wide supervision state shared by every
 // batch of one command invocation: the per-trial watchdog timeout, the
 // drain signal, and the quarantine record. The zero value is not
-// usable; construct with NewSupervisor.
+// usable; construct with NewSupervisor. A nil *Supervisor is valid
+// everywhere and means "unsupervised".
 type Supervisor struct {
 	timeout time.Duration
 	stop    chan struct{}
@@ -103,8 +94,12 @@ func NewSupervisor(timeout time.Duration) *Supervisor {
 // Safe to call from any goroutine, any number of times.
 func (s *Supervisor) Stop() { s.once.Do(func() { close(s.stop) }) }
 
-// Stopping reports whether a drain has been requested.
+// Stopping reports whether a drain has been requested. Always false
+// for a nil supervisor.
 func (s *Supervisor) Stopping() bool {
+	if s == nil {
+		return false
+	}
 	select {
 	case <-s.stop:
 		return true
@@ -127,12 +122,13 @@ func (s *Supervisor) note(te *TrialError) {
 	s.mu.Unlock()
 }
 
-// Supervised is the crash-safe variant of MapTrials. On top of the
-// plain determinism contract it adds, when a supervisor is attached:
+// Supervised is the worker pool every batch runs on. It runs trial(i)
+// for every index under MapTrials' determinism and error contracts,
+// labels errors with batch and, when a supervisor is attached, adds:
 //
 //   - panic isolation: a panicking trial is quarantined as a TrialError
-//     (index, batch, stack) instead of killing the process, and the
-//     remaining trials still run;
+//     (index, batch, stack) instead of failing the batch at once, and
+//     the remaining trials still run;
 //   - a per-trial watchdog: a trial exceeding the supervisor's timeout
 //     is retried once (trials are deterministic in their index, so the
 //     retry recomputes the identical result) and quarantined if the
@@ -141,33 +137,21 @@ func (s *Supervisor) note(te *TrialError) {
 //   - drain: after Supervisor.Stop, workers finish in-flight trials and
 //     the batch returns ErrInterrupted (wrapped, with progress counts).
 //
-// When a ResultStore is attached, every completed trial is persisted
-// under (batch, index) and already-stored trials are loaded instead of
-// executed. Because trial i's result depends only on i (index-labeled
-// RNG substreams), the loaded-or-computed union is bit-identical to an
-// uninterrupted run at any worker count.
-//
-// With neither a supervisor nor a store, Supervised is plain MapTrials
-// plus the batch label on errors.
-func Supervised[T any](sup *Supervisor, store ResultStore, batch string, workers, trials int, trial func(i int) (T, error)) ([]T, error) {
+// With a nil supervisor a panic fails the batch fast, exactly like a
+// returned error, and nothing per trial is spent beyond the panic
+// shield: no encoding, no locking, no extra goroutine.
+func Supervised[T any](sup *Supervisor, batch string, workers, trials int, trial func(i int) (T, error)) ([]T, error) {
 	if trials <= 0 {
 		return nil, nil
 	}
-	if sup == nil && store == nil {
-		out, err := MapTrials(workers, trials, trial)
-		if err != nil {
-			var te *TrialError
-			if errors.As(err, &te) && te.Batch == "" {
-				te.Batch = batch
-			}
-			return nil, fmt.Errorf("batch %q: %w", batch, err)
-		}
-		return out, nil
-	}
 	workers = ResolveWorkers(workers, trials)
 
-	// Same per-batch instrumentation as MapTrials: zero RNG, no effect
-	// on results, one atomic load when no collector is installed.
+	// Per-batch instrumentation: wall-clock, offered worker capacity,
+	// and summed per-trial busy time (their ratio is worker
+	// utilization). Collection draws no RNG and does not touch the
+	// trial results, so figures are byte-identical either way; when no
+	// collector is installed the batch pays one atomic load and no
+	// clock reads.
 	c := obs.Active()
 	if c != nil {
 		batchStart := time.Now()
@@ -184,71 +168,48 @@ func Supervised[T any](sup *Supervisor, store ResultStore, batch string, workers
 	var (
 		out        = make([]T, trials)
 		errs       = make([]error, trials)
+		completed  = make([]int, workers) // per worker, summed after the pool
 		failed     atomic.Bool
-		done       atomic.Int64
 		next       atomic.Int64
 		qmu        sync.Mutex
 		quarantine []*TrialError
 	)
-	worker := func() {
-		for {
-			if failed.Load() || (sup != nil && sup.Stopping()) {
-				return
-			}
+	worker := func() (n int) {
+		for !failed.Load() && !sup.Stopping() {
 			i := int(next.Add(1)) - 1
 			if i >= trials {
-				return
-			}
-			if store != nil {
-				if data, ok := store.Lookup(batch, i); ok {
-					v, err := DecodeResult[T](data)
-					if err != nil {
-						errs[i] = fmt.Errorf("decode checkpointed result: %w", err)
-						failed.Store(true)
-						return
-					}
-					out[i] = v
-					done.Add(1)
-					continue
-				}
+				return n
 			}
 			v, err, te := attempt(sup, batch, i, c, trial)
-			if te != nil {
+			if te != nil && sup != nil {
 				qmu.Lock()
 				quarantine = append(quarantine, te)
 				qmu.Unlock()
 				continue
 			}
+			if te != nil {
+				err = te // unsupervised: a panic fails the batch fast
+			}
 			if err != nil {
 				errs[i] = err
 				failed.Store(true)
-				return
-			}
-			if store != nil {
-				data, serr := EncodeResult(v)
-				if serr == nil {
-					serr = store.Save(batch, i, data)
-				}
-				if serr != nil {
-					errs[i] = fmt.Errorf("checkpoint result: %w", serr)
-					failed.Store(true)
-					return
-				}
+				return n
 			}
 			out[i] = v
-			done.Add(1)
+			n++
 		}
+		return n
 	}
 	if workers == 1 {
-		worker()
+		completed[0] = worker()
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func() {
+			go func(w int) {
 				defer wg.Done()
-				worker()
-			}()
+				completed[w] = worker()
+			}(w)
 		}
 		wg.Wait()
 	}
@@ -256,36 +217,52 @@ func Supervised[T any](sup *Supervisor, store ResultStore, batch string, workers
 	if failed.Load() {
 		for i, err := range errs {
 			if err != nil {
-				return nil, fmt.Errorf("runner: batch %q trial %d: %w", batch, i, err)
+				return nil, wrapTrialErr(batch, i, err)
 			}
 		}
 	}
-	if int(done.Load())+len(quarantine) < trials {
+	done := 0
+	for _, n := range completed {
+		done += n
+	}
+	if done+len(quarantine) < trials {
 		return nil, fmt.Errorf("runner: batch %q: %d/%d trials complete: %w",
-			batch, done.Load(), trials, ErrInterrupted)
+			batch, done, trials, ErrInterrupted)
 	}
 	if len(quarantine) > 0 {
-		if sup != nil {
-			for _, te := range quarantine {
-				sup.note(te)
-			}
+		for _, te := range quarantine {
+			sup.note(te)
 		}
 		return nil, &QuarantineError{Batch: batch, Trials: quarantine}
 	}
 	return out, nil
 }
 
+// wrapTrialErr prefixes a trial failure with the runner, batch and
+// index. A *TrialError already names its own trial and batch, so it is
+// not double-labeled.
+func wrapTrialErr(batch string, i int, err error) error {
+	var te *TrialError
+	switch {
+	case errors.As(err, &te):
+		return fmt.Errorf("runner: %w", err)
+	case batch == "":
+		return fmt.Errorf("runner: trial %d: %w", i, err)
+	default:
+		return fmt.Errorf("runner: batch %q trial %d: %w", batch, i, err)
+	}
+}
+
 // attempt runs one trial shielded from panics, under the supervisor's
 // watchdog when one is set, granting one deterministic retry after a
 // timeout. It returns either the trial's value/error or a quarantinable
-// TrialError.
+// TrialError. Without a watchdog it is a single shielded call.
 func attempt[T any](sup *Supervisor, batch string, i int, c *obs.Collector, trial func(i int) (T, error)) (T, error, *TrialError) {
-	var timeout time.Duration
-	if sup != nil {
-		timeout = sup.timeout
+	if sup == nil || sup.timeout <= 0 {
+		return runRecover(batch, i, 1, c, trial)
 	}
 	for a := 1; ; a++ {
-		v, err, te := runShielded(batch, i, a, timeout, c, trial)
+		v, err, te := runWatched(batch, i, a, sup.timeout, c, trial)
 		if te == nil {
 			return v, err, nil
 		}
@@ -303,14 +280,11 @@ type attemptResult[T any] struct {
 	te  *TrialError
 }
 
-// runShielded executes one attempt with panic recovery and, when
-// timeout > 0, a watchdog. The attempt goroutine publishes only into
-// its own buffered channel, so an abandoned (timed-out) attempt can
-// never race a later retry on shared state.
-func runShielded[T any](batch string, i, att int, timeout time.Duration, c *obs.Collector, trial func(i int) (T, error)) (T, error, *TrialError) {
-	if timeout <= 0 {
-		return runRecover(batch, i, att, c, trial)
-	}
+// runWatched executes one attempt with panic recovery under a
+// watchdog. The attempt goroutine publishes only into its own buffered
+// channel, so an abandoned (timed-out) attempt can never race a later
+// retry on shared state.
+func runWatched[T any](batch string, i, att int, timeout time.Duration, c *obs.Collector, trial func(i int) (T, error)) (T, error, *TrialError) {
 	ch := make(chan attemptResult[T], 1)
 	go func() {
 		v, err, te := runRecover(batch, i, att, c, trial)
@@ -344,27 +318,4 @@ func runRecover[T any](batch string, i, att int, c *obs.Collector, trial func(i 
 	}
 	v, err = trial(i)
 	return v, err, nil
-}
-
-// EncodeResult serializes one trial result for a ResultStore. Gob
-// preserves float64 bit patterns exactly, so a decoded result is
-// bit-identical to the computed one — the property the byte-identical
-// resume and cache-reuse guarantees rest on. Exported for the fleet
-// dispatch layer (internal/dispatch), which reassembles batches from
-// stored encodings written by other workers.
-func EncodeResult[T any](v T) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, fmt.Errorf("encode trial result: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeResult is the inverse of EncodeResult.
-func DecodeResult[T any](data []byte) (T, error) {
-	var v T
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return v, fmt.Errorf("decode trial result: %w", err)
-	}
-	return v, nil
 }

@@ -11,7 +11,7 @@ import (
 // deliveryTrial is the outcome of one routed message: the simulated
 // delivery plus the analytical delivery rate at every deadline. A
 // skipped trial (no eligible group path) contributes nothing. Fields
-// are exported so checkpointed results gob-encode.
+// are exported so cached results gob-encode.
 type deliveryTrial struct {
 	Skipped   bool
 	Delivered bool

@@ -2,78 +2,33 @@ package scenario
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dispatch"
-	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
-// Supervise attaches a supervisor (panic quarantine, watchdog, drain)
-// and an optional per-run result store (checkpoint/resume) to the
-// engine. Every Monte Carlo batch the engine runs from then on goes
-// through runner.Supervised under stable batch labels. Call before
-// Run; an engine with neither attached runs on the plain MapTrials
-// hot path, byte-identical to previous releases.
-func (e *Engine) Supervise(sup *runner.Supervisor, store runner.ResultStore) {
-	e.sup = sup
-	e.store = store
-}
-
-// SuperviseFleet attaches a supervisor plus a work-stealing dispatcher
-// over a content-addressed cache entry (internal/dispatch). Every
-// Monte Carlo batch then runs through the fleet protocol: trials
-// already in the cache are served, the rest are leased in chunks and
-// computed, and other processes sharing the cache directory pick up
-// each other's work. Mutually exclusive with Supervise's store — the
-// dispatcher owns persistence.
-func (e *Engine) SuperviseFleet(sup *runner.Supervisor, d *dispatch.Dispatcher) {
+// Supervise attaches an optional supervisor (panic quarantine,
+// watchdog, drain) and an optional dispatcher over a content-addressed
+// cache entry (internal/dispatch) to the engine. With a dispatcher,
+// every Monte Carlo batch is served from the cache where possible, the
+// rest is leased in chunks, computed and saved, and other processes
+// sharing the cache directory pick up each other's work. Call before
+// Run; an engine with neither attached runs on the plain pool.
+func (e *Engine) Supervise(sup *runner.Supervisor, d *dispatch.Dispatcher) {
 	e.sup = sup
 	e.fleet = d
 }
 
-// Trials routes one of the engine's Monte Carlo batches through the
-// trial pool. batch must be a stable label — derived from the scenario
-// ID and axis indices, never from map order or timing — because it
-// keys checkpointed and cached results across process lifetimes.
+// Trials routes one of the engine's Monte Carlo batches through
+// dispatch.Run. batch must be a stable label — derived from the
+// scenario ID and axis indices, never from map order or timing —
+// because it keys cached results across process lifetimes.
 func Trials[T any](e *Engine, batch string, trials int, fn func(i int) (T, error)) ([]T, error) {
-	if e.fleet != nil {
-		return dispatch.Run(e.fleet, e.sup, batch, e.opt.Workers, trials, fn)
-	}
-	return runner.Supervised(e.sup, e.store, batch, e.opt.Workers, trials, fn)
-}
-
-// RunKey derives the checkpoint identity of running spec s at options
-// opt: the git revision of this binary, a hash of the spec plus every
-// option bit that influences trial results, and the seed. Workers is
-// deliberately excluded — trial results are index-labeled, so a run
-// may resume at any -workers value.
-func RunKey(s *Scenario, opt Options) (checkpoint.Key, error) {
-	spec, err := json.Marshal(s)
-	if err != nil {
-		return checkpoint.Key{}, fmt.Errorf("scenario: hash spec %s: %w", s.ID, err)
-	}
-	h := sha256.New()
-	h.Write(spec)
-	var b [8]byte
-	for _, v := range []uint64{
-		uint64(opt.Runs), uint64(opt.SecurityRuns), uint64(opt.TraceRuns),
-		math.Float64bits(opt.FaultRate),
-	} {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	return checkpoint.Key{
-		GitRevision: obs.GitRevision(),
-		SpecHash:    hex.EncodeToString(h.Sum(nil)),
-		Seed:        opt.Seed,
-	}, nil
+	return dispatch.Run(e.fleet, e.sup, batch, e.opt.Workers, trials, fn)
 }
 
 // contentSpec is the canonical form hashed by ContentKey: every spec
@@ -103,8 +58,7 @@ type contentSpec struct {
 // affecting inputs. Two runs with equal content keys compute
 // bit-identical trial results on any revision, any worker count, any
 // fleet size — the invariant the result cache (internal/resultcache)
-// rests on. Compare RunKey, which pins the git revision and so is
-// invalidated by every commit.
+// rests on.
 func ContentKey(s *Scenario, opt Options) (string, error) {
 	canon, err := json.Marshal(contentSpec{
 		ID:           s.ID,

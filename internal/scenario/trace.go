@@ -41,7 +41,7 @@ func (e *Engine) traceNetwork(name string) (*core.TraceNetwork, error) {
 // traceTrialOutcome is one replayed trace message: the simulated delay
 // plus the analytical delivery rate per deadline (ModelOK is false
 // where the fitted path had a zero-rate hop and the model could not be
-// evaluated). Fields are exported so checkpointed results gob-encode.
+// evaluated). Fields are exported so cached results gob-encode.
 type traceTrialOutcome struct {
 	Delivered bool
 	Delay     float64
