@@ -176,6 +176,8 @@ func (nw *Network) Meet(x, y contact.NodeID, now float64) MeetReport {
 	col := obs.Active()
 	nw.exchangeLocked(a, b, &rep, col)
 	nw.exchangeLocked(b, a, &rep, col)
+	a.compactLocked()
+	b.compactLocked()
 	if col != nil {
 		col.Add(obs.NodeContacts, 1)
 		col.Add(obs.NodeHandoffs, int64(rep.Transfers))
@@ -198,15 +200,13 @@ func (nw *Network) Meet(x, y contact.NodeID, now float64) MeetReport {
 }
 
 // exchangeAcksLocked merges both parties' acknowledgement sets and
-// purges any buffered copy of an already-delivered message. Both locks
-// are held.
+// purges any buffered copy of an already-delivered message. Each side
+// merges only the part of the other's ack log it has not merged
+// before, so the cost is the number of new entries. Both locks are
+// held.
 func exchangeAcksLocked(a, b *Node) {
-	for id := range a.acks {
-		b.learnAckLocked(id)
-	}
-	for id := range b.acks {
-		a.learnAckLocked(id)
-	}
+	b.mergeAcksLocked(a)
+	a.mergeAcksLocked(b)
 }
 
 // exchangeLocked hands over every eligible onion from sender to
@@ -217,12 +217,15 @@ func exchangeAcksLocked(a, b *Node) {
 // and both map iteration order and the crypto-random message IDs would
 // make delivery outcomes nondeterministic for a fixed seed.
 func (nw *Network) exchangeLocked(sender, receiver *Node, rep *MeetReport, col *obs.Collector) {
-	for _, c := range sender.custodyFIFOLocked() {
-		id := c.id
-		if receiver.seen[id] {
+	// Releases during the walk only tombstone; Meet compacts after both
+	// directions. The cheap integer eligibility test runs before the
+	// string-keyed seen lookup, since most held onions are ineligible.
+	for _, c := range sender.order {
+		if c.gone || !sender.eligibleLocked(c, receiver.id, nw.cfg.Spray) {
 			continue
 		}
-		if !sender.eligibleLocked(c, receiver.id, nw.cfg.Spray) {
+		id := c.id
+		if receiver.seen[id] {
 			continue
 		}
 		frame, err := c.toBundle().Marshal()
@@ -276,7 +279,7 @@ func (nw *Network) exchangeLocked(sender, receiver *Node, rep *MeetReport, col *
 		}
 		c.tickets--
 		if c.tickets <= 0 {
-			delete(sender.buffer, id)
+			sender.releaseLocked(c)
 		}
 	}
 }

@@ -68,11 +68,10 @@ type carried struct {
 	// PR 2 fault schedules — which draw on frame length — are
 	// untouched.
 	hops int
-	// seq orders this node's custody FIFO. Message IDs are drawn from
-	// crypto/rand, so any ID-based ordering would differ run to run;
-	// custody order is reproducible for a fixed workload seed, and
-	// exchange iterates in it so buffer-refusal outcomes are too.
-	seq uint64
+	// gone marks a copy whose custody was released: it is no longer in
+	// the holder's buffer map, and its slot in the custody order is a
+	// tombstone until the next compaction.
+	gone bool
 	// refusals counts how many custody offers of this copy were refused
 	// by a full peer; once it reaches the holder's re-offer budget the
 	// copy is dropped instead of re-offered forever.
@@ -91,14 +90,29 @@ type Node struct {
 	// behavior.
 	reofferLimit int
 
-	mu            sync.Mutex
-	buffer        map[string]*carried
+	mu     sync.Mutex
+	buffer map[string]*carried
+	// order is the custody FIFO: every copy taken into custody is
+	// appended, so append order is custody order. Message IDs are drawn
+	// from crypto/rand, so any ID-based ordering would differ run to
+	// run; custody order is reproducible for a fixed workload seed, and
+	// exchange walks it so buffer-refusal outcomes are too. Released
+	// copies stay behind as tombstones (carried.gone) until compaction.
+	order         []*carried
+	tombstones    int // released copies still in order
 	delivered     map[string][]byte
 	deliveredHops map[string]int  // msg id -> custody transfers to reach us
 	seen          map[string]bool // message IDs ever carried or delivered
 	acks          map[string]bool // delivered-message IDs known to this node
-	nextSeq       uint64          // custody FIFO counter for carried.seq
-	stats         Stats
+	// ackLog lists the keys of acks in the order they were learned. It
+	// is append-only, like acks itself (acknowledgements survive
+	// crashes), so a peer that has merged a prefix of it never needs
+	// that prefix again.
+	ackLog []string
+	// ackCursor maps a peer to how much of that peer's ackLog this node
+	// has already merged. Allocated at the first anti-packet exchange.
+	ackCursor map[contact.NodeID]int
+	stats     Stats
 }
 
 // newNode builds a node bound to the shared group directory.
@@ -226,15 +240,13 @@ func (n *Node) Send(spec SendSpec, pathStream *rng.Stream) (string, error) {
 	if n.seen[msgID] {
 		return "", fmt.Errorf("node: message id %s already used", msgID)
 	}
-	n.buffer[msgID] = &carried{
+	n.holdLocked(&carried{
 		id:      msgID,
 		data:    data,
 		group:   ids[0],
 		tickets: spec.Copies,
 		expiry:  spec.Expiry,
-		seq:     n.claimSeqLocked(),
-	}
-	n.seen[msgID] = true
+	})
 	n.stats.Sent++
 	return msgID, nil
 }
@@ -247,11 +259,34 @@ func newMessageID() (string, error) {
 	return hex.EncodeToString(raw[:]), nil
 }
 
-// claimSeqLocked returns the next custody sequence number. The caller
+// holdLocked takes c into custody at the tail of the custody FIFO and
+// marks its message seen. The seen check that precedes every call
+// guarantees a message enters a node's custody at most once. The
+// caller holds n.mu.
+func (n *Node) holdLocked(c *carried) {
+	n.buffer[c.id] = c
+	n.order = append(n.order, c)
+	n.seen[c.id] = true
+}
+
+// releaseLocked drops c from custody; every removal goes through here
+// so the custody FIFO never re-offers a released copy. Its slot in
+// order becomes a tombstone, reclaimed by compactLocked. The caller
 // holds n.mu.
-func (n *Node) claimSeqLocked() uint64 {
-	n.nextSeq++
-	return n.nextSeq
+func (n *Node) releaseLocked(c *carried) {
+	delete(n.buffer, c.id)
+	c.gone = true
+	n.tombstones++
+}
+
+// compactLocked rebuilds the custody FIFO without tombstones, in
+// place, when they make up more than half of it — so len(order) stays
+// within 2·len(buffer). It must not run while a caller walks order.
+// The caller holds n.mu.
+func (n *Node) compactLocked() {
+	if 2*n.tombstones > len(n.order) {
+		n.expireLocked(0) // expires nothing, only compacts
+	}
 }
 
 // errTransfer classifies a rejected hand-off: the sender keeps custody.
@@ -285,8 +320,8 @@ func (n *Node) refusedLocked(c *carried) (dropped bool) {
 	if n.reofferLimit <= 0 || c.refusals < n.reofferLimit {
 		return false
 	}
-	if _, held := n.buffer[c.id]; held {
-		delete(n.buffer, c.id)
+	if !c.gone {
+		n.releaseLocked(c)
 		n.stats.BackpressureDropped++
 	}
 	return true
@@ -325,18 +360,17 @@ func (n *Node) acceptLocked(c *carried) error {
 		n.delivered[c.id] = payload
 		n.deliveredHops[c.id] = c.hops
 		n.seen[c.id] = true
-		n.acks[c.id] = true // origin of the anti-packet
+		n.addAckLocked(c.id) // origin of the anti-packet
 		n.stats.Delivered++
 		return nil
 	}
 	if !n.dir.Contains(c.group, n.id) {
 		// Sprayed copy: carry the ciphertext unchanged until a group
 		// member is met.
-		n.buffer[c.id] = &carried{
+		n.holdLocked(&carried{
 			id: c.id, data: c.data, group: c.group, tickets: 1, expiry: c.expiry,
-			hops: c.hops, seq: n.claimSeqLocked(),
-		}
-		n.seen[c.id] = true
+			hops: c.hops,
+		})
 		n.stats.Carried++
 		return nil
 	}
@@ -352,7 +386,7 @@ func (n *Node) acceptLocked(c *carried) error {
 		n.stats.Rejected++
 		return fmt.Errorf("%w: %v", errTransfer, err)
 	}
-	next := &carried{id: c.id, tickets: 1, expiry: c.expiry, hops: c.hops, seq: n.claimSeqLocked()}
+	next := &carried{id: c.id, tickets: 1, expiry: c.expiry, hops: c.hops}
 	if peeled.Deliver {
 		next.lastHop = true
 		next.deliverTo = contact.NodeID(peeled.Dest)
@@ -361,8 +395,7 @@ func (n *Node) acceptLocked(c *carried) error {
 		next.group = peeled.NextGroup
 		next.data = peeled.Inner
 	}
-	n.buffer[c.id] = next
-	n.seen[c.id] = true
+	n.holdLocked(next)
 	n.stats.Carried++
 	return nil
 }
@@ -370,14 +403,42 @@ func (n *Node) acceptLocked(c *carried) error {
 // learnAckLocked records a delivery acknowledgement and purges any
 // buffered copy of that message. The caller holds n.mu.
 func (n *Node) learnAckLocked(id string) {
-	if n.acks[id] {
+	if !n.addAckLocked(id) {
 		return
 	}
-	n.acks[id] = true
-	if _, held := n.buffer[id]; held {
-		delete(n.buffer, id)
+	if c, held := n.buffer[id]; held {
+		n.releaseLocked(c)
 		n.stats.Purged++
 	}
+}
+
+// addAckLocked records id in the acknowledgement set and its log and
+// reports whether it was new. The caller holds n.mu.
+func (n *Node) addAckLocked(id string) bool {
+	if n.acks[id] {
+		return false
+	}
+	n.acks[id] = true
+	n.ackLog = append(n.ackLog, id)
+	return true
+}
+
+// mergeAcksLocked learns every acknowledgement in peer's log that this
+// node has not merged before. Both locks are held. The merge is exact:
+// logs are append-only and acknowledgements survive crashes, so every
+// entry below the cursor is already in n.acks.
+func (n *Node) mergeAcksLocked(peer *Node) {
+	from := n.ackCursor[peer.id]
+	if from == len(peer.ackLog) {
+		return
+	}
+	if n.ackCursor == nil {
+		n.ackCursor = make(map[contact.NodeID]int)
+	}
+	for _, id := range peer.ackLog[from:] {
+		n.learnAckLocked(id)
+	}
+	n.ackCursor[peer.id] = len(peer.ackLog)
 }
 
 // KnowsDelivered reports whether this node has learned (directly or
@@ -400,15 +461,29 @@ func (n *Node) crashLocked(preserveCustody bool) {
 		return
 	}
 	n.stats.CrashDropped += len(n.buffer)
-	n.buffer = make(map[string]*carried)
-}
-
-// expireLocked drops onions past their deadline. The caller holds n.mu.
-func (n *Node) expireLocked(now float64) {
-	for id, c := range n.buffer {
-		if c.expiry > 0 && now > c.expiry {
-			delete(n.buffer, id)
-			n.stats.Expired++
+	for _, c := range n.order {
+		if !c.gone {
+			n.releaseLocked(c)
 		}
 	}
+	n.compactLocked()
+}
+
+// expireLocked drops onions past their deadline (none when now is 0)
+// and compacts the custody FIFO in the same pass. The caller holds
+// n.mu.
+func (n *Node) expireLocked(now float64) {
+	kept := n.order[:0]
+	for _, c := range n.order {
+		if !c.gone && c.expiry > 0 && now > c.expiry {
+			n.releaseLocked(c)
+			n.stats.Expired++
+		}
+		if !c.gone {
+			kept = append(kept, c)
+		}
+	}
+	clear(n.order[len(kept):])
+	n.order = kept
+	n.tombstones = 0
 }

@@ -34,19 +34,6 @@ type Offer struct {
 	Frame []byte
 }
 
-// custodyFIFOLocked snapshots the buffer in custody (FIFO) order. The
-// caller holds n.mu. Map iteration order and crypto-random message IDs
-// would both make transfer order — and with it buffer-refusal outcomes
-// — nondeterministic for a fixed seed.
-func (n *Node) custodyFIFOLocked() []*carried {
-	held := make([]*carried, 0, len(n.buffer))
-	for _, c := range n.buffer {
-		held = append(held, c)
-	}
-	sort.Slice(held, func(i, j int) bool { return held[i].seq < held[j].seq })
-	return held
-}
-
 // eligibleLocked reports whether peer may take custody of c: the final
 // destination of a last-hop onion, a member of the addressed group, or
 // (in spray mode) any node while spare tickets remain. The caller
@@ -72,8 +59,8 @@ func (n *Node) OffersTo(peer contact.NodeID, spray bool) []Offer {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var out []Offer
-	for _, c := range n.custodyFIFOLocked() {
-		if !n.eligibleLocked(c, peer, spray) {
+	for _, c := range n.order {
+		if c.gone || !n.eligibleLocked(c, peer, spray) {
 			continue
 		}
 		frame, err := c.toBundle().Marshal()
@@ -128,7 +115,8 @@ func (n *Node) HandoffAccepted(msgID string) {
 	n.stats.Forwarded++
 	c.tickets--
 	if c.tickets <= 0 {
-		delete(n.buffer, msgID)
+		n.releaseLocked(c)
+		n.compactLocked()
 	}
 }
 
@@ -143,7 +131,9 @@ func (n *Node) HandoffRefused(msgID string) (dropped bool) {
 	if !ok {
 		return false
 	}
-	return n.refusedLocked(c)
+	dropped = n.refusedLocked(c)
+	n.compactLocked()
+	return dropped
 }
 
 // Expire drops onions past their deadline, as Network.Meet does at the

@@ -245,10 +245,10 @@ func RunOpenLoop(nw *node.Network, g *contact.Graph, spec OpenLoopSpec) (*OpenLo
 	endpoints := root.Split("endpoints")
 	n := g.N()
 	d := &driver{
-		nw:      nw,
-		graphN:  n,
-		pending: make(map[string]int),
-		rng:     root.Split("paths"),
+		nw:        nw,
+		graphN:    n,
+		pendingAt: make([][]int, n),
+		rng:       root.Split("paths"),
 		spec: Spec{
 			PayloadSize:  spec.PayloadSize,
 			Relays:       spec.Relays,

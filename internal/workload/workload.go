@@ -82,9 +82,12 @@ type driver struct {
 	sends   []pendingSend // sorted by at
 	nextIdx int
 	records []Record
-	pending map[string]int // message id -> record index, undelivered
-	peak    int
-	rng     *rng.Stream
+	// pendingAt lists, per destination node, the indices of records
+	// still undelivered; pending counts them all.
+	pendingAt [][]int
+	pending   int
+	peak      int
+	rng       *rng.Stream
 	// openLoop marks a RunOpenLoop drive: load counters and the
 	// delivery-latency histogram are emitted into the active
 	// observability collector (service mode watches them live).
@@ -109,11 +112,11 @@ func Run(nw *node.Network, g *contact.Graph, spec Spec, horizon float64) (*Resul
 	arrivals := root.Split("arrivals")
 	n := g.N()
 	d := &driver{
-		nw:      nw,
-		graphN:  n,
-		spec:    spec,
-		pending: make(map[string]int),
-		rng:     root.Split("paths"),
+		nw:        nw,
+		graphN:    n,
+		spec:      spec,
+		pendingAt: make([][]int, n),
+		rng:       root.Split("paths"),
 	}
 	t := 0.0
 	for i := 0; i < spec.Messages; i++ {
@@ -171,7 +174,8 @@ func (d *driver) OnContact(t float64, a, b contact.NodeID) {
 			continue
 		}
 		d.records = append(d.records, Record{ID: id, Src: s.src, Dst: s.dst, SentAt: s.at})
-		d.pending[id] = len(d.records) - 1
+		d.pendingAt[s.dst] = append(d.pendingAt[s.dst], len(d.records)-1)
+		d.pending++
 		if d.openLoop {
 			if c := obs.Active(); c != nil {
 				c.Add(obs.LoadInjected, 1)
@@ -179,18 +183,12 @@ func (d *driver) OnContact(t float64, a, b contact.NodeID) {
 		}
 	}
 
-	d.nw.Meet(a, b, t)
-
-	for id, idx := range d.pending {
-		rec := &d.records[idx]
-		if _, ok := d.nw.Node(rec.Dst).Delivered(id); ok {
-			rec.Delivered = true
-			rec.DeliveredAt = t
-			delete(d.pending, id)
-			if d.openLoop {
-				ObserveDelivery(t - rec.SentAt)
-			}
-		}
+	// A message is delivered only at a contact of its destination that
+	// reports a delivery, so only then are a's and b's pending messages
+	// worth polling.
+	if rep := d.nw.Meet(a, b, t); rep.Deliveries > 0 {
+		d.collect(a, t)
+		d.collect(b, t)
 	}
 	if d.spec.TrackBuffers {
 		total := 0
@@ -203,9 +201,30 @@ func (d *driver) OnContact(t float64, a, b contact.NodeID) {
 	}
 }
 
+// collect marks the pending messages for dst that it has received as
+// delivered at time t.
+func (d *driver) collect(dst contact.NodeID, t float64) {
+	n := d.nw.Node(dst)
+	still := d.pendingAt[dst][:0]
+	for _, idx := range d.pendingAt[dst] {
+		rec := &d.records[idx]
+		if _, ok := n.DeliveredHops(rec.ID); !ok {
+			still = append(still, idx)
+			continue
+		}
+		rec.Delivered = true
+		rec.DeliveredAt = t
+		d.pending--
+		if d.openLoop {
+			ObserveDelivery(t - rec.SentAt)
+		}
+	}
+	d.pendingAt[dst] = still
+}
+
 // Done implements sim.Protocol: the run ends when every message has
 // been injected and either delivered or (with expiry) the horizon
 // handles the rest.
 func (d *driver) Done() bool {
-	return d.nextIdx == len(d.sends) && len(d.pending) == 0
+	return d.nextIdx == len(d.sends) && d.pending == 0
 }
