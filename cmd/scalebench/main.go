@@ -1,7 +1,7 @@
 // Command scalebench measures the simulation core at city scale: for
 // each node count it generates a city trace (workload.CityScale), fits
-// contact rates on the sparse graph backend, replays every contact
-// through the discrete-event scheduler with both queue implementations
+// its contact graph, replays every contact through the discrete-event
+// scheduler with both queue implementations
 // (the production ladder queue and the legacy binary heap), and records
 // events/sec and peak bytes/node. The results back BENCH_scale.json
 // (see DESIGN.md Sec. 11).
@@ -39,7 +39,6 @@ type Result struct {
 	Nodes         int     `json:"nodes"`
 	HorizonSec    float64 `json:"horizon_sec"`
 	Contacts      int     `json:"contacts"`
-	SparseGraph   bool    `json:"sparse_graph"`
 	BytesPerNode  float64 `json:"bytes_per_node"`
 	LadderEvtsSec float64 `json:"ladder_events_per_sec"`
 	HeapEvtsSec   float64 `json:"heap_events_per_sec"`
@@ -89,8 +88,8 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("n=%d: %w", n, err)
 		}
 		fmt.Fprintf(os.Stderr,
-			"scalebench: n=%d contacts=%d sparse=%v bytes/node=%.0f ladder=%.0f ev/s heap=%.0f ev/s ratio=%.2f\n",
-			res.Nodes, res.Contacts, res.SparseGraph, res.BytesPerNode,
+			"scalebench: n=%d contacts=%d bytes/node=%.0f ladder=%.0f ev/s heap=%.0f ev/s ratio=%.2f\n",
+			res.Nodes, res.Contacts, res.BytesPerNode,
 			res.LadderEvtsSec, res.HeapEvtsSec, res.LadderRatio)
 		rep.Results = append(rep.Results, res)
 	}
@@ -172,8 +171,8 @@ func benchOne(n int, seed uint64, reps, workers int) (Result, error) {
 
 	// Peak live bytes per node with the trace, the fitted graph, and the
 	// event times resident — the footprint an experiment at this N pays.
-	// A dense matrix at n=1e5 would need 80 GB; the sparse backend keeps
-	// this in the tens of KB per node.
+	// The graph stores only the pairs that meet, so this stays in the
+	// tens of KB per node where an n x n matrix at n=1e5 would need 80 GB.
 	times := make([]float64, len(tr.Contacts))
 	for i, c := range tr.Contacts {
 		times[i] = c.Start
@@ -181,13 +180,13 @@ func benchOne(n int, seed uint64, reps, workers int) (Result, error) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(g)
 	bytesPerNode := float64(ms.HeapAlloc) / float64(n)
 
 	res := Result{
 		Nodes:        n,
 		HorizonSec:   spec.Horizon,
 		Contacts:     len(tr.Contacts),
-		SparseGraph:  g.Sparse(),
 		BytesPerNode: bytesPerNode,
 		GenSec:       genSec,
 	}

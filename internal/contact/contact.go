@@ -4,24 +4,15 @@
 // also computes the group-aggregated per-hop rates lambda_k of Eq. 4
 // that drive the opportunistic onion path model.
 //
-// Two storage backends realize the same Graph semantics:
-//
-//   - dense: a row-major n x n float64 matrix, used up to
-//     DefaultDenseNodeLimit nodes (the paper's 12-100-node scale);
-//   - sparse: per-node neighbor lists sorted by peer ID (CSR-style),
-//     used above the limit so city-scale populations (10^4-10^6 nodes)
-//     never materialize an O(N^2) matrix.
-//
-// The backend is an internal detail: every accessor (Rate, Pairs,
-// TotalRate, GroupPathRates, ...) performs identical floating-point
-// operations in identical order on both, so results are bit-identical
-// (enforced by the sparse/dense differential suite).
+// The graph is stored as per-node neighbor lists sorted by peer ID
+// (CSR-style), so memory is O(n + pairs): the paper's complete
+// 12-100-node graphs and city-scale populations (10^4-10^6 nodes with
+// a few dozen peers each) share one representation.
 package contact
 
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -29,37 +20,13 @@ import (
 // NodeID identifies a node in the contact graph, in [0, N).
 type NodeID int
 
-const (
-	// DefaultDenseNodeLimit is the population size above which a new
-	// graph uses the sparse adjacency backend instead of the dense
-	// n x n matrix. At the limit the dense matrix is 8 MB; one step
-	// beyond in the dense world would grow quadratically.
-	DefaultDenseNodeLimit = 1024
+// MaxNodes bounds graph populations. The graph allocates one
+// neighbor-list header per node, so an absurd node count (e.g. from a
+// corrupt graph file header) must be rejected before allocation, not
+// OOM-killed after.
+const MaxNodes = 1 << 24
 
-	// MaxNodes bounds graph populations. Even the sparse backend
-	// allocates one neighbor-list header per node, so an absurd node
-	// count (e.g. from a corrupt graph file header) must be rejected
-	// before allocation, not OOM-killed after.
-	MaxNodes = 1 << 24
-)
-
-// denseNodeLimit is the active switchover threshold. Atomic so the
-// test hook can flip it while worker pools are running elsewhere.
-var denseNodeLimit atomic.Int64
-
-func init() { denseNodeLimit.Store(DefaultDenseNodeLimit) }
-
-// SetDenseNodeLimit overrides the dense/sparse switchover threshold
-// and returns a function restoring the previous value. A limit of 0
-// forces every new graph onto the sparse backend. This is a test hook
-// for the sparse/dense equivalence suites; production code should
-// leave the default in place.
-func SetDenseNodeLimit(n int) (restore func()) {
-	prev := denseNodeLimit.Swap(int64(n))
-	return func() { denseNodeLimit.Store(prev) }
-}
-
-// edge is one sparse adjacency entry: the peer and the pair rate.
+// edge is one adjacency entry: the peer and the pair rate.
 type edge struct {
 	to   NodeID
 	rate float64
@@ -67,18 +34,15 @@ type edge struct {
 
 // Graph is a symmetric contact-rate structure over n nodes. The rate
 // of the (i, j) pair is the inverse of the mean inter-contact time; a
-// rate of zero means the pair never meets. Exactly one of dense/adj is
-// non-nil.
+// rate of zero means the pair never meets and is not stored.
 type Graph struct {
-	n     int
-	dense []float64 // row-major n x n, symmetric, zero diagonal
-	adj   [][]edge  // per-node neighbor lists, sorted ascending by to
+	n   int
+	adj [][]edge // per-node neighbor lists, sorted ascending by to
 }
 
-// New returns a graph with n nodes and no contacts, choosing the
-// storage backend by population size. It returns an error for
-// non-positive n or n beyond MaxNodes — large n must not silently
-// overflow the dense n*n allocation or exhaust memory.
+// New returns a graph with n nodes and no contacts. It returns an
+// error for non-positive n or n beyond MaxNodes, so large n cannot
+// exhaust memory.
 func New(n int) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("contact: graph needs at least one node, got %d", n)
@@ -86,13 +50,7 @@ func New(n int) (*Graph, error) {
 	if n > MaxNodes {
 		return nil, fmt.Errorf("contact: %d nodes exceeds the supported maximum %d", n, MaxNodes)
 	}
-	g := &Graph{n: n}
-	if int64(n) <= denseNodeLimit.Load() {
-		g.dense = make([]float64, n*n)
-	} else {
-		g.adj = make([][]edge, n)
-	}
-	return g, nil
+	return &Graph{n: n, adj: make([][]edge, n)}, nil
 }
 
 // NewGraph returns a graph with n nodes and no contacts. It panics on
@@ -114,6 +72,13 @@ func NewRandom(n int, minICT, maxICT float64, s *rng.Stream) *Graph {
 		panic(fmt.Sprintf("contact: invalid ICT bounds [%v, %v)", minICT, maxICT))
 	}
 	g := NewGraph(n)
+	// Every row fills to n-1 peers: carve the rows out of one slab, each
+	// capped so an append can never spill into the next row.
+	slab := make([]edge, n*(n-1))
+	for i := range g.adj {
+		lo := i * (n - 1)
+		g.adj[i] = slab[lo : lo : lo+n-1]
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			ict := s.Uniform(minICT, maxICT)
@@ -126,9 +91,6 @@ func NewRandom(n int, minICT, maxICT float64, s *rng.Stream) *Graph {
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
-// Sparse reports whether the graph uses the sparse adjacency backend.
-func (g *Graph) Sparse() bool { return g.adj != nil }
-
 // findEdge binary-searches a sorted neighbor list for peer j and
 // returns its index and whether it is present.
 func findEdge(es []edge, j NodeID) (int, bool) {
@@ -140,11 +102,20 @@ func findEdge(es []edge, j NodeID) (int, bool) {
 func (g *Graph) Rate(i, j NodeID) float64 {
 	g.check(i)
 	g.check(j)
-	if g.dense != nil {
-		return g.dense[int(i)*g.n+int(j)]
+	es := g.adj[i]
+	if len(es) == g.n-1 {
+		// A complete row lists every node but i in order, so j sits at
+		// index j below the diagonal and j-1 above it.
+		switch {
+		case j < i:
+			return es[j].rate
+		case j > i:
+			return es[j-1].rate
+		}
+		return 0
 	}
-	if pos, ok := findEdge(g.adj[i], j); ok {
-		return g.adj[i][pos].rate
+	if pos, ok := findEdge(es, j); ok {
+		return es[pos].rate
 	}
 	return 0
 }
@@ -164,11 +135,6 @@ func (g *Graph) SetRate(i, j NodeID, r float64) {
 		}
 		return
 	}
-	if g.dense != nil {
-		g.dense[int(i)*g.n+int(j)] = r
-		g.dense[int(j)*g.n+int(i)] = r
-		return
-	}
 	g.setSparse(i, j, r)
 	g.setSparse(j, i, r)
 }
@@ -177,6 +143,12 @@ func (g *Graph) SetRate(i, j NodeID, r float64) {
 // list, inserting, overwriting or removing as needed.
 func (g *Graph) setSparse(i, j NodeID, r float64) {
 	es := g.adj[i]
+	if r > 0 && (len(es) == 0 || es[len(es)-1].to < j) {
+		// The new peer sorts last: the common case when rows are built
+		// in ascending order (NewRandom, ReadGraph of a written graph).
+		g.adj[i] = append(es, edge{to: j, rate: r})
+		return
+	}
 	pos, ok := findEdge(es, j)
 	switch {
 	case ok && r == 0:
@@ -191,29 +163,9 @@ func (g *Graph) setSparse(i, j NodeID, r float64) {
 	}
 }
 
-// MeanICT returns the mean inter-contact time 1/lambda_{i,j}, or +Inf
-// semantics via ok=false when the pair never meets.
-func (g *Graph) MeanICT(i, j NodeID) (float64, bool) {
-	r := g.Rate(i, j)
-	if r == 0 {
-		return 0, false
-	}
-	return 1 / r, true
-}
-
 // Pairs invokes fn for every unordered pair with a positive rate, in
-// (i, j) lexicographic order on both backends.
+// (i, j) lexicographic order.
 func (g *Graph) Pairs(fn func(i, j NodeID, rate float64)) {
-	if g.dense != nil {
-		for i := 0; i < g.n; i++ {
-			for j := i + 1; j < g.n; j++ {
-				if r := g.dense[i*g.n+j]; r > 0 {
-					fn(NodeID(i), NodeID(j), r)
-				}
-			}
-		}
-		return
-	}
 	for i := 0; i < g.n; i++ {
 		for _, e := range g.adj[i] {
 			if e.to > NodeID(i) && e.rate > 0 {
@@ -223,31 +175,10 @@ func (g *Graph) Pairs(fn func(i, j NodeID, rate float64)) {
 	}
 }
 
-// Degree returns the number of peers node i ever meets.
-func (g *Graph) Degree(i NodeID) int {
-	g.check(i)
-	if g.dense != nil {
-		d := 0
-		for j := 0; j < g.n; j++ {
-			if g.dense[int(i)*g.n+j] > 0 {
-				d++
-			}
-		}
-		return d
-	}
-	d := 0
-	for _, e := range g.adj[i] {
-		if e.rate > 0 {
-			d++
-		}
-	}
-	return d
-}
-
 // TotalRate returns the sum of rates from node i to every node in set,
 // skipping i itself: the aggregate contact rate toward a candidate
 // onion group (the building block of Eq. 4). Summation follows set
-// order, so both backends accumulate bit-identically.
+// order.
 func (g *Graph) TotalRate(i NodeID, set []NodeID) float64 {
 	g.check(i)
 	sum := 0.0
@@ -266,45 +197,10 @@ func (g *Graph) check(i NodeID) {
 	}
 }
 
-// Clone returns a deep copy of the graph on the same backend.
-func (g *Graph) Clone() *Graph {
-	out := &Graph{n: g.n}
-	if g.dense != nil {
-		out.dense = make([]float64, len(g.dense))
-		copy(out.dense, g.dense)
-		return out
-	}
-	out.adj = make([][]edge, g.n)
-	for i, es := range g.adj {
-		if len(es) == 0 {
-			continue
-		}
-		out.adj[i] = append([]edge(nil), es...)
-	}
-	return out
-}
-
 // Validate checks structural invariants (symmetry, zero diagonal,
 // non-negative rates, sorted duplicate-free adjacency) and returns the
 // first violation found.
 func (g *Graph) Validate() error {
-	if g.dense != nil {
-		for i := 0; i < g.n; i++ {
-			if g.dense[i*g.n+i] != 0 {
-				return fmt.Errorf("contact: non-zero self rate at node %d", i)
-			}
-			for j := i + 1; j < g.n; j++ {
-				a, b := g.dense[i*g.n+j], g.dense[j*g.n+i]
-				if a != b {
-					return fmt.Errorf("contact: asymmetric rate (%d,%d): %v vs %v", i, j, a, b)
-				}
-				if a < 0 {
-					return fmt.Errorf("contact: negative rate (%d,%d): %v", i, j, a)
-				}
-			}
-		}
-		return nil
-	}
 	for i, es := range g.adj {
 		prev := NodeID(-1)
 		for _, e := range es {
@@ -379,40 +275,4 @@ func GroupPathRates(g *Graph, src, dst NodeID, groups [][]NodeID) ([]float64, er
 		}
 	}
 	return rates, nil
-}
-
-// MeanRate returns the average positive pair rate of the graph, a
-// density summary used when calibrating synthetic traces.
-func (g *Graph) MeanRate() float64 {
-	sum, cnt := 0.0, 0
-	g.Pairs(func(_, _ NodeID, r float64) {
-		sum += r
-		cnt++
-	})
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
-}
-
-// toSparse returns a copy of g on the sparse backend (test support for
-// the differential suites; a no-op copy if already sparse).
-func (g *Graph) toSparse() *Graph {
-	out := &Graph{n: g.n, adj: make([][]edge, g.n)}
-	g.Pairs(func(i, j NodeID, r float64) {
-		out.setSparse(i, j, r)
-		out.setSparse(j, i, r)
-	})
-	return out
-}
-
-// toDense returns a copy of g on the dense backend (test support; the
-// caller is responsible for keeping n small enough to materialize).
-func (g *Graph) toDense() *Graph {
-	out := &Graph{n: g.n, dense: make([]float64, g.n*g.n)}
-	g.Pairs(func(i, j NodeID, r float64) {
-		out.dense[int(i)*g.n+int(j)] = r
-		out.dense[int(j)*g.n+int(i)] = r
-	})
-	return out
 }

@@ -76,19 +76,6 @@ func TestRatePanicsOutOfRange(t *testing.T) {
 	g.Rate(0, 5)
 }
 
-func TestMeanICT(t *testing.T) {
-	g := NewGraph(2)
-	g.SetRate(0, 1, 0.2)
-	ict, ok := g.MeanICT(0, 1)
-	if !ok || math.Abs(ict-5) > 1e-12 {
-		t.Fatalf("MeanICT = %v, %v", ict, ok)
-	}
-	g2 := NewGraph(2)
-	if _, ok := g2.MeanICT(0, 1); ok {
-		t.Fatal("never-meeting pair should report ok=false")
-	}
-}
-
 func TestNewRandomRateBounds(t *testing.T) {
 	s := rng.New(1)
 	g := NewRandom(30, 1, 360, s)
@@ -130,15 +117,6 @@ func TestNewRandomPanicsOnBadBounds(t *testing.T) {
 	NewRandom(5, 10, 5, rng.New(1))
 }
 
-func TestDegree(t *testing.T) {
-	g := NewGraph(4)
-	g.SetRate(0, 1, 1)
-	g.SetRate(0, 2, 1)
-	if g.Degree(0) != 2 || g.Degree(3) != 0 || g.Degree(1) != 1 {
-		t.Fatalf("degrees: %d %d %d", g.Degree(0), g.Degree(3), g.Degree(1))
-	}
-}
-
 func TestTotalRateSkipsSelf(t *testing.T) {
 	g := NewGraph(4)
 	g.SetRate(0, 1, 0.5)
@@ -146,16 +124,6 @@ func TestTotalRateSkipsSelf(t *testing.T) {
 	set := []NodeID{0, 1, 2} // includes the node itself
 	if got := g.TotalRate(0, set); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("TotalRate = %v, want 0.75", got)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	g := NewGraph(3)
-	g.SetRate(0, 1, 1)
-	c := g.Clone()
-	c.SetRate(0, 1, 2)
-	if g.Rate(0, 1) != 1 {
-		t.Fatal("clone shares backing storage")
 	}
 }
 
@@ -255,18 +223,6 @@ func TestGroupPathRatesExcludesDestinationInLastGroup(t *testing.T) {
 	}
 	if math.Abs(rates[1]-2) > 1e-12 {
 		t.Fatalf("last hop rate %v, want 2 (dst excluded)", rates[1])
-	}
-}
-
-func TestMeanRate(t *testing.T) {
-	g := NewGraph(3)
-	if g.MeanRate() != 0 {
-		t.Fatal("empty graph mean rate should be 0")
-	}
-	g.SetRate(0, 1, 1)
-	g.SetRate(1, 2, 3)
-	if math.Abs(g.MeanRate()-2) > 1e-12 {
-		t.Fatalf("mean rate %v, want 2", g.MeanRate())
 	}
 }
 

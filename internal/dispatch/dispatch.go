@@ -310,8 +310,7 @@ func (d *Dispatcher) release(batch string, ch *chunk) {
 func execute[T any](d *Dispatcher, sup *runner.Supervisor, batch string, workers int, ch *chunk, executed *atomic.Int64, fn func(i int) (T, error)) error {
 	stop := d.heartbeat(batch, ch)
 	defer stop()
-	_, err := runner.Supervised(sup, batch, workers, ch.hi-ch.lo, func(i int) (struct{}, error) {
-		trial := ch.lo + i
+	_, err := runner.SupervisedRange(sup, batch, workers, ch.lo, ch.hi, func(trial int) (struct{}, error) {
 		if d.store.Has(batch, trial) {
 			return struct{}{}, nil
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,6 +130,72 @@ func TestRunPropagatesTrialError(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v; want wrapped boom", err)
+	}
+}
+
+// TestFailuresNameBatchIndex runs 10 trials in chunks of 4 with trial
+// 6 panicking: with and without a dispatcher, supervised or not, the
+// error and the quarantine record name trial 6 of the batch, not its
+// index inside the chunk [4, 8).
+func TestFailuresNameBatchIndex(t *testing.T) {
+	fn := func(i int) (int, error) {
+		if i == 6 {
+			panic("boom")
+		}
+		return i, nil
+	}
+	for _, supervised := range []bool{false, true} {
+		for _, dispatched := range []bool{false, true} {
+			t.Run(fmt.Sprintf("supervised=%v/dispatched=%v", supervised, dispatched), func(t *testing.T) {
+				var sup *runner.Supervisor
+				if supervised {
+					sup = runner.NewSupervisor(0)
+				}
+				var d *Dispatcher
+				if dispatched {
+					d = New(openStore(t, t.TempDir(), "index", "w"), Options{Owner: "w", ChunkSize: 4})
+				}
+				_, err := Run(d, sup, "batch", 2, 10, fn)
+				var te *runner.TrialError
+				if !errors.As(err, &te) || te.Trial != 6 {
+					t.Fatalf("err = %v; want a TrialError for trial 6", err)
+				}
+				if want := `trial 6 of batch "batch" panicked`; !strings.Contains(err.Error(), want) {
+					t.Fatalf("err = %q; want it to contain %q", err, want)
+				}
+				if !supervised {
+					return
+				}
+				var qe *runner.QuarantineError
+				if !errors.As(err, &qe) || len(qe.Trials) != 1 {
+					t.Fatalf("err = %v; want a QuarantineError with one trial", err)
+				}
+				if q := sup.Quarantined(); len(q) != 1 || q[0].Trial != 6 {
+					t.Fatalf("supervisor quarantined %v; want trial 6 only", q)
+				}
+			})
+		}
+	}
+}
+
+// TestReturnedErrorNamesBatchIndex is the returned-error counterpart:
+// the runner's label carries the batch index under a dispatcher too.
+func TestReturnedErrorNamesBatchIndex(t *testing.T) {
+	boom := errors.New("boom")
+	fn := func(i int) (int, error) {
+		if i == 6 {
+			return 0, boom
+		}
+		return i, nil
+	}
+	_, err := Run[int](nil, nil, "batch", 1, 10, fn)
+	if !errors.Is(err, boom) {
+		t.Fatalf("plain pool: err = %v; want wrapped boom", err)
+	}
+	d := New(openStore(t, t.TempDir(), "index-err", "w"), Options{Owner: "w", ChunkSize: 4})
+	_, derr := Run(d, nil, "batch", 1, 10, fn)
+	if !errors.Is(derr, boom) || derr.Error() != err.Error() {
+		t.Fatalf("dispatched err = %q; want %q", derr, err)
 	}
 }
 

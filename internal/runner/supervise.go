@@ -141,6 +141,16 @@ func (s *Supervisor) note(te *TrialError) {
 // returned error, and nothing per trial is spent beyond the panic
 // shield: no encoding, no locking, no extra goroutine.
 func Supervised[T any](sup *Supervisor, batch string, workers, trials int, trial func(i int) (T, error)) ([]T, error) {
+	return SupervisedRange(sup, batch, workers, 0, trials, trial)
+}
+
+// SupervisedRange is Supervised over the batch's trial indices
+// [lo, hi): trial receives the batch index, every error and
+// quarantined TrialError names it, and the result slice holds trial
+// lo+k at position k. It lets a caller run one slice of a batch (a
+// dispatch chunk) and still report failures by batch index.
+func SupervisedRange[T any](sup *Supervisor, batch string, workers, lo, hi int, trial func(i int) (T, error)) ([]T, error) {
+	trials := hi - lo
 	if trials <= 0 {
 		return nil, nil
 	}
@@ -176,11 +186,11 @@ func Supervised[T any](sup *Supervisor, batch string, workers, trials int, trial
 	)
 	worker := func() (n int) {
 		for !failed.Load() && !sup.Stopping() {
-			i := int(next.Add(1)) - 1
-			if i >= trials {
+			k := int(next.Add(1)) - 1
+			if k >= trials {
 				return n
 			}
-			v, err, te := attempt(sup, batch, i, c, trial)
+			v, err, te := attempt(sup, batch, lo+k, c, trial)
 			if te != nil && sup != nil {
 				qmu.Lock()
 				quarantine = append(quarantine, te)
@@ -191,11 +201,11 @@ func Supervised[T any](sup *Supervisor, batch string, workers, trials int, trial
 				err = te // unsupervised: a panic fails the batch fast
 			}
 			if err != nil {
-				errs[i] = err
+				errs[k] = err
 				failed.Store(true)
 				return n
 			}
-			out[i] = v
+			out[k] = v
 			n++
 		}
 		return n
@@ -215,9 +225,9 @@ func Supervised[T any](sup *Supervisor, batch string, workers, trials int, trial
 	}
 
 	if failed.Load() {
-		for i, err := range errs {
+		for k, err := range errs {
 			if err != nil {
-				return nil, wrapTrialErr(batch, i, err)
+				return nil, wrapTrialErr(batch, lo+k, err)
 			}
 		}
 	}
