@@ -133,7 +133,7 @@ func run(args []string, out io.Writer) error {
 		close(sigDone)
 	}()
 
-	endPhase := obs.Current().StartPhase(*protocol)
+	endPhase := obs.Active().StartPhase(*protocol)
 	switch {
 	case *tracePath != "":
 		if *protocol != "onion" {

@@ -253,7 +253,7 @@ func run(args []string, out *os.File) error {
 				errs[idx] = fmt.Errorf("%s: %w", specs[idx].ID, runner.ErrInterrupted)
 				return
 			}
-			endPhase := obs.Current().StartPhase(specs[idx].ID)
+			endPhase := obs.Active().StartPhase(specs[idx].ID)
 			start := time.Now()
 			fig, err := generate(&specs[idx])
 			if err == nil {

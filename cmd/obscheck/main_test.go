@@ -22,7 +22,7 @@ func writeManifest(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.Current().Add(obs.RoutingContacts, 3)
+	obs.Active().Add(obs.RoutingContacts, 3)
 	if err := run.Finish(map[string]int{"n": 1}, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,14 @@
 // Command scalebench measures the simulation core at city scale: for
 // each node count it generates a city trace (workload.CityScale), fits
 // its contact graph, replays every contact through the discrete-event
-// scheduler with both queue implementations
-// (the production ladder queue and the legacy binary heap), and records
-// events/sec and peak bytes/node. The results back BENCH_scale.json
-// (see DESIGN.md Sec. 11).
-//
-// The -gate flag turns the run into a regression check: the ladder
-// queue's events/sec must be at least gate x the legacy heap's on the
-// same machine in the same process. Comparing the two queues against
-// each other keeps the gate machine-independent, unlike an absolute
-// events/sec floor.
+// scheduler, and records events/sec and peak bytes/node. The results
+// back BENCH_scale.json (see DESIGN.md Sec. 11); events/sec is a trend
+// number for one machine. The machine-independent throughput gate is
+// internal/des's TestLadderVsHeapReplayThroughput.
 //
 // Usage:
 //
 //	scalebench -n 1000,10000,100000 -o BENCH_scale.json
-//	scalebench -n 10000 -gate 0.9
 package main
 
 import (
@@ -41,8 +34,6 @@ type Result struct {
 	Contacts      int     `json:"contacts"`
 	BytesPerNode  float64 `json:"bytes_per_node"`
 	LadderEvtsSec float64 `json:"ladder_events_per_sec"`
-	HeapEvtsSec   float64 `json:"heap_events_per_sec"`
-	LadderRatio   float64 `json:"ladder_vs_heap_ratio"`
 	GenSec        float64 `json:"generation_sec"`
 }
 
@@ -67,7 +58,6 @@ func run(args []string, out io.Writer) error {
 		outPath = fs.String("o", "", "write the JSON report to this file (default: stdout)")
 		seed    = fs.Uint64("seed", 1, "random seed")
 		reps    = fs.Int("reps", 3, "replay repetitions; best run is reported")
-		gate    = fs.Float64("gate", 0, "fail unless ladder events/sec >= gate x heap events/sec at every N (0 disables)")
 		workers = fs.Int("workers", 0, "trace generation workers (0 = GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -88,9 +78,8 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("n=%d: %w", n, err)
 		}
 		fmt.Fprintf(os.Stderr,
-			"scalebench: n=%d contacts=%d bytes/node=%.0f ladder=%.0f ev/s heap=%.0f ev/s ratio=%.2f\n",
-			res.Nodes, res.Contacts, res.BytesPerNode,
-			res.LadderEvtsSec, res.HeapEvtsSec, res.LadderRatio)
+			"scalebench: n=%d contacts=%d bytes/node=%.0f ladder=%.0f ev/s\n",
+			res.Nodes, res.Contacts, res.BytesPerNode, res.LadderEvtsSec)
 		rep.Results = append(rep.Results, res)
 	}
 
@@ -105,15 +94,6 @@ func run(args []string, out io.Writer) error {
 		}
 	} else if _, err := out.Write(data); err != nil {
 		return err
-	}
-
-	if *gate > 0 {
-		for _, r := range rep.Results {
-			if r.LadderRatio < *gate {
-				return fmt.Errorf("gate: n=%d ladder/heap ratio %.3f below %.3f",
-					r.Nodes, r.LadderRatio, *gate)
-			}
-		}
 	}
 	return nil
 }
@@ -191,29 +171,22 @@ func benchOne(n int, seed uint64, reps, workers int) (Result, error) {
 		GenSec:       genSec,
 	}
 
-	res.LadderEvtsSec, err = bestReplay(des.New, times, reps)
+	res.LadderEvtsSec, err = bestReplay(times, reps)
 	if err != nil {
 		return Result{}, err
-	}
-	res.HeapEvtsSec, err = bestReplay(des.NewLegacyHeap, times, reps)
-	if err != nil {
-		return Result{}, err
-	}
-	if res.HeapEvtsSec > 0 {
-		res.LadderRatio = res.LadderEvtsSec / res.HeapEvtsSec
 	}
 	return res, nil
 }
 
 // bestReplay schedules every contact time into a fresh scheduler and
 // drains it, reps times, returning the best observed events/sec.
-func bestReplay(mk func() *des.Scheduler, times []float64, reps int) (float64, error) {
+func bestReplay(times []float64, reps int) (float64, error) {
 	if len(times) == 0 {
 		return 0, fmt.Errorf("empty trace")
 	}
 	best := 0.0
 	for r := 0; r < reps; r++ {
-		s := mk()
+		s := des.New()
 		dispatched := 0
 		start := time.Now()
 		for _, t := range times {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -39,7 +40,7 @@ func TestBenchHorizonClamps(t *testing.T) {
 }
 
 // TestRunSmall exercises the full pipeline — generation, rate fit,
-// both-queue replay, JSON report, gate — at a small N so it stays fast.
+// replay, JSON report — at a small N so it stays fast.
 func TestRunSmall(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.json")
@@ -62,7 +63,7 @@ func TestRunSmall(t *testing.T) {
 	if r.Nodes != 400 || r.Contacts == 0 {
 		t.Fatalf("result %+v", r)
 	}
-	if r.LadderEvtsSec <= 0 || r.HeapEvtsSec <= 0 {
+	if r.LadderEvtsSec <= 0 {
 		t.Fatalf("missing throughput: %+v", r)
 	}
 	if r.BytesPerNode <= 0 {
@@ -70,13 +71,18 @@ func TestRunSmall(t *testing.T) {
 	}
 }
 
-// TestGateImpossible proves the gate path fires: no queue can be 1000x
-// faster than the other.
+// TestGateImpossible: the ladder-vs-heap gate moved into internal/des
+// (TestLadderVsHeapReplayThroughput), so -gate is no longer a flag. An
+// old gated invocation must fail at parse time rather than run
+// ungated and pass.
 func TestGateImpossible(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{"-n", "300", "-reps", "1", "-gate", "1000"}, &buf)
-	if err == nil {
-		t.Fatal("impossible gate passed")
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -gate") {
+		t.Fatalf("-gate accepted or failed for another reason: %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("rejected run still wrote a report: %q", buf.String())
 	}
 }
 

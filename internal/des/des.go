@@ -3,13 +3,11 @@
 // for simultaneous events. It underlies both the synthetic contact
 // simulator and trace replay.
 //
-// The default event queue is a calendar-style ladder queue (ladder.go)
-// with O(1) amortized schedule/pop, replacing the original binary heap
-// whose O(log n) pops dominated city-scale runs. The heap is retained
-// (NewLegacyHeap) as the reference implementation for the differential
-// property suite: both backends pop in exactly (time, seq) order, so a
-// randomized lockstep run over identical schedules must produce
-// identical execution traces.
+// The event queue is a calendar-style ladder queue (ladder.go) with
+// O(1) amortized schedule/pop, which replaced a binary heap whose
+// O(log n) pops dominated city-scale runs. The package tests keep a
+// container/heap scheduler as an independent reference and run
+// randomized programs against both in lockstep.
 package des
 
 import (
@@ -33,26 +31,12 @@ func (e event) before(o event) bool {
 	return e.seq < o.seq
 }
 
-// eventQueue is the priority-queue contract shared by the ladder queue
-// and the legacy binary heap: pop yields pending events in strictly
-// ascending (time, seq) order.
-type eventQueue interface {
-	push(e event)
-	// peek returns the next event without removing it.
-	peek() (event, bool)
-	// pop removes and returns the next event.
-	pop() (event, bool)
-	len() int
-	reset()
-}
-
 // Scheduler orders and dispatches events. The zero value is ready to
-// use and is backed by the ladder queue. Scheduler is not safe for
-// concurrent use; simulations are single-threaded by design and
-// parallelism happens across runs.
+// use. Scheduler is not safe for concurrent use; simulations are
+// single-threaded by design and parallelism happens across runs.
 type Scheduler struct {
 	now     float64
-	queue   eventQueue
+	queue   ladderQueue
 	seq     uint64
 	stopped bool
 	// maxQueue tracks the deepest the pending queue has been — a plain
@@ -61,34 +45,14 @@ type Scheduler struct {
 	maxQueue int
 }
 
-// New returns a Scheduler backed by the calendar (ladder) queue — the
-// same as the zero value.
+// New returns a ready Scheduler, the same as the zero value.
 func New() *Scheduler { return &Scheduler{} }
-
-// NewLegacyHeap returns a Scheduler backed by the pre-ladder binary
-// heap. It exists for the differential test suite and for paired
-// queue benchmarks; behavior is identical to New.
-func NewLegacyHeap() *Scheduler { return &Scheduler{queue: &heapQueue{}} }
-
-// q returns the backing queue, installing the default ladder queue on
-// first use so the zero value stays ready.
-func (s *Scheduler) q() eventQueue {
-	if s.queue == nil {
-		s.queue = newLadderQueue()
-	}
-	return s.queue
-}
 
 // Now returns the current simulation time.
 func (s *Scheduler) Now() float64 { return s.now }
 
 // Len returns the number of pending events.
-func (s *Scheduler) Len() int {
-	if s.queue == nil {
-		return 0
-	}
-	return s.queue.len()
-}
+func (s *Scheduler) Len() int { return s.queue.size }
 
 // At schedules fn to run at time t. Scheduling in the past (t < Now)
 // panics: it would silently reorder causality.
@@ -96,10 +60,9 @@ func (s *Scheduler) At(t float64, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("des: event scheduled at %v before current time %v", t, s.now))
 	}
-	q := s.q()
-	q.push(event{time: t, seq: s.seq, fn: fn})
+	s.queue.push(event{time: t, seq: s.seq, fn: fn})
 	s.seq++
-	if n := q.len(); n > s.maxQueue {
+	if n := s.queue.size; n > s.maxQueue {
 		s.maxQueue = n
 	}
 }
@@ -116,7 +79,7 @@ func (s *Scheduler) After(delay float64, fn func()) {
 // Step dispatches the earliest pending event and reports whether one
 // was dispatched.
 func (s *Scheduler) Step() bool {
-	e, ok := s.q().pop()
+	e, ok := s.queue.pop()
 	if !ok {
 		return false
 	}
@@ -132,9 +95,8 @@ func (s *Scheduler) Step() bool {
 func (s *Scheduler) RunUntil(horizon float64) int {
 	s.stopped = false
 	dispatched := 0
-	q := s.q()
 	for !s.stopped {
-		head, ok := q.peek()
+		head, ok := s.queue.peek()
 		if !ok || head.time > horizon {
 			break
 		}
@@ -175,13 +137,6 @@ func (s *Scheduler) flushObs(dispatched int) {
 // completes. Pending events remain queued.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// Reset discards all pending events and rewinds the clock to zero.
-func (s *Scheduler) Reset() {
-	s.now = 0
-	if s.queue != nil {
-		s.queue.reset()
-	}
-	s.seq = 0
-	s.stopped = false
-	s.maxQueue = 0
-}
+// Reset discards all pending events and rewinds the clock to zero,
+// returning the scheduler to its zero value.
+func (s *Scheduler) Reset() { *s = Scheduler{} }

@@ -8,12 +8,30 @@ import (
 	"repro/internal/rng"
 )
 
-// The differential suite is the safety proof for the ladder-queue
-// rewrite: the legacy binary heap (NewLegacyHeap) is the reference
-// implementation, and randomized programs of scheduler operations are
-// applied to both backends in lockstep. Any divergence in event
-// execution order (including FIFO tie-breaks of simultaneous events),
-// observed clock values, or queue lengths fails the test.
+// The differential suite is the safety proof for the ladder queue: the
+// heap-backed refScheduler (reference_test.go) is the reference, and
+// randomized programs of scheduler operations are applied to it and to
+// the real Scheduler in lockstep. Any divergence in event execution
+// order (including FIFO tie-breaks of simultaneous events), observed
+// clock values, or queue lengths fails the test.
+
+// lockstepScheduler is the surface the suite drives on both sides.
+type lockstepScheduler interface {
+	Now() float64
+	Len() int
+	At(t float64, fn func())
+	After(delay float64, fn func())
+	Step() bool
+	Run() int
+	RunUntil(horizon float64) int
+	Stop()
+	Reset()
+}
+
+var (
+	_ lockstepScheduler = (*Scheduler)(nil)
+	_ lockstepScheduler = (*refScheduler)(nil)
+)
 
 // diffEntry is one dispatched event in a machine's execution log.
 type diffEntry struct {
@@ -21,12 +39,12 @@ type diffEntry struct {
 	now float64
 }
 
-// diffMachine drives one Scheduler and records its execution trace.
+// diffMachine drives one scheduler and records its execution trace.
 // Child scheduling and stop decisions are pure functions of the event
 // id, so two machines given the same op program behave identically
-// exactly when their backends dispatch in the same order.
+// exactly when their schedulers dispatch in the same order.
 type diffMachine struct {
-	s      *Scheduler
+	s      lockstepScheduler
 	log    []diffEntry
 	nextID int
 	total  int // all events ever scheduled, to bound runaway growth
@@ -82,43 +100,46 @@ type diffOp struct {
 	delta float64 // schedule offset or RunUntil horizon offset
 }
 
+func (m *diffMachine) apply(op diffOp) {
+	switch op.kind {
+	case 's':
+		m.schedule(op.delta)
+	case 'r':
+		m.s.Run()
+	case 'u':
+		m.s.RunUntil(m.s.Now() + op.delta)
+	case 't':
+		m.s.Step()
+	case 'x':
+		m.s.Reset()
+	}
+}
+
 func runDifferential(t *testing.T, ops []diffOp) {
 	t.Helper()
 	ladder := &diffMachine{s: New()}
-	legacy := &diffMachine{s: NewLegacyHeap()}
+	ref := &diffMachine{s: &refScheduler{}}
 	for opIdx, op := range ops {
-		for _, m := range []*diffMachine{ladder, legacy} {
-			switch op.kind {
-			case 's':
-				m.schedule(op.delta)
-			case 'r':
-				m.s.Run()
-			case 'u':
-				m.s.RunUntil(m.s.Now() + op.delta)
-			case 't':
-				m.s.Step()
-			case 'x':
-				m.s.Reset()
-				// Logs intentionally survive Reset; ids keep counting.
-			}
+		for _, m := range []*diffMachine{ladder, ref} {
+			m.apply(op) // logs intentionally survive Reset; ids keep counting
 		}
-		if ladder.s.Now() != legacy.s.Now() {
-			t.Fatalf("op %d (%c): Now diverged: ladder=%v legacy=%v",
-				opIdx, op.kind, ladder.s.Now(), legacy.s.Now())
+		if ladder.s.Now() != ref.s.Now() {
+			t.Fatalf("op %d (%c): Now diverged: ladder=%v reference=%v",
+				opIdx, op.kind, ladder.s.Now(), ref.s.Now())
 		}
-		if ladder.s.Len() != legacy.s.Len() {
-			t.Fatalf("op %d (%c): Len diverged: ladder=%d legacy=%d",
-				opIdx, op.kind, ladder.s.Len(), legacy.s.Len())
+		if ladder.s.Len() != ref.s.Len() {
+			t.Fatalf("op %d (%c): Len diverged: ladder=%d reference=%d",
+				opIdx, op.kind, ladder.s.Len(), ref.s.Len())
 		}
-		if len(ladder.log) != len(legacy.log) {
-			t.Fatalf("op %d (%c): dispatched %d events on ladder, %d on legacy heap",
-				opIdx, op.kind, len(ladder.log), len(legacy.log))
+		if len(ladder.log) != len(ref.log) {
+			t.Fatalf("op %d (%c): dispatched %d events on ladder, %d on reference heap",
+				opIdx, op.kind, len(ladder.log), len(ref.log))
 		}
 	}
 	for i := range ladder.log {
-		a, b := ladder.log[i], legacy.log[i]
+		a, b := ladder.log[i], ref.log[i]
 		if a != b {
-			t.Fatalf("execution traces diverge at event %d: ladder fired id=%d t=%v, legacy fired id=%d t=%v",
+			t.Fatalf("execution traces diverge at event %d: ladder fired id=%d t=%v, reference fired id=%d t=%v",
 				i, a.id, a.now, b.id, b.now)
 		}
 	}
@@ -150,7 +171,7 @@ func opsFromStream(s *rng.Stream, n int) []diffOp {
 }
 
 // TestSchedulerDifferentialRandomPrograms runs many randomized lockstep
-// programs over both backends.
+// programs over the ladder and the reference.
 func TestSchedulerDifferentialRandomPrograms(t *testing.T) {
 	programs := 300
 	if testing.Short() {
@@ -209,7 +230,7 @@ func TestSchedulerDifferentialAdversarialTimes(t *testing.T) {
 }
 
 // FuzzSchedulerDifferential lets the fuzzer search for a byte program
-// whose op sequence makes the backends diverge.
+// whose op sequence makes the ladder diverge from the reference.
 func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -233,31 +254,20 @@ func FuzzSchedulerDifferential(f *testing.F) {
 		}
 		// The fuzz harness tolerates programs that dispatch nothing.
 		ladder := &diffMachine{s: New()}
-		legacy := &diffMachine{s: NewLegacyHeap()}
+		ref := &diffMachine{s: &refScheduler{}}
 		for opIdx, op := range ops {
-			for _, m := range []*diffMachine{ladder, legacy} {
-				switch op.kind {
-				case 's':
-					m.schedule(op.delta)
-				case 'r':
-					m.s.Run()
-				case 'u':
-					m.s.RunUntil(m.s.Now() + op.delta)
-				case 't':
-					m.s.Step()
-				case 'x':
-					m.s.Reset()
-				}
+			for _, m := range []*diffMachine{ladder, ref} {
+				m.apply(op)
 			}
-			if ladder.s.Now() != legacy.s.Now() || ladder.s.Len() != legacy.s.Len() || len(ladder.log) != len(legacy.log) {
+			if ladder.s.Now() != ref.s.Now() || ladder.s.Len() != ref.s.Len() || len(ladder.log) != len(ref.log) {
 				t.Fatalf("op %d (%c): state diverged: now %v vs %v, len %d vs %d, dispatched %d vs %d",
-					opIdx, op.kind, ladder.s.Now(), legacy.s.Now(),
-					ladder.s.Len(), legacy.s.Len(), len(ladder.log), len(legacy.log))
+					opIdx, op.kind, ladder.s.Now(), ref.s.Now(),
+					ladder.s.Len(), ref.s.Len(), len(ladder.log), len(ref.log))
 			}
 		}
 		for i := range ladder.log {
-			if ladder.log[i] != legacy.log[i] {
-				t.Fatalf("traces diverge at event %d: %+v vs %+v", i, ladder.log[i], legacy.log[i])
+			if ladder.log[i] != ref.log[i] {
+				t.Fatalf("traces diverge at event %d: %+v vs %+v", i, ladder.log[i], ref.log[i])
 			}
 		}
 	})
@@ -265,8 +275,7 @@ func FuzzSchedulerDifferential(f *testing.F) {
 
 // benchQueue measures the classic hold model (pop one, reschedule one
 // exponential step ahead) at a steady queue depth n.
-func benchQueue(b *testing.B, mk func() *Scheduler, n int) {
-	s := mk()
+func benchQueue(b *testing.B, s lockstepScheduler, n int) {
 	src := rng.New(1).Split("bench")
 	var fire func()
 	fire = func() { s.After(src.Exp(1), fire) }
@@ -279,9 +288,11 @@ func benchQueue(b *testing.B, mk func() *Scheduler, n int) {
 	}
 }
 
-func BenchmarkHoldLadder1e3(b *testing.B) { benchQueue(b, New, 1000) }
-func BenchmarkHoldLegacy1e3(b *testing.B) { benchQueue(b, NewLegacyHeap, 1000) }
-func BenchmarkHoldLadder1e5(b *testing.B) { benchQueue(b, New, 100000) }
-func BenchmarkHoldLegacy1e5(b *testing.B) { benchQueue(b, NewLegacyHeap, 100000) }
-func BenchmarkHoldLadder1e6(b *testing.B) { benchQueue(b, New, 1000000) }
-func BenchmarkHoldLegacy1e6(b *testing.B) { benchQueue(b, NewLegacyHeap, 1000000) }
+// The Legacy benchmarks keep their names from when the heap was a
+// production queue; they now measure refScheduler.
+func BenchmarkHoldLadder1e3(b *testing.B) { benchQueue(b, New(), 1000) }
+func BenchmarkHoldLegacy1e3(b *testing.B) { benchQueue(b, &refScheduler{}, 1000) }
+func BenchmarkHoldLadder1e5(b *testing.B) { benchQueue(b, New(), 100000) }
+func BenchmarkHoldLegacy1e5(b *testing.B) { benchQueue(b, &refScheduler{}, 100000) }
+func BenchmarkHoldLadder1e6(b *testing.B) { benchQueue(b, New(), 1000000) }
+func BenchmarkHoldLegacy1e6(b *testing.B) { benchQueue(b, &refScheduler{}, 1000000) }

@@ -28,7 +28,7 @@ import (
 // comparison is against topStart, which is used exactly for both
 // routing into top and draining it.
 type ladderQueue struct {
-	size int
+	size int // pending events across top, rungs and bottom
 
 	// top: unsorted far-future events with time >= topStart.
 	top            []event
@@ -70,18 +70,10 @@ type ladderRung struct {
 	ownerIdx int
 }
 
-func newLadderQueue() *ladderQueue { return &ladderQueue{} }
-
 // rawIdx maps a time onto the rung's bucket axis with floor semantics
 // (no clamping): negative for times below start.
 func (r *ladderRung) rawIdx(t float64) int {
 	return int(math.Floor((t - r.start) / r.width))
-}
-
-func (q *ladderQueue) len() int { return q.size }
-
-func (q *ladderQueue) reset() {
-	*q = ladderQueue{}
 }
 
 func (q *ladderQueue) push(e event) {

@@ -234,15 +234,11 @@ func TestFaultConfigValidatedAtConstruction(t *testing.T) {
 	}
 }
 
-// TestLegacyCorruptProbFoldsIntoFaults: the old single-knob config
-// behaves as Faults.Corrupt.
+// TestLegacyCorruptProbFoldsIntoFaults: Faults.Corrupt, the one
+// spelling of the corruption rate since the legacy single knob was
+// removed, reaches the fault plan unchanged.
 func TestLegacyCorruptProbFoldsIntoFaults(t *testing.T) {
-	nw := testNetwork(t, Config{Nodes: 10, GroupSize: 2, Seed: 3, CorruptProb: 1})
-	if got := nw.plan.Config().Corrupt; got != 1 {
-		t.Fatalf("CorruptProb not folded: plan corrupt = %v", got)
-	}
-	// An explicit Faults.Corrupt wins over the legacy knob.
-	nw = testNetwork(t, Config{Nodes: 10, GroupSize: 2, Seed: 3, CorruptProb: 0.9, Faults: fault.Config{Corrupt: 0.5}})
+	nw := testNetwork(t, Config{Nodes: 10, GroupSize: 2, Seed: 3, Faults: fault.Config{Corrupt: 0.5}})
 	if got := nw.plan.Config().Corrupt; got != 0.5 {
 		t.Fatalf("explicit fault config overridden: plan corrupt = %v", got)
 	}

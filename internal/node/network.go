@@ -31,11 +31,6 @@ type Config struct {
 	// or onion AEAD, dropped gracefully), duplicate redelivery
 	// (suppressed by the receiver's seen log), and node churn.
 	Faults fault.Config
-	// CorruptProb is the legacy single-knob spelling of
-	// Faults.Corrupt: each hand-off is corrupted (one flipped byte)
-	// with this probability. It is folded into Faults at construction
-	// and kept for config compatibility.
-	CorruptProb float64
 	// BufferLimit caps each node's custody buffer (0 = unlimited).
 	// A full node refuses new custody — the sender retries with other
 	// peers — but final deliveries are always accepted.
@@ -69,24 +64,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.Nodes < 3 {
 		return nil, fmt.Errorf("node: need at least 3 nodes, got %d", cfg.Nodes)
 	}
-	if cfg.CorruptProb < 0 || cfg.CorruptProb > 1 {
-		return nil, fmt.Errorf("node: corrupt probability %v out of [0,1]", cfg.CorruptProb)
-	}
 	if cfg.BufferLimit < 0 {
 		return nil, fmt.Errorf("node: negative buffer limit %d", cfg.BufferLimit)
 	}
 	if cfg.ReofferLimit < 0 {
 		return nil, fmt.Errorf("node: negative re-offer limit %d", cfg.ReofferLimit)
 	}
-	// Fold the legacy corruption knob into the fault config. The draw
-	// sequence (one Bernoulli per hand-off, one IntN on a hit, flip of
-	// one bit) is identical to the pre-fault-layer behavior, so
-	// CorruptProb-seeded runs reproduce their historical schedules.
-	faults := cfg.Faults
-	if cfg.CorruptProb > 0 && faults.Corrupt == 0 {
-		faults.Corrupt = cfg.CorruptProb
-	}
-	if err := faults.Validate(); err != nil {
+	if err := cfg.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 	root := rng.New(cfg.Seed)
@@ -97,7 +81,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err := dir.ProvisionKeys(); err != nil {
 		return nil, err
 	}
-	nw := &Network{cfg: cfg, dir: dir, plan: fault.NewPlan(faults, root.Split("faults"))}
+	nw := &Network{cfg: cfg, dir: dir, plan: fault.NewPlan(cfg.Faults, root.Split("faults"))}
 	nw.nodes = make([]*Node, cfg.Nodes)
 	for i := range nw.nodes {
 		nw.nodes[i] = newNode(contact.NodeID(i), dir, cfg.BufferLimit)

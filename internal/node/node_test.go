@@ -2,10 +2,12 @@ package node
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/contact"
+	"repro/internal/fault"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -23,8 +25,9 @@ func TestNewNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(Config{Nodes: 2, GroupSize: 1}); err == nil {
 		t.Fatal("accepted 2 nodes")
 	}
-	if _, err := NewNetwork(Config{Nodes: 10, GroupSize: 2, CorruptProb: 1.5}); err == nil {
-		t.Fatal("accepted corrupt probability > 1")
+	if _, err := NewNetwork(Config{Nodes: 10, GroupSize: 2, Faults: fault.Config{Corrupt: 1.5}}); err == nil ||
+		!strings.Contains(err.Error(), "fault: corrupt probability") {
+		t.Fatalf("corrupt probability > 1 not rejected by the fault config: %v", err)
 	}
 	if _, err := NewNetwork(Config{Nodes: 10, GroupSize: 20}); err == nil {
 		t.Fatal("accepted group size > nodes")
@@ -110,7 +113,7 @@ func TestPayloadHiddenFromRelays(t *testing.T) {
 func TestTamperingRejectedAndRetried(t *testing.T) {
 	// 30% of hand-offs are corrupted; authenticated encryption must
 	// reject them and the message must still arrive via retries.
-	nw := testNetwork(t, Config{Nodes: 20, GroupSize: 4, Seed: 9, CorruptProb: 0.3})
+	nw := testNetwork(t, Config{Nodes: 20, GroupSize: 4, Seed: 9, Faults: fault.Config{Corrupt: 0.3}})
 	const msgs = 10
 	ids := make([]string, msgs)
 	for i := range ids {
@@ -134,7 +137,7 @@ func TestTamperingRejectedAndRetried(t *testing.T) {
 }
 
 func TestFullCorruptionNeverDelivers(t *testing.T) {
-	nw := testNetwork(t, Config{Nodes: 12, GroupSize: 3, Seed: 13, CorruptProb: 1})
+	nw := testNetwork(t, Config{Nodes: 12, GroupSize: 3, Seed: 13, Faults: fault.Config{Corrupt: 1}})
 	if _, err := nw.Node(0).Send(SendSpec{Dst: 11, Payload: []byte("doomed"), Relays: 2, Copies: 1}, rng.New(14)); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package obs is the observability layer of the system: cheap event
 // counters, log2-bucketed histograms, and wall-clock phase timers
-// collected behind a Sink interface, plus the per-invocation run
+// collected by a process-wide *Collector, plus the per-invocation run
 // manifest (manifest.go) and the shared profiling flags (prof.go) the
 // commands expose.
 //
@@ -12,10 +12,12 @@
 //     byte-identical figures (enforced by TestObsByteIdentical).
 //   - Zero overhead when disabled: the default state has no collector
 //     installed; hot paths guard with `if c := obs.Active(); c != nil`,
-//     a single atomic pointer load, and allocate nothing. The enabled
-//     path uses fixed-index atomic counters — no maps, no strings — so
-//     aggregation across worker goroutines is deterministic (integer
-//     sums and maxes are order-independent).
+//     a single atomic pointer load, and allocate nothing. Cold paths
+//     may call obs.Active().StartPhase directly: a nil collector hands
+//     back a shared no-op closer. The enabled path uses fixed-index
+//     atomic counters — no maps, no strings — so aggregation across
+//     worker goroutines is deterministic (integer sums and maxes are
+//     order-independent).
 package obs
 
 import (
@@ -227,45 +229,12 @@ func bucketUpperBound(i int) int64 {
 	return int64(1)<<uint(i) - 1
 }
 
-// Sink receives instrumentation events. The two implementations are
-// Nop (the default; every method is empty) and *Collector. Arguments
-// are fixed-size integers so a no-op sink costs a dynamic dispatch and
-// nothing else.
-type Sink interface {
-	// Add increments a sum-aggregated counter.
-	Add(c Counter, delta int64)
-	// RecordMax raises a high-water counter to v if v is larger.
-	RecordMax(c Counter, v int64)
-	// Observe records one value in a histogram.
-	Observe(h Histogram, v int64)
-	// StartPhase opens a named wall-clock phase; the returned func
-	// closes it. Phases with the same name accumulate.
-	StartPhase(name string) func()
-}
-
-// Nop is the default sink: it discards everything and allocates
-// nothing.
-type Nop struct{}
-
-var nopEnd = func() {}
-
-// Add implements Sink.
-func (Nop) Add(Counter, int64) {}
-
-// RecordMax implements Sink.
-func (Nop) RecordMax(Counter, int64) {}
-
-// Observe implements Sink.
-func (Nop) Observe(Histogram, int64) {}
-
-// StartPhase implements Sink.
-func (Nop) StartPhase(string) func() { return nopEnd }
-
-// Collector is the live sink: fixed arrays of atomic counters and
-// histogram buckets plus a mutex-guarded phase table. All methods are
-// safe for concurrent use, and because every aggregation is an integer
-// sum or max, totals are identical for every worker count and
-// completion order.
+// Collector receives instrumentation events: fixed arrays of atomic
+// counters and histogram buckets plus a mutex-guarded phase table. A
+// nil *Collector is the disabled state, on which only StartPhase may
+// be called. All methods are safe for concurrent use, and because
+// every aggregation is an integer sum or max, totals are identical for
+// every worker count and completion order.
 type Collector struct {
 	counters [numCounters]atomic.Int64
 	buckets  [numHistograms][histBuckets]atomic.Int64
@@ -286,10 +255,10 @@ func NewCollector() *Collector {
 	return &Collector{phases: make(map[string]*phaseAgg)}
 }
 
-// Add implements Sink.
+// Add increments a sum-aggregated counter.
 func (c *Collector) Add(ctr Counter, delta int64) { c.counters[ctr].Add(delta) }
 
-// RecordMax implements Sink.
+// RecordMax raises a high-water counter to v if v is larger.
 func (c *Collector) RecordMax(ctr Counter, v int64) {
 	for {
 		cur := c.counters[ctr].Load()
@@ -299,8 +268,8 @@ func (c *Collector) RecordMax(ctr Counter, v int64) {
 	}
 }
 
-// Observe implements Sink. Negative values are clamped to zero (bucket
-// 0, zero sum contribution) so the histogram sum can never disagree
+// Observe records one value in a histogram. Negative values are
+// clamped to zero (bucket 0, zero sum contribution) so the histogram sum can never disagree
 // with the bucket counts.
 func (c *Collector) Observe(h Histogram, v int64) {
 	if v < 0 {
@@ -310,8 +279,17 @@ func (c *Collector) Observe(h Histogram, v int64) {
 	c.histSum[h].Add(v)
 }
 
-// StartPhase implements Sink.
+// nopEnd is the closer a disabled (nil) collector hands out; it is
+// shared, so a disabled StartPhase allocates nothing.
+var nopEnd = func() {}
+
+// StartPhase opens a named wall-clock phase; the returned func closes
+// it. Phases with the same name accumulate. On a nil collector (the
+// disabled state) it records nothing and returns a no-op closer.
 func (c *Collector) StartPhase(name string) func() {
+	if c == nil {
+		return nopEnd
+	}
 	start := time.Now()
 	return func() {
 		elapsed := time.Since(start)
@@ -416,13 +394,3 @@ func Install(c *Collector) { active.Store(c) }
 //	    c.Add(obs.NodeContacts, 1)
 //	}
 func Active() *Collector { return active.Load() }
-
-// Current returns the installed collector as a Sink, or Nop when
-// collection is disabled. Convenient for cold paths that always want a
-// usable sink.
-func Current() Sink {
-	if c := active.Load(); c != nil {
-		return c
-	}
-	return Nop{}
-}

@@ -22,23 +22,6 @@ type Profiles struct {
 	traceFile *os.File
 }
 
-// AddProfileFlags registers the profiling flags on fs and returns the
-// value holder. Call Start after parsing and defer Stop.
-func AddProfileFlags(fs *flag.FlagSet) *Profiles {
-	return AddProfileFlagsNamed(fs, "trace")
-}
-
-// AddProfileFlagsNamed is AddProfileFlags with a custom name for the
-// execution-trace flag, for commands where -trace already means
-// something else (dtnsim's contact-trace replay uses -exectrace).
-func AddProfileFlagsNamed(fs *flag.FlagSet, traceFlag string) *Profiles {
-	p := &Profiles{}
-	fs.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&p.Mem, "memprofile", "", "write a heap profile to this file on exit")
-	fs.StringVar(&p.Trace, traceFlag, "", "write a runtime execution trace to this file")
-	return p
-}
-
 // Start begins CPU profiling and execution tracing as requested. On
 // error, anything already started is stopped.
 func (p *Profiles) Start() error {
@@ -129,10 +112,15 @@ func AddRunFlags(fs *flag.FlagSet) *RunFlags {
 	return AddRunFlagsNamed(fs, "trace")
 }
 
-// AddRunFlagsNamed is AddRunFlags with a custom execution-trace flag
-// name (see AddProfileFlagsNamed).
+// AddRunFlagsNamed is AddRunFlags with a custom name for the
+// execution-trace flag, for commands where -trace already means
+// something else (dtnsim's contact-trace replay uses -exectrace).
 func AddRunFlagsNamed(fs *flag.FlagSet, traceFlag string) *RunFlags {
-	rf := &RunFlags{Profiles: AddProfileFlagsNamed(fs, traceFlag)}
+	p := &Profiles{}
+	fs.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&p.Mem, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&p.Trace, traceFlag, "", "write a runtime execution trace to this file")
+	rf := &RunFlags{Profiles: p}
 	fs.StringVar(&rf.ManifestPath, "manifest", "", "write a JSON run manifest (config, seed, git revision, counters, phase timings) to this file")
 	return rf
 }

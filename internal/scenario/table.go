@@ -30,7 +30,7 @@ func (e *Engine) table(s *Scenario) ([]stats.Series, []string, error) {
 		series[i] = stats.Series{Name: name}
 	}
 	for xi, v := range s.X.Values {
-		endPhase := obs.Current().StartPhase(fmt.Sprintf("%s=%v", axisName, v))
+		endPhase := obs.Active().StartPhase(fmt.Sprintf("%s=%v", axisName, v))
 		cfg := s.Base
 		cfg.Seed = opt.Seed
 		dl, frac := s.Measure.Deadline, s.Measure.Frac
