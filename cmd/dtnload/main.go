@@ -19,7 +19,6 @@
 //	dtnload -mode sim -nodes 40 -rate 1 -horizon 240 -slo-ratio 0.9 -slo-p99 120
 //	dtnload -mode cluster -nodes 5 -group 1 -rate 0.5 -metrics 127.0.0.1:9900
 //	dtnload -wall 30s -rate 2 -metrics 127.0.0.1:9900   # epochs until wall time is up
-//	dtnload -bench BENCH_load.json -bench-rates 0.5,1,2 -gate 0.5
 //	dtnload -mode cluster -nodes 5 -group 2 -chaos -chaos-seed 42 -chaos-plan plan.json
 //
 // With -chaos (cluster mode only) every connection runs through the
@@ -38,15 +37,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -182,9 +177,6 @@ func run(args []string, out io.Writer, ready func(metricsURL string)) error {
 		metricsAddr   = fs.String("metrics", "", "serve Prometheus /metrics on this address for the lifetime of the run")
 		manifestPath  = fs.String("manifest", "", "write the observability run manifest here on exit")
 		chaosPlanPath = fs.String("chaos-plan", "", "write the armed chaos plan JSON here (requires -chaos)")
-		benchPath     = fs.String("bench", "", "benchmark mode: write a BENCH_load.json result matrix here and exit")
-		benchRates    = fs.String("bench-rates", "0.5,1,2", "comma-separated target rates for -bench")
-		gate          = fs.Float64("gate", 0, "bench gate: churn delivery ratio must stay >= gate x the same-rate fault-free ratio (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -200,6 +192,15 @@ func run(args []string, out io.Writer, ready func(metricsURL string)) error {
 	}
 	if *chaosPlanPath != "" && !o.chaosOn {
 		return fmt.Errorf("-chaos-plan requires -chaos")
+	}
+	// Both backends realize the same open-loop spec; checking it here
+	// turns a bad workload flag into an error in cluster mode too,
+	// rather than a panic deep in the epoch.
+	if err := o.spec().Validate(); err != nil {
+		return err
+	}
+	if !(o.ictMin > 0 && o.ictMax > o.ictMin) {
+		return fmt.Errorf("-ict-min %v and -ict-max %v must satisfy 0 < min < max", o.ictMin, o.ictMax)
 	}
 
 	// Service mode always collects: live metrics are the point. The
@@ -242,12 +243,7 @@ func run(args []string, out io.Writer, ready func(metricsURL string)) error {
 		}
 	}
 
-	var runErr error
-	if *benchPath != "" {
-		runErr = runBench(out, o, *benchPath, *benchRates, *gate)
-	} else {
-		runErr = runEpochs(out, o, col)
-	}
+	runErr := runEpochs(out, o, col)
 
 	if *manifestPath != "" {
 		m := obs.BuildManifest(col, "dtnload", args, startedAt)
@@ -605,146 +601,4 @@ func (r *blackoutRunner) finish(c *cluster.Cluster) error {
 		return r.restore(c)
 	}
 	return nil
-}
-
-// benchResult is one row of the BENCH_load.json matrix.
-type benchResult struct {
-	Rate        float64 `json:"rate"`
-	Churn       bool    `json:"churn"`
-	Injected    int     `json:"injected"`
-	Delivered   int     `json:"delivered"`
-	Ratio       float64 `json:"ratio"`
-	OfferedRate float64 `json:"offered_rate"`
-	// P50Min/P99Min are sim-minutes; -1 flags "nothing delivered"
-	// (the quantile is undefined, not zero).
-	P50Min     float64 `json:"p50_min"`
-	P99Min     float64 `json:"p99_min"`
-	WallNanos  int64   `json:"wall_nanos"`
-	MsgsPerSec float64 `json:"msgs_per_sec"`
-}
-
-type benchFile struct {
-	Seed      uint64        `json:"seed"`
-	Mode      string        `json:"mode"`
-	Nodes     int           `json:"nodes"`
-	GroupSize int           `json:"group_size"`
-	Horizon   float64       `json:"horizon_min"`
-	Drain     float64       `json:"drain_min"`
-	CrashRate float64       `json:"crash_rate"`
-	Gate      float64       `json:"gate"`
-	Results   []benchResult `json:"results"`
-}
-
-// runBench sweeps the configured target rates fault-free, re-runs the
-// highest rate with node churn, and writes the matrix atomically. The
-// only gated quantity is the paired churn-vs-fault-free delivery
-// ratio at the shared rate — a sim-time ratio, so the gate holds on
-// any machine; wall-clock throughput is recorded but never gated.
-func runBench(out io.Writer, o options, path, ratesCSV string, gate float64) error {
-	rates, err := parseRates(ratesCSV)
-	if err != nil {
-		return err
-	}
-	if gate < 0 || gate > 1 {
-		return fmt.Errorf("-gate %v out of [0,1]", gate)
-	}
-	crash := o.crash
-	if crash <= 0 {
-		crash = 0.02
-	}
-
-	bench := benchFile{
-		Seed: o.seed, Mode: o.mode, Nodes: o.nodes, GroupSize: o.group,
-		Horizon: o.horizon, Drain: o.drain, CrashRate: crash, Gate: gate,
-	}
-	measure := func(rate float64, churn bool) (benchResult, error) {
-		ro := o
-		ro.rate = rate
-		ro.crash = 0
-		if churn {
-			ro.crash = crash
-		}
-		start := time.Now()
-		res, err := runOnce(ro, o.seed)
-		wall := time.Since(start)
-		if err != nil {
-			return benchResult{}, err
-		}
-		row := benchResult{
-			Rate: rate, Churn: churn,
-			Injected: res.Injected, Delivered: res.Delivered,
-			Ratio: res.DeliveryRatio, OfferedRate: res.OfferedRate,
-			P50Min: -1, P99Min: -1,
-			WallNanos:  wall.Nanoseconds(),
-			MsgsPerSec: float64(res.Injected) / wall.Seconds(),
-		}
-		if p50, ok := res.LatencyQuantile(0.50); ok {
-			row.P50Min = p50
-		}
-		if p99, ok := res.LatencyQuantile(0.99); ok {
-			row.P99Min = p99
-		}
-		fmt.Fprintf(out, "bench: rate %.3f/min churn=%v: ratio %.4f, p99 %s, %d msgs in %v (%.0f msgs/sec)\n",
-			rate, churn, row.Ratio, res.FormatLatency(0.99), res.Injected, wall.Round(time.Millisecond), row.MsgsPerSec)
-		return row, nil
-	}
-
-	for _, rate := range rates {
-		row, err := measure(rate, false)
-		if err != nil {
-			return err
-		}
-		bench.Results = append(bench.Results, row)
-	}
-	churnRate := rates[len(rates)-1]
-	churnRow, err := measure(churnRate, true)
-	if err != nil {
-		return err
-	}
-	bench.Results = append(bench.Results, churnRow)
-
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := atomicio.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "bench: wrote %d results to %s\n", len(bench.Results), path)
-
-	if gate > 0 {
-		var clean benchResult
-		for _, r := range bench.Results {
-			if !r.Churn && r.Rate == churnRate {
-				clean = r
-			}
-		}
-		if churnRow.Ratio < gate*clean.Ratio {
-			return fmt.Errorf("bench gate: churn delivery ratio %.4f < %.2f x fault-free %.4f at rate %.3f",
-				churnRow.Ratio, gate, clean.Ratio, churnRate)
-		}
-		fmt.Fprintf(out, "bench: gate ok (churn ratio %.4f >= %.2f x fault-free %.4f)\n",
-			churnRow.Ratio, gate, clean.Ratio)
-	}
-	return nil
-}
-
-func parseRates(csv string) ([]float64, error) {
-	var rates []float64
-	for _, f := range strings.Split(csv, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		r, err := strconv.ParseFloat(f, 64)
-		if err != nil || r <= 0 {
-			return nil, fmt.Errorf("bad -bench-rates entry %q", f)
-		}
-		rates = append(rates, r)
-	}
-	if len(rates) < 1 {
-		return nil, fmt.Errorf("-bench-rates is empty")
-	}
-	sort.Float64s(rates)
-	return rates, nil
 }

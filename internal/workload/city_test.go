@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/des"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -211,5 +212,41 @@ func TestCitySpecValidate(t *testing.T) {
 				t.Error("want error, got nil")
 			}
 		})
+	}
+}
+
+// TestCityScaleFitAndReplay runs the city-scale pipeline end to end at
+// a small N: generate a trace, fit its contact graph, and replay every
+// contact start through the discrete-event scheduler.
+func TestCityScaleFitAndReplay(t *testing.T) {
+	spec := DefaultCitySpec(400)
+	spec.Seed = 1
+	tr, err := CityScale(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Contacts) == 0 {
+		t.Fatal("city trace has no contacts")
+	}
+	g, err := tr.EstimateRates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("fitted graph invalid: %v", err)
+	}
+	for _, c := range tr.Contacts {
+		if g.Rate(c.A, c.B) <= 0 {
+			t.Fatalf("pair %d-%d meets in the trace but has rate %v", c.A, c.B, g.Rate(c.A, c.B))
+		}
+	}
+
+	s := des.New()
+	dispatched := 0
+	for _, c := range tr.Contacts {
+		s.At(c.Start, func() { dispatched++ })
+	}
+	if got := s.Run(); got != len(tr.Contacts) || dispatched != len(tr.Contacts) {
+		t.Fatalf("replay dispatched %d (callbacks %d) of %d contacts", got, dispatched, len(tr.Contacts))
 	}
 }

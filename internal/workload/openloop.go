@@ -128,7 +128,10 @@ type OpenLoopSpec struct {
 	TrackBuffers bool
 }
 
-func (s OpenLoopSpec) validate() error {
+// Validate reports the first reason spec cannot drive an open-loop
+// run; RunOpenLoop calls it, and callers that realize the spec on
+// another backend call it up front.
+func (s OpenLoopSpec) Validate() error {
 	if err := s.Arrivals.validate(); err != nil {
 		return err
 	}
@@ -237,7 +240,7 @@ func (r *OpenLoopResult) CheckSLO(slo SLO) SLOVerdict {
 // messages can land. The run never ends early because the system is
 // keeping up — offered load is independent of outcomes.
 func RunOpenLoop(nw *node.Network, g *contact.Graph, spec OpenLoopSpec) (*OpenLoopResult, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	root := rng.New(spec.Seed)
