@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
+	"repro/internal/obs/promtest"
 )
 
 // TestCoordinatedReplay is the README's worked example as a test: the
@@ -155,7 +155,7 @@ func TestDirMetricsEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp, err := obs.ParseExposition(body)
+		exp, err := promtest.ParseExposition(body)
 		if err != nil {
 			t.Fatalf("scrape is not valid exposition: %v", err)
 		}

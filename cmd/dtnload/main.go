@@ -7,6 +7,12 @@
 // of an open-loop test, and the reason saturation shows up here while
 // a closed-loop driver would silently throttle itself past it.
 //
+// Both backends run one traffic driver, workload.RunOpenLoop: the
+// cluster is just another workload.Runtime whose contacts are real TCP
+// connections between daemons. At the same seed a sim epoch and a
+// cluster epoch therefore see the same arrivals, paths and contacts,
+// and agree record for record.
+//
 // With -metrics the run doubles as a Prometheus scrape target: the
 // fixed-enum observability counters, the delivery-latency histogram,
 // and the phase timers are served live in text exposition format, and
@@ -24,16 +30,17 @@
 // With -chaos (cluster mode only) every connection runs through the
 // seed-driven turbulence layer — latency, throttling, resets, stalls,
 // tears, asymmetric partitions — and each epoch executes the plan's
-// scheduled directory blackouts: the directory is crashed at the
-// planned point of the contact timeline, the epoch keeps replaying on
-// cached membership, and the directory returns at a bumped incarnation
-// with every node revalidating against it. The full chaos plan is a
-// function of -chaos-seed alone (byte-identical JSON for the same
-// seed), is embedded in the -manifest, and can be dumped with
-// -chaos-plan for CI determinism byte-compares. Cluster epochs always
-// finish with the invariant checker (exactly-once, custody
-// conservation, ticket bound, share threshold, incarnation
-// monotonicity); any violation fails the run.
+// scheduled directory blackouts on the sim clock: the directory is
+// crashed at the first contact inside a planned outage (a fraction of
+// horizon+drain), the epoch keeps running on cached membership, and
+// the directory returns at a bumped incarnation with every node
+// revalidating against it. The full chaos plan is a function of
+// -chaos-seed alone (byte-identical JSON for the same seed), is
+// embedded in the -manifest, and can be dumped with -chaos-plan for CI
+// determinism byte-compares. Cluster epochs always finish with the
+// invariant checker (exactly-once, custody conservation, ticket bound,
+// share threshold, incarnation monotonicity); any violation fails the
+// run.
 package main
 
 import (
@@ -308,7 +315,7 @@ func breachErr(breached, epochs int) error {
 	return nil
 }
 
-func reportEpoch(out io.Writer, o options, epoch int, seed uint64, res *workload.OpenLoopResult, v workload.SLOVerdict) {
+func reportEpoch(out io.Writer, o options, epoch int, seed uint64, res *workload.Result, v workload.SLOVerdict) {
 	fmt.Fprintf(out, "epoch %d (seed %d, %s): injected %d (offered %.3f/min, target %.3f/min), delivered %d (ratio %.4f)\n",
 		epoch, seed, o.mode, res.Injected, res.OfferedRate, o.rate, res.Delivered, res.DeliveryRatio)
 	fmt.Fprintf(out, "  latency p50 %s, p99 %s; peak custody %d onions; refused %d, backpressure-dropped %d\n",
@@ -324,17 +331,15 @@ func reportEpoch(out io.Writer, o options, epoch int, seed uint64, res *workload
 	}
 }
 
-// runOnce executes one epoch on the configured backend.
-func runOnce(o options, seed uint64) (*workload.OpenLoopResult, error) {
+// runOnce executes one epoch on the configured backend. Both backends
+// run workload's one open-loop driver over the same graph and
+// substreams, so at a given seed they see the same arrivals, paths
+// and contacts.
+func runOnce(o options, seed uint64) (*workload.Result, error) {
+	g := contact.NewRandom(o.nodes, o.ictMin, o.ictMax, rng.New(seed).Split("graph"))
 	if o.mode == "cluster" {
-		return runClusterEpoch(o, seed)
+		return runClusterEpoch(o, seed, g)
 	}
-	return runSimEpoch(o, seed)
-}
-
-// runSimEpoch drives the in-process runtime (real onion cryptography,
-// synthetic contacts) with the open-loop schedule.
-func runSimEpoch(o options, seed uint64) (*workload.OpenLoopResult, error) {
 	nw, err := node.NewNetwork(node.Config{
 		Nodes:        o.nodes,
 		GroupSize:    o.group,
@@ -347,8 +352,7 @@ func runSimEpoch(o options, seed uint64) (*workload.OpenLoopResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := contact.NewRandom(o.nodes, o.ictMin, o.ictMax, rng.New(seed).Split("graph"))
-	return workload.RunOpenLoop(nw, g, o.specWithSeed(seed))
+	return workload.RunOpenLoop(workload.InProcess(nw), g, o.specWithSeed(seed))
 }
 
 func (o options) specWithSeed(seed uint64) workload.OpenLoopSpec {
@@ -363,13 +367,11 @@ type chaosConfigBlock struct {
 	Chaos *chaos.Plan `json:"chaos"`
 }
 
-// runClusterEpoch drives a live loopback cluster: every hand-off a
-// real TCP connection, the contact process realized as a trace so the
-// drive order is deterministic. Arrivals are injected open-loop at
-// their scheduled times as the trace advances past them. Every epoch
-// ends with the invariant checker; under -chaos the epoch also
-// executes the plan's directory blackouts along the contact timeline.
-func runClusterEpoch(o options, seed uint64) (*workload.OpenLoopResult, error) {
+// runClusterEpoch drives a live loopback cluster with the open-loop
+// driver: every contact is a real TCP connection between two daemons.
+// Under -chaos the epoch also executes the plan's directory blackouts
+// on the sim clock. Every epoch ends with the invariant checker.
+func runClusterEpoch(o options, seed uint64, g *contact.Graph) (*workload.Result, error) {
 	var ch *chaos.Chaos
 	if o.plan != nil {
 		ch = chaos.FromPlan(o.plan)
@@ -391,105 +393,13 @@ func runClusterEpoch(o options, seed uint64) (*workload.OpenLoopResult, error) {
 	}
 	defer func() { _ = c.Close() }()
 
-	root := rng.New(seed)
-	g := contact.NewRandom(o.nodes, o.ictMin, o.ictMax, root.Split("graph"))
-	times := o.arrivals().Schedule(o.horizon, root.Split("arrivals"))
-	endpoints := root.Split("endpoints")
-
-	type loadMsg struct {
-		idx      int
-		at       float64
-		src, dst contact.NodeID
-		id       string
+	drill := newBlackoutRunner(ch, o.horizon+o.drain)
+	res, err := workload.RunOpenLoop(&clusterRuntime{c, drill}, g, o.specWithSeed(seed))
+	if err != nil {
+		return nil, err
 	}
-	msgs := make([]loadMsg, len(times))
-	for i, at := range times {
-		src := contact.NodeID(endpoints.IntN(o.nodes))
-		dst := contact.NodeID(endpoints.PickOther(o.nodes, int(src)))
-		// 32 hex characters, deterministic per (seed, index), so a
-		// delivery is identifiable at its destination daemon.
-		msgs[i] = loadMsg{idx: i, at: at, src: src, dst: dst, id: fmt.Sprintf("%016x%016x", seed, uint64(i))}
-	}
-
-	tr := cluster.RecordSynthetic(g, o.horizon+o.drain, root.Split("contacts"))
-
-	var records []workload.Record
-	pending := make(map[string]int)
-	paths := root.Split("load-paths")
-	inject := func(m loadMsg) error {
-		expiry := 0.0
-		if o.expiry > 0 {
-			expiry = m.at + o.expiry
-		}
-		_, err := c.Daemon(m.src).Send(node.SendSpec{
-			Dst:     m.dst,
-			Payload: make([]byte, o.payload),
-			Relays:  o.relays,
-			Copies:  o.copies,
-			Expiry:  expiry,
-			PadTo:   o.pad,
-			ID:      m.id,
-		}, paths.SplitN("path", m.idx))
-		if err != nil {
-			// Misconfiguration (e.g. too few groups) fails the run —
-			// unlike a refusal, nothing was offered to the network.
-			return fmt.Errorf("inject message %d: %w", m.idx, err)
-		}
-		records = append(records, workload.Record{ID: m.id, Src: m.src, Dst: m.dst, SentAt: m.at})
-		pending[m.id] = len(records) - 1
-		if col := obs.Active(); col != nil {
-			col.Add(obs.LoadInjected, 1)
-		}
-		return nil
-	}
-
-	drill := newBlackoutRunner(ch, len(tr.Contacts))
-
-	next := 0
-	peak := 0
-	for i, ct := range tr.Contacts {
-		if err := drill.step(c, i); err != nil {
-			return nil, err
-		}
-		for next < len(msgs) && msgs[next].at <= ct.Start {
-			if err := inject(msgs[next]); err != nil {
-				return nil, err
-			}
-			next++
-		}
-		if ct.A == ct.B {
-			continue
-		}
-		if _, err := c.Daemon(ct.A).Contact(ct.B, c.Daemon(ct.B).Addr(), ct.Start); err != nil {
-			return nil, fmt.Errorf("contact %d-%d at t=%.3f: %w", ct.A, ct.B, ct.Start, err)
-		}
-		for id, idx := range pending {
-			rec := &records[idx]
-			if _, ok := c.Daemon(rec.Dst).Node().Delivered(id); ok {
-				rec.Delivered = true
-				rec.DeliveredAt = ct.Start
-				delete(pending, id)
-				workload.ObserveDelivery(ct.Start - rec.SentAt)
-			}
-		}
-		buffered := 0
-		for i := 0; i < o.nodes; i++ {
-			buffered += c.Daemon(contact.NodeID(i)).Node().BufferLen()
-		}
-		if buffered > peak {
-			peak = buffered
-		}
-	}
-	// Open-loop accounting: arrivals after the last realized contact
-	// are still injected (and counted) — offered load never adapts to
-	// the contact process drying up.
-	for ; next < len(msgs); next++ {
-		if err := inject(msgs[next]); err != nil {
-			return nil, err
-		}
-	}
-	// A blackout scheduled to outlast the contact trace still ends with
-	// the directory restarted and the fleet reconciled.
+	// A blackout scheduled to outlast the contact process still ends
+	// with the directory restarted and the fleet reconciled.
 	if err := drill.finish(c); err != nil {
 		return nil, err
 	}
@@ -497,70 +407,61 @@ func runClusterEpoch(o options, seed uint64) (*workload.OpenLoopResult, error) {
 	// Always-on safety: a cluster epoch that breaks exactly-once,
 	// conservation, the ticket bound, the share threshold, or
 	// incarnation monotonicity fails the run — chaotic or not.
-	spec := invariant.Spec{Messages: make([]invariant.Message, len(msgs))}
-	for i, m := range msgs {
-		spec.Messages[i] = invariant.Message{ID: m.id, Src: m.src, Dst: m.dst, Copies: o.copies}
+	spec := invariant.Spec{Messages: make([]invariant.Message, len(res.Records))}
+	for i, r := range res.Records {
+		spec.Messages[i] = invariant.Message{ID: r.ID, Src: r.Src, Dst: r.Dst, Copies: o.copies}
 	}
 	if rep := invariant.Check(c, spec); !rep.Clean() {
 		return nil, rep.Err()
 	}
-
-	res := &workload.OpenLoopResult{
-		Records:      records,
-		Injected:     len(records),
-		PeakBuffered: peak,
-		Totals:       c.TotalStats(),
-	}
-	for _, r := range records {
-		if r.Delivered {
-			res.Delivered++
-			res.Latencies = append(res.Latencies, r.DeliveredAt-r.SentAt)
-		}
-	}
-	if res.Injected > 0 {
-		res.DeliveryRatio = float64(res.Delivered) / float64(res.Injected)
-	}
-	res.OfferedRate = float64(res.Injected) / o.horizon
 	return res, nil
 }
 
+// clusterRuntime is the workload.Runtime of a live cluster: each Meet
+// is one Contact from a's daemon to b's, preceded by the blackout
+// drill's step at the contact's sim time.
+type clusterRuntime struct {
+	*cluster.Cluster
+	drill *blackoutRunner
+}
+
+func (r *clusterRuntime) Node(id contact.NodeID) *node.Node { return r.Daemon(id).Node() }
+
+func (r *clusterRuntime) Meet(a, b contact.NodeID, now float64) (int, error) {
+	if err := r.drill.step(r.Cluster, now); err != nil {
+		return 0, err
+	}
+	rep, err := r.Daemon(a).Contact(b, r.Daemon(b).Addr(), now)
+	return rep.Deliveries, err
+}
+
 // blackoutRunner realizes the plan's directory blackouts — expressed
-// as run fractions — on the contact-index axis, the epoch's only
-// deterministic notion of progress. At an outage's start index the
-// directory is crashed and a node's bounded revalidation is proven to
-// fail (this is where retry.attempts and breaker.opens accrue); at its
-// end index the directory restarts at a bumped incarnation and the
-// whole fleet reconciles.
+// as run fractions — on the epoch's sim clock: outage k spans
+// [StartFrac, EndFrac] x (horizon+drain). At the first contact inside
+// an outage the directory is crashed and a node's bounded revalidation
+// is proven to fail (this is where retry.attempts and breaker.opens
+// accrue); at the first contact past its end the directory restarts at
+// a bumped incarnation and the whole fleet reconciles.
 type blackoutRunner struct {
-	outages []dirOutage
+	outages []chaos.Blackout
+	span    float64
 	dark    bool
 }
 
-// dirOutage is one planned blackout mapped to contact indices.
-type dirOutage struct{ start, end int }
-
-func newBlackoutRunner(ch *chaos.Chaos, contacts int) *blackoutRunner {
-	r := &blackoutRunner{}
-	if ch == nil || contacts == 0 {
-		return r
-	}
-	for _, b := range ch.Blackouts() {
-		start := int(b.StartFrac * float64(contacts))
-		end := int(b.EndFrac * float64(contacts))
-		if end <= start {
-			end = start + 1
-		}
-		r.outages = append(r.outages, dirOutage{start: start, end: end})
+func newBlackoutRunner(ch *chaos.Chaos, span float64) *blackoutRunner {
+	r := &blackoutRunner{span: span}
+	if ch != nil {
+		r.outages = ch.Blackouts()
 	}
 	return r
 }
 
-func (r *blackoutRunner) step(c *cluster.Cluster, i int) error {
+func (r *blackoutRunner) step(c *cluster.Cluster, now float64) error {
 	if len(r.outages) == 0 {
 		return nil
 	}
 	switch o := r.outages[0]; {
-	case !r.dark && i >= o.start:
+	case !r.dark && now >= o.StartFrac*r.span:
 		c.Dir().Stop()
 		r.dark = true
 		if col := obs.Active(); col != nil {
@@ -576,7 +477,7 @@ func (r *blackoutRunner) step(c *cluster.Cluster, i int) error {
 		if d.Incarnation() != before {
 			return fmt.Errorf("blackout drill: failed revalidation burned incarnation %d -> %d", before, d.Incarnation())
 		}
-	case r.dark && i >= o.end:
+	case r.dark && now >= o.EndFrac*r.span:
 		return r.restore(c)
 	}
 	return nil
@@ -595,7 +496,7 @@ func (r *blackoutRunner) restore(c *cluster.Cluster) error {
 	return nil
 }
 
-// finish closes out an outage still open when the trace ends.
+// finish closes out an outage still open when the contact process ends.
 func (r *blackoutRunner) finish(c *cluster.Cluster) error {
 	if r.dark {
 		return r.restore(c)

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/obs"
+	"repro/internal/obs/promtest"
 )
 
 func TestSimEpochSLOVerdicts(t *testing.T) {
@@ -228,7 +231,7 @@ func TestClusterMetricsMatchManifest(t *testing.T) {
 		t.Fatal("metrics endpoint was never scraped")
 	}
 
-	exp, err := obs.ParseExposition(scrape)
+	exp, err := promtest.ParseExposition(scrape)
 	if err != nil {
 		t.Fatalf("final scrape is not valid exposition: %v", err)
 	}
@@ -326,5 +329,98 @@ func TestChurnDeliveryRatioGate(t *testing.T) {
 	const gate = 0.5
 	if churn.DeliveryRatio < gate*clean.DeliveryRatio {
 		t.Fatalf("churn delivery ratio %.4f < %.2f x fault-free %.4f", churn.DeliveryRatio, gate, clean.DeliveryRatio)
+	}
+}
+
+// TestUnroutableSendFailsRun: a message whose path cannot be built (4
+// nodes in groups of 2 leave no eligible groups for a 2-relay path)
+// was never offered to the network, so it must fail the run in both
+// modes instead of counting as an undelivered injection.
+func TestUnroutableSendFailsRun(t *testing.T) {
+	for _, mode := range []string{"sim", "cluster"} {
+		var buf bytes.Buffer
+		err := run([]string{
+			"-mode", mode, "-nodes", "4", "-group", "2", "-relays", "2",
+			"-horizon", "30", "-drain", "30",
+		}, &buf, nil)
+		if err == nil || !strings.Contains(err.Error(), "workload: inject message 0") {
+			t.Errorf("%s: unroutable send returned %v, want an inject error\n%s", mode, err, buf.String())
+		}
+	}
+}
+
+// TestSimAndClusterEpochsAgree: both backends run the same open-loop
+// driver, so at the same seed a sim epoch and a cluster epoch must
+// agree record for record — the same arrivals, the same deliveries at
+// the same sim times, and the same conserved counters. Message IDs may
+// differ (they are drawn from crypto/rand).
+func TestSimAndClusterEpochsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns TCP clusters")
+	}
+	base := options{
+		spray: true, burstFrac: 0.1, burstDwell: 5,
+		ictMin: 1, ictMax: 20, payload: 64,
+		timeout: 10 * time.Second, joinWait: 2 * time.Second,
+	}
+	cases := map[string]func(o *options){
+		"poisson": func(o *options) {
+			o.nodes, o.group, o.relays, o.copies = 6, 2, 1, 2
+			o.rate, o.horizon, o.drain = 2, 60, 60
+		},
+		"backpressure": func(o *options) {
+			o.nodes, o.group, o.relays, o.copies = 10, 2, 2, 3
+			o.rate, o.horizon, o.drain = 3, 40, 60
+			o.buffer, o.reoffer = 8, 3
+		},
+		"expiry-bursty": func(o *options) {
+			o.nodes, o.group, o.relays, o.copies = 8, 2, 1, 2
+			o.rate, o.horizon, o.drain = 2, 40, 40
+			o.expiry, o.burst = 20, 6
+		},
+	}
+	for name, set := range cases {
+		for _, seed := range []uint64{1, 42} {
+			o := base
+			set(&o)
+			o.mode = "sim"
+			sim, err := runOnce(o, seed)
+			if err != nil {
+				t.Fatalf("%s seed %d sim: %v", name, seed, err)
+			}
+			o.mode = "cluster"
+			cl, err := runOnce(o, seed)
+			if err != nil {
+				t.Fatalf("%s seed %d cluster: %v", name, seed, err)
+			}
+			where := fmt.Sprintf("%s seed %d", name, seed)
+			if sim.Injected == 0 || sim.Delivered == 0 {
+				t.Fatalf("%s: vacuous epoch: injected %d, delivered %d", where, sim.Injected, sim.Delivered)
+			}
+			if sim.Injected != cl.Injected || sim.Delivered != cl.Delivered || sim.PeakBuffered != cl.PeakBuffered {
+				t.Errorf("%s: sim injected/delivered/peak %d/%d/%d, cluster %d/%d/%d", where,
+					sim.Injected, sim.Delivered, sim.PeakBuffered, cl.Injected, cl.Delivered, cl.PeakBuffered)
+			}
+			if !reflect.DeepEqual(sim.Latencies, cl.Latencies) {
+				t.Errorf("%s: latencies differ:\n sim %v\n cluster %v", where, sim.Latencies, cl.Latencies)
+			}
+			if len(sim.Records) != len(cl.Records) {
+				t.Fatalf("%s: %d sim records, %d cluster records", where, len(sim.Records), len(cl.Records))
+			}
+			for i, s := range sim.Records {
+				c := cl.Records[i]
+				if s.Src != c.Src || s.Dst != c.Dst || s.SentAt != c.SentAt ||
+					s.Delivered != c.Delivered || s.DeliveredAt != c.DeliveredAt {
+					t.Errorf("%s: record %d: sim %+v, cluster %+v", where, i, s, c)
+					break
+				}
+			}
+			st, ct := sim.Totals, cl.Totals
+			if st.Sent != ct.Sent || st.Forwarded != ct.Forwarded || st.Carried != ct.Carried ||
+				st.Delivered != ct.Delivered || st.Refused != ct.Refused ||
+				st.BackpressureDropped != ct.BackpressureDropped {
+				t.Errorf("%s: totals differ:\n sim %+v\n cluster %+v", where, st, ct)
+			}
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
+	"repro/internal/obs/promtest"
 )
 
 // TestDaemonMainLifecycle runs three dtnnode mains against an
@@ -212,7 +212,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := obs.ParseExposition(body)
+	exp, err := promtest.ParseExposition(body)
 	if err != nil {
 		t.Fatalf("scrape is not valid exposition: %v", err)
 	}

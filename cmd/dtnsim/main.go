@@ -535,9 +535,13 @@ func runRuntime(out io.Writer, n, g, k, l int, spray bool, deadline float64, run
 	fmt.Fprintf(tw, "runtime\t%d nodes, real AES-GCM onions, anti-packets on\n", n)
 	fmt.Fprintf(tw, "offered\t%d messages (Poisson, 1/min), K=%d L=%d spray=%v, T=%v min\n",
 		runs, k, l, spray, deadline)
-	fmt.Fprintf(tw, "delivery rate\t%.4f\n", res.DeliveryRate)
+	fmt.Fprintf(tw, "delivery rate\t%.4f\n", res.DeliveryRatio)
 	if res.Delivered > 0 {
-		fmt.Fprintf(tw, "mean delay (min)\t%.1f\n", res.Delay.Mean)
+		var delay stats.Accumulator
+		for _, l := range res.Latencies {
+			delay.Add(l)
+		}
+		fmt.Fprintf(tw, "mean delay (min)\t%.1f\n", delay.Mean())
 	}
 	fmt.Fprintf(tw, "peak buffered onions\t%d\n", res.PeakBuffered)
 	fmt.Fprintf(tw, "hand-offs\t%d (rejected %d, refused %d, purged %d, expired %d)\n",

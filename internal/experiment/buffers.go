@@ -67,7 +67,7 @@ func ablationBuffers(e *scenario.Engine, sc *scenario.Scenario) ([]stats.Series,
 		if err != nil {
 			return 0, fmt.Errorf("experiment: buffers (anti=%v lim=%v): %w", anti, lim, err)
 		}
-		return res.DeliveryRate, nil
+		return res.DeliveryRatio, nil
 	})
 	if err != nil {
 		return nil, nil, err

@@ -154,7 +154,7 @@ func ablationFaults(e *scenario.Engine, sc *scenario.Scenario) ([]stats.Series, 
 		if err != nil {
 			return runtimeCell{}, fmt.Errorf("experiment: faults (rate=%v rep=%d): %w", rate, rep, err)
 		}
-		return runtimeCell{Rate: res.DeliveryRate, Stats: res.Totals}, nil
+		return runtimeCell{Rate: res.DeliveryRatio, Stats: res.Totals}, nil
 	})
 	if err != nil {
 		return nil, nil, err

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs/promtest"
 )
 
 // populated returns a collector with every metric kind exercised,
@@ -33,7 +35,7 @@ func TestWritePrometheusParsesAndMatches(t *testing.T) {
 	if err := c.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	exp, err := ParseExposition(buf.Bytes())
+	exp, err := promtest.ParseExposition(buf.Bytes())
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
 	}
@@ -85,7 +87,7 @@ func TestExpositionRejectsMalformed(t *testing.T) {
 		"inf != count":   "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n",
 	}
 	for name, in := range cases {
-		if _, err := ParseExposition([]byte(in)); err == nil {
+		if _, err := promtest.ParseExposition([]byte(in)); err == nil {
 			t.Errorf("%s: parsed without error", name)
 		}
 	}
@@ -113,7 +115,7 @@ func TestMetricsServerScrapeAndShutdown(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Errorf("content type %q", ct)
 	}
-	exp, err := ParseExposition(body)
+	exp, err := promtest.ParseExposition(body)
 	if err != nil {
 		t.Fatalf("scrape does not parse: %v", err)
 	}

@@ -13,13 +13,10 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/contact"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -152,28 +149,10 @@ func (s OpenLoopSpec) Validate() error {
 	return nil
 }
 
-// OpenLoopResult aggregates one open-loop run.
-type OpenLoopResult struct {
-	Records   []Record
-	Injected  int
-	Delivered int
-	// DeliveryRatio is Delivered/Injected, 0 when nothing was injected.
-	DeliveryRatio float64
-	// OfferedRate is the achieved injection rate over the window
-	// (messages per minute) — under open-loop load it tracks the
-	// configured rate regardless of how the system copes.
-	OfferedRate float64
-	// Latencies holds one send-to-delivery delay (sim minutes) per
-	// delivered message; empty when nothing was delivered.
-	Latencies    []float64
-	PeakBuffered int
-	Totals       node.Stats
-}
-
 // LatencyQuantile returns the q-quantile of delivery latency and
 // whether any message was delivered. A false second return means the
 // quantile is undefined — never 0, which would read as "instant".
-func (r *OpenLoopResult) LatencyQuantile(q float64) (float64, bool) {
+func (r *Result) LatencyQuantile(q float64) (float64, bool) {
 	if len(r.Latencies) == 0 {
 		return 0, false
 	}
@@ -182,7 +161,7 @@ func (r *OpenLoopResult) LatencyQuantile(q float64) (float64, bool) {
 
 // FormatLatency renders a latency quantile for human output, with the
 // zero-delivered path spelled out instead of NaN or a division panic.
-func (r *OpenLoopResult) FormatLatency(q float64) string {
+func (r *Result) FormatLatency(q float64) string {
 	v, ok := r.LatencyQuantile(q)
 	if !ok {
 		return "n/a (nothing delivered)"
@@ -207,7 +186,7 @@ type SLOVerdict struct {
 // CheckSLO evaluates the run against the objectives. A run that
 // delivered nothing breaches any configured latency bound (unbounded
 // latency), rather than vacuously passing.
-func (r *OpenLoopResult) CheckSLO(slo SLO) SLOVerdict {
+func (r *Result) CheckSLO(slo SLO) SLOVerdict {
 	v := SLOVerdict{Pass: true}
 	fail := func(format string, args ...any) {
 		v.Pass = false
@@ -234,12 +213,13 @@ func (r *OpenLoopResult) CheckSLO(slo SLO) SLOVerdict {
 	return v
 }
 
-// RunOpenLoop drives the network with an open-loop arrival schedule
-// over synthetic contacts on g. Arrivals stop at spec.Horizon; the
-// contact process keeps running through spec.Drain so in-flight
-// messages can land. The run never ends early because the system is
-// keeping up — offered load is independent of outcomes.
-func RunOpenLoop(nw *node.Network, g *contact.Graph, spec OpenLoopSpec) (*OpenLoopResult, error) {
+// RunOpenLoop drives rt with an open-loop arrival schedule over
+// synthetic contacts on g. Arrivals stop at spec.Horizon; the contact
+// process keeps running through spec.Drain so in-flight messages can
+// land, and the run ends early only once every arrival is injected and
+// delivered. Offered load is independent of outcomes: arrivals that
+// find no later contact are still injected and counted.
+func RunOpenLoop(rt Runtime, g *contact.Graph, spec OpenLoopSpec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -247,44 +227,23 @@ func RunOpenLoop(nw *node.Network, g *contact.Graph, spec OpenLoopSpec) (*OpenLo
 	times := spec.Arrivals.Schedule(spec.Horizon, root.Split("arrivals"))
 	endpoints := root.Split("endpoints")
 	n := g.N()
-	d := &driver{
-		nw:        nw,
-		graphN:    n,
-		pendingAt: make([][]int, n),
-		rng:       root.Split("paths"),
-		spec: Spec{
-			PayloadSize:  spec.PayloadSize,
-			Relays:       spec.Relays,
-			Copies:       spec.Copies,
-			PadTo:        spec.PadTo,
-			ExpiryAfter:  spec.ExpiryAfter,
-			TrackBuffers: spec.TrackBuffers,
-		},
-		openLoop: true,
-	}
+	d := newDriver(rt, n, Spec{
+		PayloadSize:  spec.PayloadSize,
+		Relays:       spec.Relays,
+		Copies:       spec.Copies,
+		PadTo:        spec.PadTo,
+		ExpiryAfter:  spec.ExpiryAfter,
+		TrackBuffers: spec.TrackBuffers,
+	}, root.Split("paths"))
+	d.openLoop = true
 	for _, at := range times {
 		src := contact.NodeID(endpoints.IntN(n))
 		dst := contact.NodeID(endpoints.PickOther(n, int(src)))
 		d.sends = append(d.sends, pendingSend{at: at, src: src, dst: dst})
 	}
-	sort.Slice(d.sends, func(i, j int) bool { return d.sends[i].at < d.sends[j].at })
-
-	sim.RunSynthetic(g, spec.Horizon+spec.Drain, root.Split("contacts"), d)
-
-	res := &OpenLoopResult{
-		Records:      d.records,
-		Injected:     len(d.records),
-		PeakBuffered: d.peak,
-		Totals:       nw.TotalStats(),
-	}
-	for _, r := range d.records {
-		if r.Delivered {
-			res.Delivered++
-			res.Latencies = append(res.Latencies, r.DeliveredAt-r.SentAt)
-		}
-	}
-	if res.Injected > 0 {
-		res.DeliveryRatio = float64(res.Delivered) / float64(res.Injected)
+	res, err := d.run(g, spec.Horizon+spec.Drain, root.Split("contacts"))
+	if err != nil {
+		return nil, err
 	}
 	res.OfferedRate = float64(res.Injected) / spec.Horizon
 	return res, nil

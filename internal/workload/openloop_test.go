@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/contact"
 	"repro/internal/node"
 	"repro/internal/rng"
 )
@@ -116,7 +117,7 @@ func TestRunOpenLoopDelivers(t *testing.T) {
 		Copies:      1,
 		Seed:        24,
 	}
-	res, err := RunOpenLoop(nw, g, spec)
+	res, err := RunOpenLoop(InProcess(nw), g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestZeroDeliveredPathPinned(t *testing.T) {
 	// Sub-millisecond expiry: every onion dies at the contact after its
 	// injection, so nothing is ever delivered while injection proceeds
 	// at full rate.
-	res, err := RunOpenLoop(nw, g, OpenLoopSpec{
+	res, err := RunOpenLoop(InProcess(nw), g, OpenLoopSpec{
 		Arrivals:    Arrivals{Rate: 1},
 		Horizon:     200,
 		Relays:      1,
@@ -194,7 +195,7 @@ func TestZeroDeliveredPathPinned(t *testing.T) {
 // TestZeroInjectedPath: an empty schedule (or a contact process that
 // never fires) yields zeros, not NaN.
 func TestZeroInjectedPath(t *testing.T) {
-	res := &OpenLoopResult{}
+	res := &Result{}
 	if res.DeliveryRatio != 0 || len(res.Latencies) != 0 {
 		t.Fatalf("zero value corrupt: %+v", res)
 	}
@@ -203,6 +204,36 @@ func TestZeroInjectedPath(t *testing.T) {
 	}
 	if v := res.CheckSLO(SLO{MinDeliveryRatio: 0.5}); v.Pass {
 		t.Fatal("ratio SLO passed with zero injected")
+	}
+}
+
+// TestOpenLoopInjectsTrailingArrivals: with no drain on a sparse graph
+// the contact process ends before the last arrivals, and those must
+// still be injected and counted — open-loop offered load never adapts
+// to the contact process drying up.
+func TestOpenLoopInjectsTrailingArrivals(t *testing.T) {
+	nw, err := node.NewNetwork(node.Config{Nodes: 6, GroupSize: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := contact.NewRandom(6, 5, 60, rng.New(4))
+	spec := OpenLoopSpec{
+		Arrivals: Arrivals{Rate: 2},
+		Horizon:  60,
+		Relays:   1,
+		Copies:   2,
+		Seed:     3,
+	}
+	res, err := RunOpenLoop(InProcess(nw), g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(spec.Arrivals.Schedule(spec.Horizon, rng.New(spec.Seed).Split("arrivals")))
+	if res.Injected != want {
+		t.Fatalf("injected %d of %d scheduled arrivals", res.Injected, want)
+	}
+	if res.Totals.Sent != want {
+		t.Fatalf("nodes originated %d of %d scheduled arrivals", res.Totals.Sent, want)
 	}
 }
 
@@ -218,7 +249,7 @@ func TestOpenLoopSpecValidation(t *testing.T) {
 		{Arrivals: Arrivals{Rate: 1}, Horizon: 10, Relays: 1, Copies: 1, ExpiryAfter: -1},
 	}
 	for i, spec := range bad {
-		if _, err := RunOpenLoop(nw, g, spec); err == nil {
+		if _, err := RunOpenLoop(InProcess(nw), g, spec); err == nil {
 			t.Errorf("spec %d accepted: %+v", i, spec)
 		}
 	}

@@ -1,15 +1,16 @@
-// Package workload drives the message-level runtime (internal/node)
-// with a realistic multi-message traffic pattern: messages arrive as a
-// Poisson process at random sources, each routed through onion groups
-// with real cryptography, while the contact process runs underneath.
-// It reports per-message outcomes and aggregate system health (buffer
-// occupancy, rejects, purges) — the system-level view a deployment
-// would monitor, complementing the per-message experiments of package
-// experiment.
+// Package workload drives the message-level runtime (internal/node),
+// in process or on any other Runtime, with a realistic multi-message
+// traffic pattern: messages arrive as a Poisson process at random
+// sources, each routed through onion groups with real cryptography,
+// while the contact process runs underneath. It reports per-message
+// outcomes and aggregate system health (buffer occupancy, rejects,
+// purges) — the system-level view a deployment would monitor,
+// complementing the per-message experiments of package experiment.
 package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/contact"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Spec describes the traffic offered to the network.
@@ -62,41 +62,79 @@ type Record struct {
 	DeliveredAt float64
 }
 
-// Result aggregates a workload run.
+// Result aggregates one workload run, closed-loop (Run) or open-loop
+// (RunOpenLoop).
 type Result struct {
-	Records      []Record
-	Injected     int
-	Delivered    int
-	DeliveryRate float64
-	Delay        stats.Summary // over delivered messages
-	PeakBuffered int           // only when Spec.TrackBuffers
+	Records   []Record
+	Injected  int
+	Delivered int
+	// DeliveryRatio is Delivered/Injected, 0 when nothing was injected.
+	DeliveryRatio float64
+	// OfferedRate (RunOpenLoop only) is the achieved injection rate
+	// over the window (messages per minute) — under open-loop load it
+	// tracks the configured rate regardless of how the system copes.
+	OfferedRate float64
+	// Latencies holds one send-to-delivery delay (sim minutes) per
+	// delivered message, in record order; empty when nothing was
+	// delivered.
+	Latencies    []float64
+	PeakBuffered int // only when buffers are tracked
 	Totals       node.Stats
 }
 
-// driver interleaves Poisson message injection with the contact
+// Runtime is the message layer a workload drives: nodes that originate
+// and receive messages, and a way to realize one contact between two
+// of them. InProcess adapts the in-process node.Network; a live
+// cluster implements it over its daemons.
+type Runtime interface {
+	// Node returns the node with the given ID.
+	Node(id contact.NodeID) *node.Node
+	// Meet executes one contact between a and b at sim time now and
+	// reports how many payloads reached their destination.
+	Meet(a, b contact.NodeID, now float64) (deliveries int, err error)
+	// TotalStats aggregates the counters of every node.
+	TotalStats() node.Stats
+}
+
+// InProcess adapts an in-process network to Runtime.
+func InProcess(nw *node.Network) Runtime { return inProcess{nw} }
+
+type inProcess struct{ *node.Network }
+
+func (r inProcess) Meet(a, b contact.NodeID, now float64) (int, error) {
+	return r.Network.Meet(a, b, now).Deliveries, nil
+}
+
+// driver interleaves scheduled message injection with the contact
 // stream. It implements sim.Protocol.
 type driver struct {
-	nw      *node.Network
-	graphN  int
+	rt      Runtime
 	spec    Spec
 	sends   []pendingSend // sorted by at
 	nextIdx int
 	records []Record
-	// pendingAt lists, per destination node, the indices of records
-	// still undelivered; pending counts them all.
+	// pendingAt lists, per node of the graph, the indices of records
+	// still undelivered at that destination; pending counts them all.
 	pendingAt [][]int
 	pending   int
 	peak      int
 	rng       *rng.Stream
-	// openLoop marks a RunOpenLoop drive: load counters and the
+	// openLoop marks a RunOpenLoop drive: arrivals after the last
+	// contact are still injected, and load counters and the
 	// delivery-latency histogram are emitted into the active
 	// observability collector (service mode watches them live).
 	openLoop bool
+	// err is the first failed Send or Meet; it ends the run.
+	err error
 }
 
 type pendingSend struct {
 	at       float64
 	src, dst contact.NodeID
+}
+
+func newDriver(rt Runtime, n int, spec Spec, paths *rng.Stream) *driver {
+	return &driver{rt: rt, spec: spec, pendingAt: make([][]int, n), rng: paths}
 }
 
 // Run drives the network with the workload over synthetic contacts on
@@ -111,13 +149,7 @@ func Run(nw *node.Network, g *contact.Graph, spec Spec, horizon float64) (*Resul
 	root := rng.New(spec.Seed)
 	arrivals := root.Split("arrivals")
 	n := g.N()
-	d := &driver{
-		nw:        nw,
-		graphN:    n,
-		spec:      spec,
-		pendingAt: make([][]int, n),
-		rng:       root.Split("paths"),
-	}
+	d := newDriver(InProcess(nw), n, spec, root.Split("paths"))
 	t := 0.0
 	for i := 0; i < spec.Messages; i++ {
 		t += arrivals.Exp(spec.ArrivalRate)
@@ -125,41 +157,53 @@ func Run(nw *node.Network, g *contact.Graph, spec Spec, horizon float64) (*Resul
 		dst := contact.NodeID(arrivals.PickOther(n, int(src)))
 		d.sends = append(d.sends, pendingSend{at: t, src: src, dst: dst})
 	}
+	return d.run(g, horizon, root.Split("contacts"))
+}
+
+// run drives the schedule over synthetic contacts on g until horizon
+// and aggregates the outcome.
+func (d *driver) run(g *contact.Graph, horizon float64, contacts *rng.Stream) (*Result, error) {
 	sort.Slice(d.sends, func(i, j int) bool { return d.sends[i].at < d.sends[j].at })
-
-	sim.RunSynthetic(g, horizon, root.Split("contacts"), d)
-
+	sim.RunSynthetic(g, horizon, contacts, d)
+	if d.openLoop {
+		// Open-loop accounting: arrivals after the last contact are
+		// still injected (and counted) — offered load never adapts to
+		// the contact process drying up.
+		d.inject(math.Inf(1))
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
 	res := &Result{
 		Records:      d.records,
 		Injected:     len(d.records),
 		PeakBuffered: d.peak,
-		Totals:       nw.TotalStats(),
+		Totals:       d.rt.TotalStats(),
 	}
-	var delay stats.Accumulator
 	for _, r := range d.records {
 		if r.Delivered {
 			res.Delivered++
-			delay.Add(r.DeliveredAt - r.SentAt)
+			res.Latencies = append(res.Latencies, r.DeliveredAt-r.SentAt)
 		}
 	}
 	if res.Injected > 0 {
-		res.DeliveryRate = float64(res.Delivered) / float64(res.Injected)
+		res.DeliveryRatio = float64(res.Delivered) / float64(res.Injected)
 	}
-	res.Delay = delay.Summarize()
 	return res, nil
 }
 
-// OnContact implements sim.Protocol: inject due messages, execute the
-// contact, then collect delivery outcomes.
-func (d *driver) OnContact(t float64, a, b contact.NodeID) {
-	for d.nextIdx < len(d.sends) && d.sends[d.nextIdx].at <= t {
+// inject originates every scheduled message due by time t. A failed
+// send (misconfiguration, e.g. too few groups for the path) ends the
+// run: nothing was offered to the network, so it is not a loss.
+func (d *driver) inject(t float64) {
+	for d.err == nil && d.nextIdx < len(d.sends) && d.sends[d.nextIdx].at <= t {
 		s := d.sends[d.nextIdx]
 		d.nextIdx++
 		expiry := 0.0
 		if d.spec.ExpiryAfter > 0 {
 			expiry = s.at + d.spec.ExpiryAfter
 		}
-		id, err := d.nw.Node(s.src).Send(node.SendSpec{
+		id, err := d.rt.Node(s.src).Send(node.SendSpec{
 			Dst:     s.dst,
 			Payload: make([]byte, d.spec.PayloadSize),
 			Relays:  d.spec.Relays,
@@ -168,10 +212,8 @@ func (d *driver) OnContact(t float64, a, b contact.NodeID) {
 			PadTo:   d.spec.PadTo,
 		}, d.rng.SplitN("path", d.nextIdx))
 		if err != nil {
-			// A send can fail only on misconfiguration (e.g. too few
-			// groups); record it as an undeliverable injection.
-			d.records = append(d.records, Record{Src: s.src, Dst: s.dst, SentAt: s.at})
-			continue
+			d.err = fmt.Errorf("workload: inject message %d: %w", d.nextIdx-1, err)
+			return
 		}
 		d.records = append(d.records, Record{ID: id, Src: s.src, Dst: s.dst, SentAt: s.at})
 		d.pendingAt[s.dst] = append(d.pendingAt[s.dst], len(d.records)-1)
@@ -182,18 +224,31 @@ func (d *driver) OnContact(t float64, a, b contact.NodeID) {
 			}
 		}
 	}
+}
 
+// OnContact implements sim.Protocol: inject due messages, execute the
+// contact, then collect delivery outcomes.
+func (d *driver) OnContact(t float64, a, b contact.NodeID) {
+	d.inject(t)
+	if d.err != nil {
+		return
+	}
 	// A message is delivered only at a contact of its destination that
 	// reports a delivery, so only then are a's and b's pending messages
 	// worth polling.
-	if rep := d.nw.Meet(a, b, t); rep.Deliveries > 0 {
+	delivered, err := d.rt.Meet(a, b, t)
+	if err != nil {
+		d.err = fmt.Errorf("workload: contact %d-%d at t=%.3f: %w", a, b, t, err)
+		return
+	}
+	if delivered > 0 {
 		d.collect(a, t)
 		d.collect(b, t)
 	}
 	if d.spec.TrackBuffers {
 		total := 0
-		for i := 0; i < d.graphN; i++ {
-			total += d.nw.Node(contact.NodeID(i)).BufferLen()
+		for i := range d.pendingAt {
+			total += d.rt.Node(contact.NodeID(i)).BufferLen()
 		}
 		if total > d.peak {
 			d.peak = total
@@ -204,7 +259,7 @@ func (d *driver) OnContact(t float64, a, b contact.NodeID) {
 // collect marks the pending messages for dst that it has received as
 // delivered at time t.
 func (d *driver) collect(dst contact.NodeID, t float64) {
-	n := d.nw.Node(dst)
+	n := d.rt.Node(dst)
 	still := d.pendingAt[dst][:0]
 	for _, idx := range d.pendingAt[dst] {
 		rec := &d.records[idx]
@@ -222,9 +277,9 @@ func (d *driver) collect(dst contact.NodeID, t float64) {
 	d.pendingAt[dst] = still
 }
 
-// Done implements sim.Protocol: the run ends when every message has
-// been injected and either delivered or (with expiry) the horizon
-// handles the rest.
+// Done implements sim.Protocol: the run ends on the first failure, or
+// when every message has been injected and either delivered or (with
+// expiry) the horizon handles the rest.
 func (d *driver) Done() bool {
-	return d.nextIdx == len(d.sends) && d.pending == 0
+	return d.err != nil || (d.nextIdx == len(d.sends) && d.pending == 0)
 }
