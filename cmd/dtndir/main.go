@@ -43,26 +43,6 @@ func main() {
 // once the endpoint is serving.
 var metricsReady func(url string)
 
-// serveMetricsFlag installs a fresh observability collector and serves
-// it as a Prometheus scrape target when addr is non-empty. It returns
-// a shutdown func (never nil).
-func serveMetricsFlag(addr string, out io.Writer) (func(), error) {
-	if addr == "" {
-		return func() {}, nil
-	}
-	col := obs.NewCollector()
-	obs.Install(col)
-	ms, err := obs.ServeMetrics(addr, col)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(out, "dtndir: serving metrics at %s\n", ms.URL())
-	if metricsReady != nil {
-		metricsReady(ms.URL())
-	}
-	return func() { _ = ms.Close() }, nil
-}
-
 // run is the testable entry point. ready, when non-nil, is called with
 // the listening address once the service is reachable.
 func run(args []string, out io.Writer, ready func(addr string)) error {
@@ -87,7 +67,7 @@ func run(args []string, out io.Writer, ready func(addr string)) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	closeMetrics, err := serveMetricsFlag(*metrics, out)
+	closeMetrics, err := obs.ServeMetricsFlag(*metrics, "dtndir", out, metricsReady)
 	if err != nil {
 		return err
 	}

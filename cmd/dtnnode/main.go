@@ -40,26 +40,6 @@ func main() {
 // once the endpoint is serving.
 var metricsReady func(url string)
 
-// serveMetricsFlag installs a fresh observability collector and serves
-// it as a Prometheus scrape target when addr is non-empty. It returns
-// a shutdown func (never nil).
-func serveMetricsFlag(addr, command string, out io.Writer) (func(), error) {
-	if addr == "" {
-		return func() {}, nil
-	}
-	col := obs.NewCollector()
-	obs.Install(col)
-	ms, err := obs.ServeMetrics(addr, col)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(out, "%s: serving metrics at %s\n", command, ms.URL())
-	if metricsReady != nil {
-		metricsReady(ms.URL())
-	}
-	return func() { _ = ms.Close() }, nil
-}
-
 // run is the testable entry point. ready, when non-nil, is called with
 // the daemon's listening address once it has joined the directory.
 func run(args []string, out io.Writer, ready func(addr string)) error {
@@ -84,7 +64,7 @@ func run(args []string, out io.Writer, ready func(addr string)) error {
 	if *dirAddr == "" {
 		return fmt.Errorf("missing -dir")
 	}
-	closeMetrics, err := serveMetricsFlag(*metrics, "dtnnode", out)
+	closeMetrics, err := obs.ServeMetricsFlag(*metrics, "dtnnode", out, metricsReady)
 	if err != nil {
 		return err
 	}

@@ -13,15 +13,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"text/tabwriter"
-	"time"
 
 	"repro/internal/atomicio"
 	"repro/internal/contact"
@@ -31,7 +27,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/resultcache"
 	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/runner"
@@ -40,16 +35,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// defaultFleetID names this process's cache shard and leases:
-// hostname-pid, unique per live process on a shared directory.
-func defaultFleetID() string {
-	host, err := os.Hostname()
-	if err != nil {
-		host = "host"
-	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -75,11 +60,8 @@ func run(args []string, out io.Writer) error {
 		graphPath   = fs.String("graph", "", "load the contact graph from a file (contact exchange format)")
 		saveGraph   = fs.String("save-graph", "", "save the generated contact graph to a file")
 		tracePath   = fs.String("trace", "", "replay a contact trace file instead of a synthetic graph (onion protocol only; deadline in seconds)")
-		trialTO     = fs.Duration("trial-timeout", 0, "per-trial watchdog: a trial exceeding this is retried once, then quarantined (0 = no watchdog)")
-		cacheDir    = fs.String("cache", "", "content-addressed result cache directory (onion protocol only); completed trials persist across interruptions and commits (rerun to resume), and concurrent processes form a work-stealing fleet")
-		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "fleet lease staleness bound: a chunk whose holder has not heartbeat within this is stolen")
-		fleetID     = fs.String("fleet-id", defaultFleetID(), "worker name for cache shards and leases (default hostname-pid)")
 	)
+	bf := dispatch.AddFlags(fs)
 	// -trace already means contact-trace replay here, so the runtime
 	// execution-trace profile is spelled -exectrace.
 	rf := obs.AddRunFlagsNamed(fs, "exectrace")
@@ -94,18 +76,13 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-runs must be positive, got %d", *runs)
 	}
 	// Persistence flags fail at validation time, before any simulation
-	// state is built: a -cache for a protocol without a trial pool, or a
+	// state is built: a -cache for a protocol without a cache key, or a
 	// directory path occupied by a regular file.
-	if *cacheDir != "" && (*protocol != "onion" || *tracePath != "") {
+	if bf.Cache != "" && (*protocol != "onion" || *tracePath != "") {
 		return fmt.Errorf("-cache supports only the synthetic-graph onion protocol")
 	}
-	if *cacheDir != "" {
-		if err := atomicio.EnsureDir(*cacheDir); err != nil {
-			return fmt.Errorf("-cache: %w", err)
-		}
-	}
-	if *leaseTTL <= 0 {
-		return fmt.Errorf("-lease-ttl must be positive, got %v", *leaseTTL)
+	if err := bf.Validate(); err != nil {
+		return err
 	}
 	obsRun, err := rf.Begin("dtnsim", args)
 	if err != nil {
@@ -115,23 +92,8 @@ func run(args []string, out io.Writer) error {
 
 	// SIGINT/SIGTERM drain the supervised trial loop (saving completed
 	// trials under -cache) instead of losing the run.
-	sup := runner.NewSupervisor(*trialTO)
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	sigDone := make(chan struct{})
-	go func() {
-		select {
-		case s := <-sigc:
-			fmt.Fprintf(os.Stderr, "dtnsim: received %v, draining%s\n", s, drainNote(*cacheDir))
-			obsRun.RecordEvent(obs.RunEvent{Kind: obs.EventInterrupted, Detail: s.String()})
-			sup.Stop()
-		case <-sigDone:
-		}
-	}()
-	defer func() {
-		signal.Stop(sigc)
-		close(sigDone)
-	}()
+	sess := bf.Start("dtnsim", obsRun)
+	defer sess.Stop()
 
 	endPhase := obs.Active().StartPhase(*protocol)
 	switch {
@@ -139,33 +101,24 @@ func run(args []string, out io.Writer) error {
 		if *protocol != "onion" {
 			return fmt.Errorf("trace replay supports only the onion protocol")
 		}
-		err = runTrace(out, *tracePath, *g, *k, *l, *spray, *deadline, *runs, *seed, *faults)
+		err = runTrace(out, sess.Sup, *tracePath, *g, *k, *l, *spray, *deadline, *runs, *seed, *faults)
 	case *protocol == "onion":
 		oc := onionConfig{
 			n: *n, g: *g, k: *k, l: *l, spray: *spray, deadline: *deadline,
 			runs: *runs, seed: *seed, frac: *compromised, faults: *faults,
 			graphPath: *graphPath, saveGraph: *saveGraph,
-			cacheDir: *cacheDir, leaseTTL: *leaseTTL, fleetID: *fleetID,
 		}
-		err = runOnion(out, oc, sup, obsRun)
+		err = runOnion(out, oc, sess)
 	case *protocol == "runtime":
 		err = runRuntime(out, *n, *g, *k, *l, *spray, *deadline, *runs, *seed, *faults)
 	case *protocol == "epidemic", *protocol == "sprayandwait", *protocol == "binaryspray",
 		*protocol == "prophet", *protocol == "direct":
-		err = runBaseline(out, *protocol, *n, *l, *deadline, *runs, *seed, *faults)
+		err = runBaseline(out, sess.Sup, *protocol, *n, *l, *deadline, *runs, *seed, *faults)
 	default:
 		return fmt.Errorf("unknown protocol %q", *protocol)
 	}
 	endPhase()
-	for _, te := range sup.Quarantined() {
-		obsRun.RecordEvent(obs.RunEvent{
-			Kind: obs.EventTrialQuarantined, Detail: te.Error(), Batch: te.Batch, Trial: te.Trial,
-		})
-	}
-	if err != nil {
-		if errors.Is(err, runner.ErrInterrupted) && *cacheDir != "" {
-			return fmt.Errorf("%w; rerun with the same -cache to continue", err)
-		}
+	if err := sess.Finish(err); err != nil {
 		return err
 	}
 	type manifestConfig struct {
@@ -185,21 +138,9 @@ func run(args []string, out io.Writer) error {
 	mc := manifestConfig{
 		Protocol: *protocol, Nodes: *n, GroupSize: *g, Relays: *k, Copies: *l,
 		Spray: *spray, Deadline: *deadline, Runs: *runs, Compromised: *compromised,
-		Trace: *tracePath, Cache: *cacheDir,
-	}
-	if *cacheDir != "" {
-		mc.FleetID = *fleetID
+		Trace: *tracePath, Cache: bf.Cache, FleetID: bf.ManifestFleetID(),
 	}
 	return obsRun.Finish(mc, *seed, 1, *faults)
-}
-
-// drainNote tells an interrupted user whether completed trials survive:
-// only a -cache run persists them.
-func drainNote(cacheDir string) string {
-	if cacheDir == "" {
-		return ""
-	}
-	return " (completed trials are cached)"
 }
 
 // onionConfig carries runOnion's scenario parameters; the cache
@@ -213,9 +154,6 @@ type onionConfig struct {
 	frac, faults         float64
 	graphPath, saveGraph string
 	graphSum             string // hex sha256 of the loaded graph file's bytes ("" when synthetic)
-	cacheDir             string
-	leaseTTL             time.Duration
-	fleetID              string
 }
 
 // contentKey derives the run's content-addressed cache identity by
@@ -245,7 +183,7 @@ type onionTrial struct {
 	Traceable, Anon float64
 }
 
-func runOnion(out io.Writer, c onionConfig, sup *runner.Supervisor, obsRun *obs.Run) error {
+func runOnion(out io.Writer, c onionConfig, sess *dispatch.Session) error {
 	cfg := core.Config{
 		Nodes: c.n, GroupSize: c.g, Relays: c.k, Copies: c.l, Spray: c.spray,
 		MinICT: 1, MaxICT: 360, Seed: c.seed, ContactFailure: c.faults,
@@ -317,24 +255,12 @@ func runOnion(out io.Writer, c onionConfig, sup *runner.Supervisor, obsRun *obs.
 		}
 		return o, nil
 	}
-	var d *dispatch.Dispatcher
-	if c.cacheDir != "" {
-		key := c.contentKey()
-		cs, err := resultcache.Open(c.cacheDir, key, "dtnsim-onion", c.seed, c.fleetID)
-		if err != nil {
-			return err
-		}
-		defer cs.Close()
-		if n := cs.Loaded(); n > 0 {
-			fmt.Fprintf(os.Stderr, "dtnsim: cache entry %.12s holds %d completed trials\n", key, n)
-			obsRun.RecordEvent(obs.RunEvent{
-				Kind:   obs.EventResumed,
-				Detail: fmt.Sprintf("%d trials from cache entry %.12s", n, key),
-			})
-		}
-		d = dispatch.New(cs, dispatch.Options{Owner: c.fleetID, LeaseTTL: c.leaseTTL})
+	d, closeEntry, err := sess.Open(c.contentKey(), "dtnsim-onion", c.seed)
+	if err != nil {
+		return err
 	}
-	trials, err := dispatch.Run(d, sup, "dtnsim/onion", 1, c.runs, trialFn)
+	defer closeEntry()
+	trials, err := dispatch.Run(d, sess.Sup, "dtnsim/onion", 1, c.runs, trialFn)
 	if err != nil {
 		return err
 	}
@@ -376,60 +302,50 @@ func runOnion(out io.Writer, c onionConfig, sup *runner.Supervisor, obsRun *obs.
 	return tw.Flush()
 }
 
-func runBaseline(out io.Writer, name string, n, l int, deadline float64, runs int, seed uint64, faults float64) error {
+// runBaseline routes runs messages with a non-anonymous baseline, one
+// supervised trial per message (one worker: trials share the graph).
+func runBaseline(out io.Writer, sup *runner.Supervisor, name string, n, l int, deadline float64, runs int, seed uint64, faults float64) error {
 	root := rng.New(seed)
 	g := contactGraph(n, root)
-	var delivered int
-	var delay, tx stats.Accumulator
-	for i := 0; i < runs; i++ {
+	results, err := dispatch.Run(nil, sup, "dtnsim/"+name, 1, runs, func(i int) (routing.BaselineResult, error) {
 		s := root.SplitN("run", i)
 		src := s.IntN(n)
 		dst := s.PickOther(n, src)
-		var (
-			proto sim.Protocol
-			res   func() routing.BaselineResult
-		)
+		var p interface {
+			sim.Protocol
+			Result() routing.BaselineResult
+		}
+		var err error
 		switch name {
 		case "epidemic":
-			p, err := routing.NewEpidemic(nodeID(src), nodeID(dst), 0)
-			if err != nil {
-				return err
-			}
-			proto, res = p, p.Result
+			p, err = routing.NewEpidemic(nodeID(src), nodeID(dst), 0)
 		case "sprayandwait":
-			p, err := routing.NewSprayAndWait(nodeID(src), nodeID(dst), l, 0)
-			if err != nil {
-				return err
-			}
-			proto, res = p, p.Result
+			p, err = routing.NewSprayAndWait(nodeID(src), nodeID(dst), l, 0)
 		case "binaryspray":
-			p, err := routing.NewBinarySprayAndWait(nodeID(src), nodeID(dst), l, 0)
-			if err != nil {
-				return err
-			}
-			proto, res = p, p.Result
+			p, err = routing.NewBinarySprayAndWait(nodeID(src), nodeID(dst), l, 0)
 		case "prophet":
-			p, err := routing.NewProphet(n, nodeID(src), nodeID(dst), 0, routing.ProphetConfig{})
-			if err != nil {
-				return err
-			}
-			proto, res = p, p.Result
+			p, err = routing.NewProphet(n, nodeID(src), nodeID(dst), 0, routing.ProphetConfig{})
 		case "direct":
-			p, err := routing.NewDirect(nodeID(src), nodeID(dst), 0)
-			if err != nil {
-				return err
-			}
-			proto, res = p, p.Result
+			p, err = routing.NewDirect(nodeID(src), nodeID(dst), 0)
+		}
+		if err != nil {
+			return routing.BaselineResult{}, err
 		}
 		sim.RunSynthetic(g, deadline, s.Split("contacts"),
-			sim.Lossy(proto, faults, s.Split("faults")))
-		r := res()
+			sim.Lossy(p, faults, s.Split("faults")))
+		return p.Result(), nil
+	})
+	if err != nil {
+		return err
+	}
+	var delay, tx stats.Accumulator
+	for _, r := range results {
 		if r.Delivered {
-			delivered++
 			delay.Add(r.Time)
 		}
 		tx.Add(float64(r.Transmissions))
 	}
+	delivered := delay.N()
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "protocol\t%s (non-anonymous baseline)\n", name)
 	fmt.Fprintf(tw, "delivery rate\t%.4f\n", float64(delivered)/float64(runs))
@@ -446,9 +362,19 @@ func contactGraph(n int, root *rng.Stream) *contact.Graph {
 
 func nodeID(v int) contact.NodeID { return contact.NodeID(v) }
 
+// traceTrial is one replayed message's outcome.
+type traceTrial struct {
+	Delivered bool
+	Delay     float64
+	Tx        float64
+	Model     float64
+	Modelled  bool // the analysis fitted this trial's path
+}
+
 // runTrace replays a contact trace file (deadline interpreted in
-// seconds, as in the paper's trace figures).
-func runTrace(out io.Writer, path string, g, k, l int, spray bool, deadline float64, runs int, seed uint64, faults float64) error {
+// seconds, as in the paper's trace figures), one supervised trial per
+// message (one worker: trials share the trace network's caches).
+func runTrace(out io.Writer, sup *runner.Supervisor, path string, g, k, l int, spray bool, deadline float64, runs int, seed uint64, faults float64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("open trace: %w", err)
@@ -464,31 +390,33 @@ func runTrace(out io.Writer, path string, g, k, l int, spray bool, deadline floa
 	if err != nil {
 		return err
 	}
-	var delivered int
-	var delay, tx stats.Accumulator
-	var modelAcc stats.Accumulator
-	modelled := 0
-	for i := 0; i < runs; i++ {
+	results, err := dispatch.Run(nil, sup, "dtnsim/trace", 1, runs, func(i int) (traceTrial, error) {
 		trial, err := tn.NewTrial(i, g, k)
 		if err != nil {
-			return err
+			return traceTrial{}, err
 		}
 		res, err := tn.RouteLossy(trial, deadline, l, spray, true, faults, i)
 		if err != nil {
-			return err
+			return traceTrial{}, err
 		}
-		if res.Delivered {
-			delivered++
-			delay.Add(res.Time - trial.Start)
+		o := traceTrial{Delivered: res.Delivered, Delay: res.Time - trial.Start, Tx: float64(res.Transmissions)}
+		o.Model, o.Modelled, err = tn.ModelDelivery(trial, deadline, l)
+		return o, err
+	})
+	if err != nil {
+		return err
+	}
+	var delay, tx, modelAcc stats.Accumulator
+	for _, o := range results {
+		if o.Delivered {
+			delay.Add(o.Delay)
 		}
-		tx.Add(float64(res.Transmissions))
-		if m, ok, err := tn.ModelDelivery(trial, deadline, l); err != nil {
-			return err
-		} else if ok {
-			modelAcc.Add(m)
-			modelled++
+		tx.Add(o.Tx)
+		if o.Modelled {
+			modelAcc.Add(o.Model)
 		}
 	}
+	delivered, modelled := delay.N(), modelAcc.N()
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "trace\t%s (%d nodes, %d contacts)\n", path, tr.NodeCount, len(tr.Contacts))
 	fmt.Fprintf(tw, "scenario\tg=%d K=%d L=%d spray=%v T=%v s\n", g, k, l, spray, deadline)

@@ -226,7 +226,6 @@ func TestOnionDigestSensitivity(t *testing.T) {
 	}
 	c := base
 	c.graphPath, c.saveGraph = "elsewhere.graph", "out.graph"
-	c.cacheDir, c.fleetID = "cache", "host-1"
 	if c.contentKey() != base.contentKey() {
 		t.Error("bookkeeping fields changed the key")
 	}

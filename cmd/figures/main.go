@@ -22,34 +22,20 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/atomicio"
 	"repro/internal/dispatch"
 	"repro/internal/experiment"
 	"repro/internal/obs"
-	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 )
-
-// defaultFleetID names this process's cache shard and leases:
-// hostname-pid, unique per live process on a shared directory.
-func defaultFleetID() string {
-	host, err := os.Hostname()
-	if err != nil {
-		host = "host"
-	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -75,11 +61,8 @@ func run(args []string, out *os.File) error {
 		parallel     = fs.Int("parallel", 1, "figures generated concurrently")
 		width        = fs.Int("width", 72, "plot width")
 		height       = fs.Int("height", 18, "plot height")
-		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial watchdog: a trial exceeding this is retried once, then quarantined (0 = no watchdog)")
-		cacheDir     = fs.String("cache", "", "content-addressed result cache directory; completed trials persist across interruptions and commits (rerun to resume), and concurrent processes on the same directory form a work-stealing fleet")
-		leaseTTL     = fs.Duration("lease-ttl", 30*time.Second, "fleet lease staleness bound: a chunk whose holder has not heartbeat within this is stolen")
-		fleetID      = fs.String("fleet-id", defaultFleetID(), "worker name for cache shards and leases (default hostname-pid)")
 	)
+	bf := dispatch.AddFlags(fs)
 	rf := obs.AddRunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,15 +74,8 @@ func run(args []string, out *os.File) error {
 			return fmt.Errorf("create output dir: %w", err)
 		}
 	}
-	// Persistence flags are validated before any computation: a -cache
-	// path occupied by a regular file fails here.
-	if *cacheDir != "" {
-		if err := atomicio.EnsureDir(*cacheDir); err != nil {
-			return fmt.Errorf("-cache: %w", err)
-		}
-	}
-	if *leaseTTL <= 0 {
-		return fmt.Errorf("-lease-ttl must be positive, got %v", *leaseTTL)
+	if err := bf.Validate(); err != nil {
+		return err
 	}
 	obsRun, err := rf.Begin("figures", args)
 	if err != nil {
@@ -141,7 +117,7 @@ func run(args []string, out *os.File) error {
 		if err != nil {
 			return err
 		}
-		if *cacheDir == "" {
+		if bf.Cache == "" {
 			// One engine shared across the file's specs so repeated
 			// analytical-model evaluations hit the memo cache. With a
 			// result cache each spec needs its own cache entry, hence
@@ -183,29 +159,14 @@ func run(args []string, out *os.File) error {
 		}
 	}
 
-	// One supervisor for the whole invocation: SIGINT/SIGTERM request a
+	// One session for the whole invocation: SIGINT/SIGTERM request a
 	// drain (in-flight trials finish and, under -cache, are saved; the
 	// run exits nonzero), and a panicking or hung trial is quarantined
 	// instead of killing the process.
-	sup := runner.NewSupervisor(*trialTimeout)
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	sigDone := make(chan struct{})
-	go func() {
-		select {
-		case s := <-sigc:
-			fmt.Fprintf(os.Stderr, "figures: received %v, draining%s\n", s, drainNote(*cacheDir))
-			obsRun.RecordEvent(obs.RunEvent{Kind: obs.EventInterrupted, Detail: s.String()})
-			sup.Stop()
-		case <-sigDone:
-		}
-	}()
-	defer func() {
-		signal.Stop(sigc)
-		close(sigDone)
-	}()
+	sess := bf.Start("figures", obsRun)
+	defer sess.Stop()
 	if sharedEng != nil {
-		sharedEng.Supervise(sup, nil)
+		sharedEng.Supervise(sess.Sup, nil)
 	}
 
 	generate := func(spec *scenario.Scenario) (*experiment.Figure, error) {
@@ -214,26 +175,18 @@ func run(args []string, out *os.File) error {
 		}
 		eng := scenario.NewEngine(opt)
 		var d *dispatch.Dispatcher
-		if *cacheDir != "" {
+		if bf.Cache != "" {
 			key, err := scenario.ContentKey(spec, opt)
 			if err != nil {
 				return nil, err
 			}
-			store, err := resultcache.Open(*cacheDir, key, spec.ID, opt.Seed, *fleetID)
-			if err != nil {
+			var closeEntry func()
+			if d, closeEntry, err = sess.Open(key, spec.ID, opt.Seed); err != nil {
 				return nil, err
 			}
-			defer store.Close()
-			if n := store.Loaded(); n > 0 {
-				fmt.Fprintf(os.Stderr, "figures: %s: cache entry %.12s holds %d completed trials\n", spec.ID, key, n)
-				obsRun.RecordEvent(obs.RunEvent{
-					Kind:   obs.EventResumed,
-					Detail: fmt.Sprintf("%s: %d trials from cache entry %.12s", spec.ID, n, key),
-				})
-			}
-			d = dispatch.New(store, dispatch.Options{Owner: *fleetID, LeaseTTL: *leaseTTL})
+			defer closeEntry()
 		}
-		eng.Supervise(sup, d)
+		eng.Supervise(sess.Sup, d)
 		return eng.Run(spec)
 	}
 
@@ -249,7 +202,7 @@ func run(args []string, out *os.File) error {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if sup.Stopping() {
+			if sess.Sup.Stopping() {
 				errs[idx] = fmt.Errorf("%s: %w", specs[idx].ID, runner.ErrInterrupted)
 				return
 			}
@@ -264,17 +217,6 @@ func run(args []string, out *os.File) error {
 		}()
 	}
 	wg.Wait()
-
-	// Quarantined trials are manifest events; the run still exits
-	// nonzero identifying them.
-	for _, te := range sup.Quarantined() {
-		obsRun.RecordEvent(obs.RunEvent{
-			Kind:   obs.EventTrialQuarantined,
-			Detail: firstLine(te.Error()),
-			Batch:  te.Batch,
-			Trial:  te.Trial,
-		})
-	}
 
 	// Write every successful figure (atomically — a kill mid-write can
 	// never leave a partial CSV), then report the first failure.
@@ -325,46 +267,15 @@ func run(args []string, out *os.File) error {
 		ids[i] = specs[i].ID
 	}
 	// The manifest is written even on interrupted or quarantined runs —
-	// it is the audit record of what happened.
+	// it is the audit record of what happened, quarantines included.
+	firstErr = sess.Finish(firstErr)
 	finishErr := obsRun.Finish(manifestConfig{
 		Figures: ids, Runs: opt.Runs, SecurityRuns: opt.SecurityRuns,
 		TraceRuns: opt.TraceRuns, Parallel: *parallel,
-		Cache: *cacheDir, FleetID: fleetIDForManifest(*cacheDir, *fleetID),
+		Cache: bf.Cache, FleetID: bf.ManifestFleetID(),
 	}, opt.Seed, opt.Workers, opt.FaultRate)
 	if firstErr != nil {
-		if errors.Is(firstErr, runner.ErrInterrupted) && *cacheDir != "" {
-			return fmt.Errorf("%w; rerun with the same -cache to continue", firstErr)
-		}
 		return firstErr
 	}
 	return finishErr
-}
-
-// drainNote tells an interrupted user whether completed trials survive:
-// only a -cache run persists them.
-func drainNote(cacheDir string) string {
-	if cacheDir == "" {
-		return ""
-	}
-	return " (completed trials are cached)"
-}
-
-// fleetIDForManifest records the worker name only when a cache is in
-// use, keeping cacheless manifests byte-stable across hosts and PIDs.
-func fleetIDForManifest(cacheDir, fleetID string) string {
-	if cacheDir == "" {
-		return ""
-	}
-	return fleetID
-}
-
-// firstLine truncates multi-line error text (panic stacks) for the
-// manifest's one-line detail field.
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }

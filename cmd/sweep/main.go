@@ -14,37 +14,20 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"text/tabwriter"
-	"time"
 
-	"repro/internal/atomicio"
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/obs"
-	"repro/internal/resultcache"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 )
-
-// defaultFleetID names this process's cache shard and leases:
-// hostname-pid, unique per live process on a shared directory.
-func defaultFleetID() string {
-	host, err := os.Hostname()
-	if err != nil {
-		host = "host"
-	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -80,11 +63,8 @@ func run(args []string, out io.Writer) error {
 		runs        = fs.Int("runs", 400, "routed messages per point")
 		seed        = fs.Uint64("seed", 1, "root random seed")
 		workers     = fs.Int("workers", 0, "concurrent trial workers (0 = GOMAXPROCS); output is identical for any value")
-		trialTO     = fs.Duration("trial-timeout", 0, "per-trial watchdog: a trial exceeding this is retried once, then quarantined (0 = no watchdog)")
-		cacheDir    = fs.String("cache", "", "content-addressed result cache directory; completed trials persist across interruptions and commits (rerun to resume), and concurrent processes form a work-stealing fleet")
-		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "fleet lease staleness bound: a chunk whose holder has not heartbeat within this is stolen")
-		fleetID     = fs.String("fleet-id", defaultFleetID(), "worker name for cache shards and leases (default hostname-pid)")
 	)
+	bf := dispatch.AddFlags(fs)
 	rf := obs.AddRunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -107,14 +87,8 @@ func run(args []string, out io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown parameter %q (want g, K, L, c, T, or f)", *param)
 	}
-	// Persistence flags fail at validation time, before any computation.
-	if *cacheDir != "" {
-		if err := atomicio.EnsureDir(*cacheDir); err != nil {
-			return fmt.Errorf("-cache: %w", err)
-		}
-	}
-	if *leaseTTL <= 0 {
-		return fmt.Errorf("-lease-ttl must be positive, got %v", *leaseTTL)
+	if err := bf.Validate(); err != nil {
+		return err
 	}
 	obsRun, err := rf.Begin("sweep", args)
 	if err != nil {
@@ -142,55 +116,24 @@ func run(args []string, out io.Writer) error {
 
 	// Supervision: SIGINT/SIGTERM drain in-flight trials (saving them
 	// under -cache) instead of losing the run.
-	sup := runner.NewSupervisor(*trialTO)
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	sigDone := make(chan struct{})
-	go func() {
-		select {
-		case s := <-sigc:
-			fmt.Fprintf(os.Stderr, "sweep: received %v, draining%s\n", s, drainNote(*cacheDir))
-			obsRun.RecordEvent(obs.RunEvent{Kind: obs.EventInterrupted, Detail: s.String()})
-			sup.Stop()
-		case <-sigDone:
-		}
-	}()
-	defer func() {
-		signal.Stop(sigc)
-		close(sigDone)
-	}()
+	sess := bf.Start("sweep", obsRun)
+	defer sess.Stop()
 	eng := scenario.NewEngine(opt)
 	var d *dispatch.Dispatcher
-	if *cacheDir != "" {
+	if bf.Cache != "" {
 		key, err := scenario.ContentKey(&spec, opt)
 		if err != nil {
 			return err
 		}
-		store, err := resultcache.Open(*cacheDir, key, spec.ID, opt.Seed, *fleetID)
-		if err != nil {
+		var closeEntry func()
+		if d, closeEntry, err = sess.Open(key, spec.ID, opt.Seed); err != nil {
 			return err
 		}
-		defer store.Close()
-		if n := store.Loaded(); n > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: cache entry %.12s holds %d completed trials\n", key, n)
-			obsRun.RecordEvent(obs.RunEvent{
-				Kind:   obs.EventResumed,
-				Detail: fmt.Sprintf("%d trials from cache entry %.12s", n, key),
-			})
-		}
-		d = dispatch.New(store, dispatch.Options{Owner: *fleetID, LeaseTTL: *leaseTTL})
+		defer closeEntry()
 	}
-	eng.Supervise(sup, d)
+	eng.Supervise(sess.Sup, d)
 	fig, err := eng.Run(&spec)
-	for _, te := range sup.Quarantined() {
-		obsRun.RecordEvent(obs.RunEvent{
-			Kind: obs.EventTrialQuarantined, Detail: te.Error(), Batch: te.Batch, Trial: te.Trial,
-		})
-	}
-	if err != nil {
-		if errors.Is(err, runner.ErrInterrupted) && *cacheDir != "" {
-			return fmt.Errorf("%w; rerun with the same -cache to continue", err)
-		}
+	if err := sess.Finish(err); err != nil {
 		return err
 	}
 
@@ -221,21 +164,9 @@ func run(args []string, out io.Writer) error {
 	mc := manifestConfig{
 		Param: *param, Values: values, Nodes: *n, GroupSize: *g, Relays: *k,
 		Copies: *l, Spray: *spray, Deadline: *deadline, Compromised: *compromised,
-		Runs: *runs, Cache: *cacheDir,
-	}
-	if *cacheDir != "" {
-		mc.FleetID = *fleetID
+		Runs: *runs, Cache: bf.Cache, FleetID: bf.ManifestFleetID(),
 	}
 	return obsRun.Finish(mc, *seed, *workers, *faults)
-}
-
-// drainNote tells an interrupted user whether completed trials survive:
-// only a -cache run persists them.
-func drainNote(cacheDir string) string {
-	if cacheDir == "" {
-		return ""
-	}
-	return " (completed trials are cached)"
 }
 
 // validateParamValues rejects sweep values that the integer-valued

@@ -10,9 +10,9 @@ import (
 // Proxy is an in-process TCP proxy that forwards every accepted
 // connection to a fixed target through this Chaos instance's
 // connection profiles — the process-level analogue of the in-process
-// chaos dialer, for tests that run real daemons (cmd/dtnnode against a
-// turbulent directory). A blacked-out proxy refuses connections
-// outright, simulating a dark directory without stopping it.
+// chaos dialer. A blacked-out proxy refuses connections outright,
+// simulating a dark directory without stopping it. Only this
+// package's tests use it.
 type Proxy struct {
 	chaos  *Chaos
 	target string

@@ -129,7 +129,7 @@ func TestDirectoryBlackoutMidReplay(t *testing.T) {
 	if d := want.Diff(c.Deliveries(msgs)); d != "" {
 		t.Fatalf("blackout lost or changed deliveries: %s", d)
 	}
-	rep := invariant.Check(c, invariant.SpecOf(msgs))
+	rep := invariant.Check(c, specOf(msgs))
 	if !rep.Clean() {
 		t.Fatalf("invariants violated across the blackout: %v", rep.Err())
 	}
@@ -141,4 +141,13 @@ func TestDirectoryBlackoutMidReplay(t *testing.T) {
 		t.Fatalf("share issuance drifted across the restart: min %d max %d threshold %d",
 			postAudit.MinShares, postAudit.MaxShares, postAudit.Threshold)
 	}
+}
+
+// specOf builds the invariant checker's Spec from a cluster workload.
+func specOf(msgs []cluster.Message) invariant.Spec {
+	s := invariant.Spec{Messages: make([]invariant.Message, len(msgs))}
+	for i, m := range msgs {
+		s.Messages[i] = invariant.Message{ID: m.ID, Src: m.Src, Dst: m.Dst, Copies: m.Copies}
+	}
+	return s
 }

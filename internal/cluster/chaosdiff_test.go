@@ -68,7 +68,7 @@ func TestDifferentialConferenceTraceUnderChaos(t *testing.T) {
 		t.Fatal("reference run delivered nothing — the differential would be vacuous")
 	}
 	wantStats := cluster.Subset(ref.TotalStats())
-	spec := invariant.SpecOf(msgs)
+	spec := specOf(msgs)
 
 	for _, chaosSeed := range []uint64{1, 42} {
 		for _, workers := range []int{1, 4} {

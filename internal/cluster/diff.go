@@ -18,14 +18,14 @@ package cluster
 // offering while a socket sender cannot — the duplicate is rejected on
 // the wire instead of skipped silently.
 //
-// The in-process reference run and the delivered-set comparison are
-// test-only and live in reference_test.go.
+// The in-process reference run, the delivered-set comparison and the
+// workload injection (Cluster.Inject) are test-only and live in
+// reference_test.go.
 
 import (
 	"fmt"
 
 	"repro/internal/contact"
-	"repro/internal/node"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -80,28 +80,6 @@ func SyntheticWorkload(seed uint64, n, count, relays, copies int) []Message {
 		}
 	}
 	return msgs
-}
-
-// spec converts a workload entry to a SendSpec.
-func (m Message) spec() node.SendSpec {
-	return node.SendSpec{
-		Dst:     m.Dst,
-		Payload: m.Payload,
-		Relays:  m.Relays,
-		Copies:  m.Copies,
-		Expiry:  m.Expiry,
-		ID:      m.ID,
-	}
-}
-
-// Inject originates every workload message at its source daemon.
-func (c *Cluster) Inject(msgs []Message) error {
-	for _, m := range msgs {
-		if _, err := c.Daemon(m.Src).Send(m.spec(), PathStream(c.cfg.Seed, m.Index)); err != nil {
-			return fmt.Errorf("cluster: inject message %d: %w", m.Index, err)
-		}
-	}
-	return nil
 }
 
 // RecordSynthetic realizes the synthetic contact process (the paper's

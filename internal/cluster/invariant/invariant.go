@@ -82,15 +82,6 @@ func (r *Report) add(rule, format string, args ...any) {
 	r.Violations = append(r.Violations, Violation{Rule: rule, Detail: fmt.Sprintf(format, args...)})
 }
 
-// SpecOf builds a Spec from a cluster workload.
-func SpecOf(msgs []cluster.Message) Spec {
-	s := Spec{Messages: make([]Message, len(msgs))}
-	for i, m := range msgs {
-		s.Messages[i] = Message{ID: m.ID, Src: m.Src, Dst: m.Dst, Copies: m.Copies}
-	}
-	return s
-}
-
 // Check evaluates every rule family against the cluster's current
 // state. It is safe to call at any quiescent point (between contacts);
 // harnesses call it after each epoch and at shutdown.

@@ -1,7 +1,8 @@
 package cluster
 
-// The test-only side of the differential harness: the in-process
-// reference run, and the delivered sets both tiers are compared by.
+// The test-only side of the differential harness: workload injection,
+// the in-process reference run, and the delivered sets both tiers are
+// compared by.
 // The exported names are used by the external cluster_test files too.
 
 import (
@@ -66,6 +67,28 @@ func NetworkDeliveries(nw *node.Network, msgs []Message) DeliverySet {
 
 func sortDeliveries(ds DeliverySet) {
 	sort.Slice(ds, func(i, j int) bool { return ds[i].MsgID < ds[j].MsgID })
+}
+
+// spec converts a workload entry to a SendSpec.
+func (m Message) spec() node.SendSpec {
+	return node.SendSpec{
+		Dst:     m.Dst,
+		Payload: m.Payload,
+		Relays:  m.Relays,
+		Copies:  m.Copies,
+		Expiry:  m.Expiry,
+		ID:      m.ID,
+	}
+}
+
+// Inject originates every workload message at its source daemon.
+func (c *Cluster) Inject(msgs []Message) error {
+	for _, m := range msgs {
+		if _, err := c.Daemon(m.Src).Send(m.spec(), PathStream(c.cfg.Seed, m.Index)); err != nil {
+			return fmt.Errorf("cluster: inject message %d: %w", m.Index, err)
+		}
+	}
+	return nil
 }
 
 // RunReference executes the workload on the in-process tier: a

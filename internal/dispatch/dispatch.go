@@ -29,6 +29,14 @@
 // append bit-identical records and the cache index deduplicates them.
 // Leases only prevent wasted duplicate work; the reduced output is
 // byte-identical to a single-process run at any fleet size.
+//
+// The commands that run batches (figures, sweep, dtnsim) share one
+// copy of the run lifecycle around Run, in cli.go: AddFlags registers
+// -trial-timeout, -cache, -lease-ttl and -fleet-id; Flags.Start opens
+// a Session, which owns the supervisor and the SIGINT/SIGTERM drain;
+// Session.Open opens one cache entry (nil without -cache) and reports
+// a resume; Session.Finish records quarantined trials in the manifest
+// and adds the rerun hint to an interrupted -cache run's error.
 package dispatch
 
 import (

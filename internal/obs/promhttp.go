@@ -17,7 +17,8 @@ package obs
 //     <prefix>phase_runs_total{phase=...}, TYPE counter
 //
 // ServeMetrics exposes the exposition over HTTP for the long-running
-// commands (dtnload, dtnnode, dtndir -metrics). The validating parser
+// commands (dtnload, dtnnode, dtndir -metrics); ServeMetricsFlag is the
+// daemons' whole -metrics flag. The validating parser
 // the end-to-end tests use lives in the test-helper package promtest.
 
 import (
@@ -152,6 +153,28 @@ func ServeMetrics(addr string, c *Collector) (*MetricsServer, error) {
 		_ = s.srv.Serve(lis)
 	}()
 	return s, nil
+}
+
+// ServeMetricsFlag implements a daemon's -metrics flag: when addr is
+// non-empty it installs a fresh process-wide collector, serves it as a
+// scrape target, announces "<command>: serving metrics at URL" on out,
+// and passes the URL to ready (if non-nil). It returns a shutdown func
+// (never nil on success).
+func ServeMetricsFlag(addr, command string, out io.Writer, ready func(url string)) (func(), error) {
+	if addr == "" {
+		return func() {}, nil
+	}
+	col := NewCollector()
+	Install(col)
+	ms, err := ServeMetrics(addr, col)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(out, "%s: serving metrics at %s\n", command, ms.URL())
+	if ready != nil {
+		ready(ms.URL())
+	}
+	return func() { _ = ms.Close() }, nil
 }
 
 // Addr returns the server's listening address.
