@@ -424,3 +424,59 @@ func TestSimAndClusterEpochsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterNodeCountersMatchSim: on a back-pressure workload (full
+// buffers refuse offers, copies are dropped after three refusals) the
+// cluster epoch's manifest must carry the sim epoch's node.* counters,
+// seeds 1 and 42. The responder of a live contact accounts for what
+// its initiator cannot see: its own re-offer drops and its custody.
+// Two counters legitimately differ: node.rejected (the in-process
+// exchange skips copies the receiver has already seen before offering
+// them) and node.wire_bytes (counted by the in-process fault pipe).
+func TestClusterNodeCountersMatchSim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns TCP clusters")
+	}
+	counters := func(t *testing.T, mode string, seed uint64) map[string]int64 {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), mode+".json")
+		var buf bytes.Buffer
+		err := run([]string{
+			"-mode", mode, "-nodes", "8", "-group", "2", "-relays", "1", "-copies", "2",
+			"-rate", "4", "-horizon", "60", "-drain", "120", "-ict-min", "1", "-ict-max", "10",
+			"-buffer", "4", "-reoffer", "3", "-seed", fmt.Sprint(seed), "-manifest", path,
+		}, &buf, nil)
+		if err != nil {
+			t.Fatalf("%s run: %v\n%s", mode, err, buf.String())
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := obs.ValidateManifestBytes(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]int64)
+		for _, c := range m.Counters {
+			if strings.HasPrefix(c.Name, "node.") {
+				out[c.Name] = c.Value
+			}
+		}
+		return out
+	}
+	for _, seed := range []uint64{1, 42} {
+		sim, cl := counters(t, "sim", seed), counters(t, "cluster", seed)
+		if sim["node.refusals"] == 0 || sim["node.backpressure_drops"] == 0 {
+			t.Fatalf("seed %d: workload exerts no back-pressure: %v", seed, sim)
+		}
+		for name, want := range sim {
+			if name == "node.rejected" || name == "node.wire_bytes" {
+				continue
+			}
+			if got, ok := cl[name]; !ok || got != want {
+				t.Errorf("seed %d: cluster %s = %d (present %v), sim %d", seed, name, got, ok, want)
+			}
+		}
+	}
+}

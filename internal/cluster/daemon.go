@@ -78,14 +78,6 @@ type Daemon struct {
 	jitter   *rng.Stream
 }
 
-// ContactReport summarizes one live contact from the initiator's view.
-type ContactReport struct {
-	Offered    int // offers sent (both directions)
-	Transfers  int // offers the receiving side accepted
-	Deliveries int // accepted offers that were final deliveries
-	Rejected   int // offers the receiving side turned down
-}
-
 // StartDaemon joins the directory at cfg.DirAddr and starts serving.
 func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if cfg.Timeout <= 0 {
@@ -576,7 +568,7 @@ func (d *Daemon) dialContact(peer contact.NodeID, addr string) (net.Conn, error)
 // final: a retried offer whose verdict was lost could double custody,
 // so the DTN discipline (re-offer at the NEXT contact) applies
 // instead.
-func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (ContactReport, error) {
+func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (node.MeetReport, error) {
 	pol := d.cfg.Retry.filled()
 	br := d.breakerFor(addr)
 	deadline := time.Now().Add(pol.Budget)
@@ -584,7 +576,7 @@ func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (Contact
 	for {
 		if wait := br.wait(time.Now()); wait > 0 {
 			if time.Now().Add(wait).After(deadline) {
-				return ContactReport{}, fmt.Errorf("cluster: contact %d->%d: circuit breaker open for %s", d.cfg.ID, peer, addr)
+				return node.MeetReport{}, fmt.Errorf("cluster: contact %d->%d: circuit breaker open for %s", d.cfg.ID, peer, addr)
 			}
 			d.sleepRetry(wait)
 		}
@@ -614,13 +606,12 @@ func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (Contact
 // custody negotiation had begun — an offer written, or a peer offer
 // received — before the failure; un-progressed attempts are safe to
 // retry on a fresh connection.
-func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep ContactReport, progressed bool, err error) {
+func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep node.MeetReport, progressed bool, err error) {
 	conn, err := d.dialContact(peer, addr)
 	if err != nil {
 		return rep, false, err
 	}
 	defer conn.Close()
-	frames := 0
 	d.node.Expire(now)
 	hello := helloMsg{Version: protoVersion, From: d.cfg.ID, To: int(peer), Now: now}
 	if err := writeJSON(conn, mHello, hello); err != nil {
@@ -629,88 +620,32 @@ func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep
 	if err := readExpect(conn, mOK, nil); err != nil {
 		return rep, false, fmt.Errorf("cluster: contact %d->%d: %w", d.cfg.ID, peer, err)
 	}
-	frames += 2
-
-	// Outbound half: offer, await verdict, release custody on accept.
-	for _, off := range d.node.OffersTo(peer, d.cfg.Spray) {
-		// From the first offer byte on, a failure is custody-ambiguous:
-		// the peer may or may not have ingested the copy, so no retry.
-		progressed = true
-		if err := writeMsg(conn, mOffer, offerBody(off.Hops, off.Frame)); err != nil {
-			return rep, progressed, err
-		}
-		var v verdictMsg
-		if err := readExpect(conn, mVerdict, &v); err != nil {
-			return rep, progressed, err
-		}
-		frames += 2
-		rep.Offered++
-		if v.Accepted {
-			d.node.HandoffAccepted(off.MsgID)
-			rep.Transfers++
-			if v.Delivered {
-				rep.Deliveries++
-			}
-		} else {
-			rep.Rejected++
-			if v.BufferFull {
-				d.node.HandoffRefused(off.MsgID)
-			}
-		}
+	x := exchange{conn: conn, peer: peer, rep: node.MeetReport{Contacts: 1}, frames: 2}
+	err = d.offer(&x)
+	if err == nil {
+		x.frames++
+		err = writeMsg(conn, mEndOffers, nil)
 	}
-	if err := writeMsg(conn, mEndOffers, nil); err != nil {
-		return rep, progressed, err
+	if err == nil {
+		err = d.take(&x, mContactDone)
 	}
-	frames++
-
-	// Inbound half: receive the peer's offers until it signals done.
-	for {
-		typ, body, err := readMsg(conn)
-		if err != nil {
-			return rep, progressed, err
-		}
-		frames++
-		if typ == mContactDone {
-			break
-		}
-		if typ != mOffer {
-			return rep, progressed, fmt.Errorf("cluster: contact %d->%d: unexpected message type %d", d.cfg.ID, peer, typ)
-		}
-		// A received offer is about to be ingested; a lost verdict from
-		// here on duplicates custody if the attempt were replayed.
-		progressed = true
-		verdict := d.takeOffer(body)
-		rep.Offered++
-		if verdict.Accepted {
-			rep.Transfers++
-			if verdict.Delivered {
-				rep.Deliveries++
-			}
-		} else {
-			rep.Rejected++
-		}
-		if err := writeJSON(conn, mVerdict, verdict); err != nil {
-			return rep, progressed, err
-		}
-		frames++
+	if errors.Is(err, errUnexpected) {
+		err = fmt.Errorf("cluster: contact %d->%d: %w", d.cfg.ID, peer, err)
 	}
-	if c := obs.Active(); c != nil {
-		c.Add(obs.ClusterContacts, 1)
-		c.Observe(obs.HistClusterConnFrames, int64(frames))
-		// Mirror the in-process tier's per-contact node counters (the
-		// active side counts the contact once, like Network.Meet), so
-		// a live scrape sees the same node.* activity series.
-		c.Add(obs.NodeContacts, 1)
-		c.Add(obs.NodeHandoffs, int64(rep.Transfers))
-		c.Add(obs.NodeDeliveries, int64(rep.Deliveries))
-		c.Add(obs.NodeRejected, int64(rep.Rejected))
-		c.Observe(obs.HistContactTransfers, int64(rep.Transfers))
-		c.RecordMax(obs.NodeCustodyHighWater, int64(d.node.BufferLen()))
+	if err != nil {
+		return x.rep, x.progressed, err
 	}
-	return rep, progressed, nil
+	col := obs.Active()
+	if col != nil {
+		col.Add(obs.ClusterContacts, 1)
+		col.Observe(obs.HistClusterConnFrames, int64(x.frames))
+	}
+	x.rep.Observe(col, d.node.BufferLen())
+	return x.rep, x.progressed, nil
 }
 
-// serveContact is the passive side of a contact.
+// serveContact is the passive side of a contact: it takes the
+// initiator's offers, then offers its own.
 func (d *Daemon) serveContact(conn net.Conn, helloBody []byte) {
 	var hello helloMsg
 	if err := unmarshalStrict(helloBody, &hello); err != nil {
@@ -729,52 +664,93 @@ func (d *Daemon) serveContact(conn net.Conn, helloBody []byte) {
 	if err := writeJSON(conn, mOK, okMsg{}); err != nil {
 		return
 	}
-
-	// Inbound half: the initiator offers first.
-	for {
-		typ, body, err := readMsg(conn)
-		if err != nil {
-			return
+	x := exchange{conn: conn, peer: contact.NodeID(hello.From)}
+	if err := d.take(&x, mEndOffers); err != nil {
+		if errors.Is(err, errUnexpected) {
+			sendErr(conn, fmt.Errorf("%w during offers", err))
 		}
-		if typ == mEndOffers {
-			break
-		}
-		if typ != mOffer {
-			sendErr(conn, fmt.Errorf("unexpected message type %d during offers", typ))
-			return
-		}
-		if err := writeJSON(conn, mVerdict, d.takeOffer(body)); err != nil {
-			return
-		}
+		return
 	}
-
-	// Outbound half: now this side offers.
-	for _, off := range d.node.OffersTo(contact.NodeID(hello.From), d.cfg.Spray) {
-		if err := writeMsg(conn, mOffer, offerBody(off.Hops, off.Frame)); err != nil {
-			return
-		}
-		var v verdictMsg
-		if err := readExpect(conn, mVerdict, &v); err != nil {
-			return
-		}
-		if v.Accepted {
-			d.node.HandoffAccepted(off.MsgID)
-		} else if v.BufferFull {
-			d.node.HandoffRefused(off.MsgID)
-		}
+	if d.offer(&x) != nil {
+		return
 	}
+	// The initiator observes the contact and both directions' hand-offs;
+	// only this side knows its own re-offer drops and occupancy. Both
+	// are read before the peer is released to its next contact.
+	node.MeetReport{Dropped: x.rep.Dropped}.Observe(obs.Active(), d.node.BufferLen())
 	_ = writeMsg(conn, mContactDone, nil)
 }
 
-// takeOffer ingests one offered hand-off and produces the verdict.
-func (d *Daemon) takeOffer(body []byte) verdictMsg {
-	hops, frame, err := decodeOffer(body)
-	if err != nil {
-		return verdictMsg{Reason: err.Error()}
+// exchange is one side's state in a live contact; both halves of the
+// custody exchange run on it.
+type exchange struct {
+	conn net.Conn
+	peer contact.NodeID
+	rep  node.MeetReport
+	// progressed turns true at the first offer byte either way: from
+	// then on a failure is custody-ambiguous and the attempt is final.
+	progressed bool
+	frames     int // frames read and written
+}
+
+// errUnexpected marks a peer that broke the contact protocol.
+var errUnexpected = errors.New("unexpected message type")
+
+// offer is the sending half of a contact: every eligible onion, in
+// custody order, is offered and settled by the peer's verdict before
+// the next (stop-and-wait). Custody is released only on a read
+// accept-verdict.
+func (d *Daemon) offer(x *exchange) error {
+	for _, off := range d.node.OffersTo(x.peer, d.cfg.Spray) {
+		// From the first offer byte on, a failure is custody-ambiguous:
+		// the peer may or may not have ingested the copy, so no retry.
+		x.progressed = true
+		if err := writeMsg(x.conn, mOffer, offerBody(off.Hops, off.Frame)); err != nil {
+			return err
+		}
+		var m verdictMsg
+		if err := readExpect(x.conn, mVerdict, &m); err != nil {
+			return err
+		}
+		x.frames += 2
+		v := node.Verdict{Accepted: m.Accepted, Delivered: m.Delivered, BufferFull: m.BufferFull}
+		x.rep.Count(v, d.node.Settle(off.MsgID, v))
 	}
-	delivered, err := d.node.Receive(frame, hops)
-	if err != nil {
-		return verdictMsg{Reason: err.Error(), BufferFull: errors.Is(err, node.ErrBufferFull)}
+	return nil
+}
+
+// take is the receiving half of a contact: it answers each peer offer
+// with this node's verdict until the peer sends end.
+func (d *Daemon) take(x *exchange, end byte) error {
+	for {
+		typ, body, err := readMsg(x.conn)
+		if err != nil {
+			return err
+		}
+		x.frames++
+		if typ == end {
+			return nil
+		}
+		if typ != mOffer {
+			return fmt.Errorf("%w %d", errUnexpected, typ)
+		}
+		// A received offer is about to be ingested; a lost verdict from
+		// here on duplicates custody if the attempt were replayed.
+		x.progressed = true
+		hops, frame, err := decodeOffer(body)
+		v := node.Verdict{Damaged: true, Err: err}
+		if err == nil {
+			v = d.node.Receive(frame, hops)
+		}
+		// The peer settles its copy; a drop is in its own report.
+		x.rep.Count(v, false)
+		m := verdictMsg{Accepted: v.Accepted, Delivered: v.Delivered, BufferFull: v.BufferFull}
+		if v.Err != nil {
+			m.Reason = v.Err.Error()
+		}
+		if err := writeJSON(x.conn, mVerdict, m); err != nil {
+			return err
+		}
+		x.frames++
 	}
-	return verdictMsg{Accepted: true, Delivered: delivered}
 }

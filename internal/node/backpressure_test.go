@@ -88,19 +88,20 @@ func TestNoReofferBudgetKeepsCustody(t *testing.T) {
 }
 
 // TestHandoffRefused covers the transport-surface spelling used by the
-// cluster tier: refusal verdicts charge the budget, exhaustion releases
-// custody, unknown IDs are no-ops.
+// cluster tier: buffer-full verdicts settled through Settle charge the
+// budget, exhaustion releases custody, unknown IDs are no-ops.
 func TestHandoffRefused(t *testing.T) {
 	nw, ids := sprayNetwork(t, 0)
 	src := nw.Node(0)
 	src.SetReofferLimit(2)
-	if src.HandoffRefused("00000000000000000000000000000000") {
+	full := Verdict{BufferFull: true}
+	if src.Settle("00000000000000000000000000000000", full) {
 		t.Fatal("unknown message reported dropped")
 	}
-	if dropped := src.HandoffRefused(ids[0]); dropped {
+	if dropped := src.Settle(ids[0], full); dropped {
 		t.Fatal("dropped on first refusal with budget 2")
 	}
-	if dropped := src.HandoffRefused(ids[0]); !dropped {
+	if dropped := src.Settle(ids[0], full); !dropped {
 		t.Fatal("second refusal did not exhaust the budget")
 	}
 	if src.BufferLen() != 4 {
@@ -112,7 +113,7 @@ func TestHandoffRefused(t *testing.T) {
 	// A negative limit is clamped to "unlimited".
 	src.SetReofferLimit(-1)
 	for i := 0; i < 5; i++ {
-		if src.HandoffRefused(ids[1]) {
+		if src.Settle(ids[1], full) {
 			t.Fatal("unlimited budget dropped a copy")
 		}
 	}

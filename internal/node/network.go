@@ -101,19 +101,6 @@ func (nw *Network) Node(id contact.NodeID) *Node {
 // Directory returns the shared onion-group directory.
 func (nw *Network) Directory() *groups.Directory { return nw.dir }
 
-// MeetReport summarizes one contact.
-type MeetReport struct {
-	Transfers  int // onions that changed custody
-	Deliveries int // payloads that reached their destination
-	Rejected   int // hand-offs rejected (tampering, truncation)
-	Refused    int // custody offers refused by a full buffer (subset of Rejected)
-	Dropped    int // copies dropped after exhausting their re-offer budget
-	Truncated  int // hand-offs torn mid-transfer
-	Corrupted  int // hand-offs damaged by byte flips
-	Retried    int // in-contact retransmissions after a tear
-	Duplicates int // redeliveries suppressed by the receiver
-}
-
 // Meet executes a contact between nodes x and y at the given time:
 // expired onions are dropped, then each side hands over every onion
 // the peer is eligible for. Both nodes are locked in ID order for the
@@ -153,7 +140,7 @@ func (nw *Network) Meet(x, y contact.NodeID, now float64) MeetReport {
 		exchangeAcksLocked(a, b)
 	}
 
-	var rep MeetReport
+	rep := MeetReport{Contacts: 1}
 	// One observability guard per contact; nil when disabled. The
 	// collector is threaded through the exchange so per-hand-off
 	// metrics avoid repeated atomic loads.
@@ -162,24 +149,7 @@ func (nw *Network) Meet(x, y contact.NodeID, now float64) MeetReport {
 	nw.exchangeLocked(b, a, &rep, col)
 	a.compactLocked()
 	b.compactLocked()
-	if col != nil {
-		col.Add(obs.NodeContacts, 1)
-		col.Add(obs.NodeHandoffs, int64(rep.Transfers))
-		col.Add(obs.NodeDeliveries, int64(rep.Deliveries))
-		col.Add(obs.NodeRejected, int64(rep.Rejected))
-		col.Add(obs.NodeRefusals, int64(rep.Refused))
-		col.Add(obs.NodeBackpressureDrops, int64(rep.Dropped))
-		col.Add(obs.NodeTruncated, int64(rep.Truncated))
-		col.Add(obs.NodeRetransmissions, int64(rep.Retried))
-		col.Add(obs.NodeTamperDrops, int64(rep.Corrupted))
-		col.Add(obs.NodeDedupHits, int64(rep.Duplicates))
-		col.Observe(obs.HistContactTransfers, int64(rep.Transfers))
-		occupancy := len(a.buffer)
-		if len(b.buffer) > occupancy {
-			occupancy = len(b.buffer)
-		}
-		col.RecordMax(obs.NodeCustodyHighWater, int64(occupancy))
-	}
+	rep.Observe(col, max(len(a.buffer), len(b.buffer)))
 	return rep
 }
 
@@ -204,76 +174,26 @@ func (nw *Network) exchangeLocked(sender, receiver *Node, rep *MeetReport, col *
 	// Releases during the walk only tombstone; Meet compacts after both
 	// directions. The cheap integer eligibility test runs before the
 	// string-keyed seen lookup, since most held onions are ineligible.
+	// Skipping copies the receiver has seen, before marshalling, is a
+	// shortcut only a shared address space allows.
 	for _, c := range sender.order {
-		if c.gone || !sender.eligibleLocked(c, receiver.id, nw.cfg.Spray) {
+		if c.gone || !sender.eligibleLocked(c, receiver.id, nw.cfg.Spray) || receiver.seen[c.id] {
 			continue
 		}
-		id := c.id
-		if receiver.seen[id] {
-			continue
-		}
-		frame, err := c.toBundle().Marshal()
-		if err != nil {
-			// A carried onion that cannot be framed is a programming
-			// error; surface it loudly rather than silently dropping.
-			panic(fmt.Sprintf("node: marshal custody of %s: %v", id, err))
-		}
-		incoming, dup := nw.handoffLocked(sender, receiver, frame, rep, col)
-		if incoming == nil {
-			// Transfer failed every attempt: the receiver never saw a
-			// valid bundle; the sender keeps custody and re-offers at a
-			// later contact (the inter-contact gap is the backoff).
-			continue
-		}
-		// The hop counter rides outside the bundle frame (the frame
-		// layout is pinned by the PR 2 fault schedules).
-		incoming.hops = c.hops + 1
-		if dup != nil {
-			dup.hops = c.hops + 1
-		}
-		if err := receiver.acceptLocked(incoming); err != nil {
-			rep.Rejected++
-			if errors.Is(err, ErrBufferFull) {
-				// Backpressure: the refusal charges the copy's re-offer
-				// budget; an exhausted budget releases custody instead of
-				// re-offering to full peers forever. With no budget
-				// configured (the default) the sender just keeps custody,
-				// exactly as before.
-				rep.Refused++
-				if sender.refusedLocked(c) {
-					rep.Dropped++
-				}
-			}
-			continue
-		}
-		if dup != nil {
-			// Duplicate redelivery: the same frame arrives again. The
-			// receiver's seen log must suppress it — a second accept
-			// would double-deliver to the application layer.
-			if err := receiver.acceptLocked(dup); err == nil {
-				panic(fmt.Sprintf("node: duplicate redelivery of %s accepted twice", id))
-			}
-			receiver.stats.Duplicates++
-			rep.Duplicates++
-		}
-		sender.stats.Forwarded++
-		rep.Transfers++
-		if incoming.lastHop {
-			rep.Deliveries++
-		}
-		c.tickets--
-		if c.tickets <= 0 {
-			sender.releaseLocked(c)
-		}
+		v := nw.handoffLocked(sender, receiver, c, rep, col)
+		rep.Count(v, sender.settleLocked(c, v))
 	}
 }
 
-// handoffLocked pushes one frame across the (possibly faulty) wire,
-// retrying in-contact after truncated transfers up to the configured
-// retry budget. It returns the parsed custody record on success (nil
-// if every attempt failed) plus a second parsed record when the fault
-// plan schedules a duplicate redelivery. Both locks are held.
-func (nw *Network) handoffLocked(sender, receiver *Node, frame []byte, rep *MeetReport, col *obs.Collector) (incoming, dup *carried) {
+// handoffLocked pushes c's frame across the (possibly faulty) wire and
+// returns the receiver's verdict on the last attempt. A torn transfer
+// is retried in-contact up to the configured retry budget; a damaged
+// final attempt leaves the sender holding custody, to re-offer at a
+// later contact (the inter-contact gap is the backoff). When the fault
+// plan schedules a duplicate redelivery of an accepted frame, the
+// receiver's seen log must suppress it. Both locks are held.
+func (nw *Network) handoffLocked(sender, receiver *Node, c *carried, rep *MeetReport, col *obs.Collector) Verdict {
+	frame := c.frame()
 	retries := nw.plan.Config().Retries
 	for attempt := 0; ; attempt++ {
 		h := nw.plan.Handoff(len(frame))
@@ -288,38 +208,36 @@ func (nw *Network) handoffLocked(sender, receiver *Node, frame []byte, rep *Meet
 			col.Add(obs.NodeWireBytes, int64(len(wire)))
 			col.Observe(obs.HistHandoffFrameBytes, int64(len(frame)))
 		}
-		incoming, err := receiveFrame(wire)
-		if err == nil {
-			if h.Duplicate {
-				// Parse the duplicate independently: the receiver
-				// validates every frame it is handed, even repeats.
-				if dup, err = receiveFrame(wire); err != nil {
-					panic(fmt.Sprintf("node: duplicate of valid frame failed to parse: %v", err))
+		v := receiver.receiveLocked(wire, c.hops)
+		switch {
+		case !v.Damaged:
+			if h.Duplicate && v.Accepted {
+				// A second accept would double-deliver to the
+				// application layer.
+				if receiver.receiveLocked(wire, c.hops).Accepted {
+					panic(fmt.Sprintf("node: duplicate redelivery of %s accepted twice", c.id))
 				}
+				receiver.stats.Duplicates++
+				rep.Duplicates++
 			}
-			return incoming, dup
+			return v
+		case !errors.Is(v.Err, bundle.ErrTruncated):
+			// Corruption (CRC/tamper class): drop gracefully, no
+			// retransmission — a flipped frame signals a bad link, not
+			// an aborted transfer.
+			rep.Corrupted++
+			return v
 		}
-		receiver.stats.Rejected++
+		// Torn transfer: the peer is still in contact, so the sender
+		// retransmits immediately (short backoff) until the in-contact
+		// budget is spent. Count tallies only the last attempt.
+		rep.Truncated++
+		if attempt >= retries {
+			return v
+		}
 		rep.Rejected++
-		if errors.Is(err, bundle.ErrTruncated) {
-			// Torn transfer: the peer is still in contact, so the
-			// sender retransmits immediately (short backoff) until the
-			// in-contact budget is spent.
-			receiver.stats.Truncated++
-			rep.Truncated++
-			if attempt < retries {
-				sender.stats.Retried++
-				rep.Retried++
-				continue
-			}
-			return nil, nil
-		}
-		// Corruption (CRC/tamper class): drop gracefully, no
-		// retransmission — a flipped frame signals a bad link, not an
-		// aborted transfer.
-		receiver.stats.Corrupted++
-		rep.Corrupted++
-		return nil, nil
+		sender.stats.Retried++
+		rep.Retried++
 	}
 }
 

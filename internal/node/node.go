@@ -311,22 +311,6 @@ func (n *Node) SetReofferLimit(limit int) {
 	n.reofferLimit = limit
 }
 
-// refusedLocked charges one buffer-full refusal against a carried copy
-// and reports whether the re-offer budget is now exhausted, in which
-// case custody is released (the copy is dropped). The caller holds
-// n.mu.
-func (n *Node) refusedLocked(c *carried) (dropped bool) {
-	c.refusals++
-	if n.reofferLimit <= 0 || c.refusals < n.reofferLimit {
-		return false
-	}
-	if !c.gone {
-		n.releaseLocked(c)
-		n.stats.BackpressureDropped++
-	}
-	return true
-}
-
 // acceptLocked ingests an onion handed over by a peer. The caller
 // holds n.mu (Network.Meet locks both parties in ID order). The node
 // peels the layer if it is a member of the addressed group, unwraps

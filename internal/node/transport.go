@@ -1,14 +1,14 @@
 package node
 
-// Transport surface: the custody-exchange protocol factored out of
-// Network.Meet so it can run over any frame transport. Network keeps
-// the in-memory pipe (with PR 2 fault injection); internal/cluster
-// drives the same methods over real TCP sockets. The protocol is a
-// half-duplex offer/verdict exchange per direction:
+// Transport surface: the one custody exchange both tiers run.
+// Network.Meet drives it over an in-memory pipe (with fault
+// injection); internal/cluster drives it over real TCP sockets. Each
+// direction of a contact is a half-duplex offer/verdict exchange:
 //
 //	sender:   OffersTo(peer)             -> eligible frames, FIFO order
-//	receiver: Receive(frame, senderHops) -> accept / classified reject
-//	sender:   HandoffAccepted(id)        -> on an accepted verdict only
+//	receiver: Receive(frame, senderHops) -> Verdict
+//	sender:   Settle(id, verdict)        -> spend a ticket, or charge a refusal
+//	both:     MeetReport.Count(verdict, dropped), then one Observe per contact
 //
 // Custody safety falls out of the verdict discipline: a sender that
 // never hears an accept keeps the onion and re-offers at a later
@@ -19,11 +19,11 @@ package node
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"repro/internal/bundle"
 	"repro/internal/contact"
+	"repro/internal/obs"
 )
 
 // Offer is one custody record proposed for hand-off to a peer: the
@@ -52,9 +52,9 @@ func (n *Node) eligibleLocked(c *carried, peer contact.NodeID, spray bool) bool 
 
 // OffersTo returns a marshaled frame for every onion in custody that
 // peer is eligible to receive, in custody FIFO order. The offers are
-// snapshots: custody is only released by HandoffAccepted, so a
-// connection that dies between offer and verdict leaves the sender
-// holding every unacknowledged onion.
+// snapshots: custody is only released by Settle, so a connection that
+// dies between offer and verdict leaves the sender holding every
+// unacknowledged onion.
 func (n *Node) OffersTo(peer contact.NodeID, spray bool) []Offer {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -63,77 +63,156 @@ func (n *Node) OffersTo(peer contact.NodeID, spray bool) []Offer {
 		if c.gone || !n.eligibleLocked(c, peer, spray) {
 			continue
 		}
-		frame, err := c.toBundle().Marshal()
-		if err != nil {
-			// A carried onion that cannot be framed is a programming
-			// error; surface it loudly rather than silently dropping.
-			panic(fmt.Sprintf("node: marshal custody of %s: %v", c.id, err))
-		}
-		out = append(out, Offer{MsgID: c.id, Hops: c.hops, Frame: frame})
+		out = append(out, Offer{MsgID: c.id, Hops: c.hops, Frame: c.frame()})
 	}
 	return out
 }
 
+// Verdict is a receiver's answer to one custody offer. A verdict read
+// off the wire carries the peer's classification only, not its Err.
+type Verdict struct {
+	Accepted   bool  // custody moved: the copy is carried or delivered
+	Delivered  bool  // the accepted frame was a final delivery
+	BufferFull bool  // refused: the receiver's custody buffer is full
+	Damaged    bool  // the frame failed to parse (torn or corrupted)
+	Err        error // why the offer was not accepted
+}
+
 // Receive parses, validates, and ingests one incoming wire frame from
-// a peer whose copy had traveled senderHops custody transfers. It
-// reports whether the frame was a final delivery to this node. Damaged
-// frames fail before any state changes and are classified like the
-// in-memory pipe classifies them: bundle.ErrTruncated (torn — the peer
-// may retransmit in-contact), bundle.ErrTampered (drop gracefully).
-func (n *Node) Receive(frame []byte, senderHops int) (delivered bool, err error) {
+// a peer whose copy had traveled senderHops custody transfers. Damaged
+// frames fail before any state changes; Err then tells a torn frame
+// (bundle.ErrTruncated: the peer may retransmit in-contact) from a
+// corrupted one (drop gracefully).
+func (n *Node) Receive(frame []byte, senderHops int) Verdict {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.receiveLocked(frame, senderHops)
+}
+
+// receiveLocked is Receive with n.mu held.
+func (n *Node) receiveLocked(frame []byte, senderHops int) Verdict {
 	c, err := receiveFrame(frame)
 	if err != nil {
-		n.mu.Lock()
-		defer n.mu.Unlock()
 		n.stats.Rejected++
 		if errors.Is(err, bundle.ErrTruncated) {
 			n.stats.Truncated++
 		} else {
 			n.stats.Corrupted++
 		}
-		return false, err
+		return Verdict{Damaged: true, Err: err}
 	}
 	c.hops = senderHops + 1
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if err := n.acceptLocked(c); err != nil {
-		return false, err
+		return Verdict{BufferFull: errors.Is(err, ErrBufferFull), Err: err}
 	}
-	return c.lastHop && c.deliverTo == n.id, nil
+	return Verdict{Accepted: true, Delivered: c.lastHop}
 }
 
-// HandoffAccepted finalizes a successful hand-off: one ticket is
-// spent, and custody is released when none remain. Calling it for an
-// unknown message (e.g. after a crash dropped the buffer) is a no-op.
-func (n *Node) HandoffAccepted(msgID string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c, ok := n.buffer[msgID]
-	if !ok {
-		return
-	}
-	n.stats.Forwarded++
-	c.tickets--
-	if c.tickets <= 0 {
-		n.releaseLocked(c)
-		n.compactLocked()
-	}
-}
-
-// HandoffRefused charges one buffer-full refusal against a carried
-// copy and reports whether the re-offer budget is now exhausted and
-// custody was released (the backpressure drop policy — see
-// SetReofferLimit). Calling it for an unknown message is a no-op.
-func (n *Node) HandoffRefused(msgID string) (dropped bool) {
+// Settle applies a peer's verdict on the offer of msgID. An accepted
+// hand-off spends one ticket and releases custody when none remain. A
+// buffer-full refusal charges the copy's re-offer budget and reports
+// whether exhausting it dropped the copy (see SetReofferLimit). Any
+// other verdict leaves custody as it is, so the copy is re-offered at
+// a later contact. Settling an unknown message (e.g. after a crash
+// dropped the buffer) is a no-op.
+func (n *Node) Settle(msgID string, v Verdict) (dropped bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	c, ok := n.buffer[msgID]
 	if !ok {
 		return false
 	}
-	dropped = n.refusedLocked(c)
+	dropped = n.settleLocked(c, v)
 	n.compactLocked()
 	return dropped
+}
+
+// settleLocked is Settle for a copy in custody. Releases only
+// tombstone, so it is safe while a caller walks the custody order. The
+// caller holds n.mu.
+func (n *Node) settleLocked(c *carried, v Verdict) (dropped bool) {
+	switch {
+	case v.Accepted:
+		n.stats.Forwarded++
+		c.tickets--
+		if c.tickets <= 0 {
+			n.releaseLocked(c)
+		}
+	case v.BufferFull:
+		// Backpressure: with no budget configured (the default) the
+		// sender just keeps custody.
+		c.refusals++
+		if n.reofferLimit > 0 && c.refusals >= n.reofferLimit {
+			n.releaseLocked(c)
+			n.stats.BackpressureDropped++
+			return true
+		}
+	}
+	return false
+}
+
+// MeetReport summarizes one contact, in either tier.
+type MeetReport struct {
+	// Contacts is 1 for a contact's report and 0 for the responder's
+	// share of a live contact (see Observe).
+	Contacts   int
+	Offered    int // offers answered with a verdict (retries excluded)
+	Transfers  int // onions that changed custody
+	Deliveries int // payloads that reached their destination
+	Rejected   int // hand-offs rejected (tampering, truncation)
+	Refused    int // custody offers refused by a full buffer (subset of Rejected)
+	Dropped    int // copies dropped after exhausting their re-offer budget
+	Truncated  int // hand-offs torn mid-transfer
+	Corrupted  int // hand-offs damaged by byte flips
+	Retried    int // in-contact retransmissions after a tear
+	Duplicates int // redeliveries suppressed by the receiver
+}
+
+// Count tallies one answered offer: its verdict, and whether settling
+// it dropped the sender's copy.
+func (r *MeetReport) Count(v Verdict, dropped bool) {
+	r.Offered++
+	if v.Accepted {
+		r.Transfers++
+		if v.Delivered {
+			r.Deliveries++
+		}
+		return
+	}
+	r.Rejected++
+	if v.BufferFull {
+		r.Refused++
+	}
+	if dropped {
+		r.Dropped++
+	}
+}
+
+// Observe records the report on col's node.* series (nothing when col
+// is nil), with custody, the custody-buffer occupancy after the
+// contact, as a high-water sample. A live contact runs in two
+// processes: the initiator observes the contact and both directions'
+// hand-offs; the responder observes a share with Contacts 0 that
+// carries only what the initiator cannot see — its own re-offer drops
+// and its occupancy.
+func (r MeetReport) Observe(col *obs.Collector, custody int) {
+	if col == nil {
+		return
+	}
+	col.Add(obs.NodeContacts, int64(r.Contacts))
+	col.Add(obs.NodeHandoffs, int64(r.Transfers))
+	col.Add(obs.NodeDeliveries, int64(r.Deliveries))
+	col.Add(obs.NodeRejected, int64(r.Rejected))
+	col.Add(obs.NodeRefusals, int64(r.Refused))
+	col.Add(obs.NodeBackpressureDrops, int64(r.Dropped))
+	col.Add(obs.NodeTruncated, int64(r.Truncated))
+	col.Add(obs.NodeRetransmissions, int64(r.Retried))
+	col.Add(obs.NodeTamperDrops, int64(r.Corrupted))
+	col.Add(obs.NodeDedupHits, int64(r.Duplicates))
+	if r.Contacts > 0 {
+		col.Observe(obs.HistContactTransfers, int64(r.Transfers))
+	}
+	col.RecordMax(obs.NodeCustodyHighWater, int64(custody))
 }
 
 // Expire drops onions past their deadline, as Network.Meet does at the

@@ -11,34 +11,53 @@ import (
 // driveTransport executes one contact through the exported transport
 // surface — the exact call sequence a cluster daemon performs over
 // TCP: expire both sides, then each direction offers, receives, and
-// releases custody on accept.
-func driveTransport(nw *Network, x, y contact.NodeID, now float64) {
+// settles every verdict through Settle.
+func driveTransport(nw *Network, x, y contact.NodeID, now float64) MeetReport {
 	a, b := nw.Node(x), nw.Node(y)
 	a.Expire(now)
 	b.Expire(now)
+	rep := MeetReport{Contacts: 1}
 	for _, pair := range [][2]*Node{{a, b}, {b, a}} {
 		sender, receiver := pair[0], pair[1]
 		for _, off := range sender.OffersTo(receiver.ID(), nw.cfg.Spray) {
-			if _, err := receiver.Receive(off.Frame, off.Hops); err == nil {
-				sender.HandoffAccepted(off.MsgID)
-			}
+			v := receiver.Receive(off.Frame, off.Hops)
+			rep.Count(v, sender.Settle(off.MsgID, v))
 		}
 	}
+	return rep
 }
 
 // TestTransportMatchesMeet drives the identical workload and contact
 // sequence through Network.Meet and through the transport methods; the
 // two runtimes must agree on every node's delivered set, hop counts,
-// and the conserved counters. This pins the refactor that extracted
-// the custody protocol out of Meet.
+// and the conserved counters, and on the summed contact reports. This
+// pins the one custody exchange both tiers run. Offered and Rejected
+// legitimately differ: Meet skips copies the receiver has already
+// seen before marshalling them, which a socket sender cannot.
 func TestTransportMatchesMeet(t *testing.T) {
-	const n, seed = 6, 99
+	cases := []struct {
+		name     string
+		cfg      Config
+		messages int
+	}{
+		{"spray", Config{Nodes: 6, GroupSize: 2, Seed: 99, Spray: true}, 5},
+		{"backpressure", Config{Nodes: 6, GroupSize: 2, Seed: 99, Spray: true, BufferLimit: 2, ReofferLimit: 2}, 12},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			testTransportMatchesMeet(t, tc.cfg, tc.messages)
+		})
+	}
+}
+
+func testTransportMatchesMeet(t *testing.T, cfg Config, messages int) {
+	n, seed := cfg.Nodes, cfg.Seed
 	build := func() *Network {
-		nw, err := NewNetwork(Config{Nodes: n, GroupSize: 2, Seed: seed, Spray: true})
+		nw, err := NewNetwork(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 5; i++ {
+		for i := 0; i < messages; i++ {
 			src := contact.NodeID(i % n)
 			dst := contact.NodeID((i + 3) % n)
 			spec := SendSpec{
@@ -57,6 +76,7 @@ func TestTransportMatchesMeet(t *testing.T) {
 	meetNW, transportNW := build(), build()
 
 	// A deterministic pseudo-random contact sequence over all pairs.
+	var meetSum, transportSum MeetReport
 	cs := rng.New(5).Split("contacts")
 	for step := 0; step < 60; step++ {
 		x := contact.NodeID(cs.IntN(n))
@@ -65,8 +85,24 @@ func TestTransportMatchesMeet(t *testing.T) {
 			y++
 		}
 		now := float64(step)
-		meetNW.Meet(x, y, now)
-		driveTransport(transportNW, x, y, now)
+		m, tr := meetNW.Meet(x, y, now), driveTransport(transportNW, x, y, now)
+		meetSum.Transfers += m.Transfers
+		meetSum.Deliveries += m.Deliveries
+		meetSum.Refused += m.Refused
+		meetSum.Dropped += m.Dropped
+		transportSum.Transfers += tr.Transfers
+		transportSum.Deliveries += tr.Deliveries
+		transportSum.Refused += tr.Refused
+		transportSum.Dropped += tr.Dropped
+	}
+	if meetSum != transportSum {
+		t.Fatalf("summed reports diverged:\nmeet:      %+v\ntransport: %+v", meetSum, transportSum)
+	}
+	if meetSum.Deliveries == 0 {
+		t.Fatalf("vacuous workload: no deliveries (%+v)", meetSum)
+	}
+	if cfg.ReofferLimit > 0 && (meetSum.Refused == 0 || meetSum.Dropped == 0) {
+		t.Fatalf("back-pressure case exercised no refusals or drops: %+v", meetSum)
 	}
 
 	for v := 0; v < n; v++ {
@@ -74,7 +110,8 @@ func TestTransportMatchesMeet(t *testing.T) {
 		ms, ts := meetNW.Node(id).Stats(), transportNW.Node(id).Stats()
 		if ms.Sent != ts.Sent || ms.Forwarded != ts.Forwarded ||
 			ms.Carried != ts.Carried || ms.Delivered != ts.Delivered ||
-			ms.Refused != ts.Refused || ms.Expired != ts.Expired {
+			ms.Refused != ts.Refused || ms.Expired != ts.Expired ||
+			ms.BackpressureDropped != ts.BackpressureDropped {
 			t.Fatalf("node %d stats diverged:\nmeet:      %+v\ntransport: %+v", v, ms, ts)
 		}
 		mr, tr := meetNW.Node(id).DeliveryRecords(), transportNW.Node(id).DeliveryRecords()

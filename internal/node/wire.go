@@ -32,6 +32,17 @@ func (c *carried) toBundle() *bundle.Bundle {
 	return b
 }
 
+// frame marshals a carried onion for the wire. A carried onion that
+// cannot be framed is a programming error, surfaced loudly rather than
+// silently dropped.
+func (c *carried) frame() []byte {
+	frame, err := c.toBundle().Marshal()
+	if err != nil {
+		panic(fmt.Sprintf("node: marshal custody of %s: %v", c.id, err))
+	}
+	return frame
+}
+
 // receiveFrame parses and validates an incoming wire frame into a
 // custody record. Damaged frames fail here, before any state changes.
 func receiveFrame(frame []byte) (*carried, error) {
