@@ -70,9 +70,6 @@ func (a *Adversary) N() int { return a.n }
 // Count returns the number of compromised nodes c.
 func (a *Adversary) Count() int { return len(a.compromised) }
 
-// Fraction returns c/n.
-func (a *Adversary) Fraction() float64 { return float64(len(a.compromised)) / float64(a.n) }
-
 // IsCompromised reports whether node v is controlled by the adversary.
 func (a *Adversary) IsCompromised(v contact.NodeID) bool { return a.compromised[v] }
 

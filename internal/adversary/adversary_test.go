@@ -27,9 +27,6 @@ func TestNewValidation(t *testing.T) {
 	if !a.IsCompromised(1) || a.IsCompromised(2) {
 		t.Fatal("membership wrong")
 	}
-	if math.Abs(a.Fraction()-0.4) > 1e-12 {
-		t.Fatalf("fraction %v", a.Fraction())
-	}
 }
 
 func TestRandomCount(t *testing.T) {

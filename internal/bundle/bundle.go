@@ -195,6 +195,3 @@ func Unmarshal(frame []byte) (*Bundle, error) {
 	}
 	return b, nil
 }
-
-// FrameSize returns the wire size for a payload of n bytes.
-func FrameSize(n int) int { return headerSize + n + trailerSize }

@@ -24,8 +24,8 @@ func TestRoundTripRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frame) != FrameSize(len(b.Data)) {
-		t.Fatalf("frame size %d, want %d", len(frame), FrameSize(len(b.Data)))
+	if want := headerSize + len(b.Data) + trailerSize; len(frame) != want {
+		t.Fatalf("frame size %d, want %d", len(frame), want)
 	}
 	got, err := Unmarshal(frame)
 	if err != nil {
@@ -187,7 +187,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 func BenchmarkMarshal(b *testing.B) {
 	bd := sample()
 	bd.Data = make([]byte, 2048)
-	b.SetBytes(int64(FrameSize(len(bd.Data))))
+	b.SetBytes(int64(headerSize + len(bd.Data) + trailerSize))
 	for i := 0; i < b.N; i++ {
 		if _, err := bd.Marshal(); err != nil {
 			b.Fatal(err)

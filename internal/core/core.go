@@ -131,9 +131,6 @@ func (nw *Network) Config() Config { return nw.cfg }
 // Graph returns the realized contact graph.
 func (nw *Network) Graph() *contact.Graph { return nw.graph }
 
-// Groups returns the onion-group partition.
-func (nw *Network) Groups() *groups.Directory { return nw.groups }
-
 // Trial bundles one message's endpoints with its onion path and the
 // per-hop aggregate rates of Eq. 4.
 type Trial struct {

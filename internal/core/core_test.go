@@ -320,7 +320,7 @@ func TestAccessors(t *testing.T) {
 	if nw.Graph().N() != cfg.Nodes {
 		t.Fatal("Graph accessor wrong")
 	}
-	if nw.Groups().N() != cfg.Nodes {
+	if nw.groups.N() != cfg.Nodes {
 		t.Fatal("Groups accessor wrong")
 	}
 	tn := buildTraceNetwork(t)

@@ -41,7 +41,7 @@ type Scheduler struct {
 	stopped bool
 	// maxQueue tracks the deepest the pending queue has been — a plain
 	// int so the per-event cost is one compare; it is flushed to the
-	// observability layer when a Run/RunUntil drains.
+	// observability layer when a Run drains.
 	maxQueue int
 }
 
@@ -88,28 +88,6 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// RunUntil dispatches events in order until the queue drains, the
-// horizon is passed, or Stop is called. Events scheduled exactly at the
-// horizon are dispatched; later ones are left pending. It returns the
-// number of events dispatched.
-func (s *Scheduler) RunUntil(horizon float64) int {
-	s.stopped = false
-	dispatched := 0
-	for !s.stopped {
-		head, ok := s.queue.peek()
-		if !ok || head.time > horizon {
-			break
-		}
-		s.Step()
-		dispatched++
-	}
-	if s.now < horizon && !s.stopped {
-		s.now = horizon
-	}
-	s.flushObs(dispatched)
-	return dispatched
-}
-
 // Run dispatches all pending events (including ones scheduled during
 // dispatch) until the queue drains or Stop is called, and returns the
 // number dispatched.
@@ -133,7 +111,7 @@ func (s *Scheduler) flushObs(dispatched int) {
 	}
 }
 
-// Stop makes the current RunUntil/Run return after the in-flight event
+// Stop makes the current Run return after the in-flight event
 // completes. Pending events remain queued.
 func (s *Scheduler) Stop() { s.stopped = true }
 

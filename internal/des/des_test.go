@@ -6,6 +6,35 @@ import (
 	"testing/quick"
 )
 
+// RunUntil dispatches events in order until the queue drains, the
+// horizon is passed, or Stop is called. Events scheduled exactly at the
+// horizon are dispatched; later ones are left pending. It returns the
+// number of events dispatched.
+func (s *Scheduler) RunUntil(horizon float64) int {
+	s.stopped = false
+	dispatched := 0
+	for !s.stopped {
+		head, ok := s.queue.peek()
+		if !ok || head.time > horizon {
+			break
+		}
+		s.Step()
+		dispatched++
+	}
+	if s.now < horizon && !s.stopped {
+		s.now = horizon
+	}
+	s.flushObs(dispatched)
+	return dispatched
+}
+
+func (q *ladderQueue) peek() (event, bool) {
+	if !q.ensureBottom() {
+		return event{}, false
+	}
+	return q.bottom[q.botIdx], true
+}
+
 func TestEventsRunInTimeOrder(t *testing.T) {
 	var s Scheduler
 	var got []float64

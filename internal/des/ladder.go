@@ -182,13 +182,6 @@ func (q *ladderQueue) insertBottom(e event) {
 	q.bottom[pos] = e
 }
 
-func (q *ladderQueue) peek() (event, bool) {
-	if !q.ensureBottom() {
-		return event{}, false
-	}
-	return q.bottom[q.botIdx], true
-}
-
 func (q *ladderQueue) pop() (event, bool) {
 	if !q.ensureBottom() {
 		return event{}, false

@@ -18,7 +18,7 @@ func TestAblationRegistry(t *testing.T) {
 }
 
 func TestAblationSprayDominatesStrict(t *testing.T) {
-	fig := runFigure(t, AblationSpray)
+	fig := runFigure(t, "ablation-spray")
 	strict := mustSeries(t, fig, "Strict (Alg. 2)")
 	spray := mustSeries(t, fig, "Spray (Sec. V variant)")
 	// Spray must not lose overall, and must win somewhere early.
@@ -40,7 +40,7 @@ func TestAblationSprayDominatesStrict(t *testing.T) {
 }
 
 func TestAblationTraceableModels(t *testing.T) {
-	fig := runFigure(t, AblationTraceableModel)
+	fig := runFigure(t, "ablation-traceable")
 	exact := mustSeries(t, fig, "Exact expectation")
 	approx := mustSeries(t, fig, "Paper approximation (Eqs. 8-12)")
 	mc := mustSeries(t, fig, "Monte Carlo")
@@ -62,7 +62,7 @@ func TestAblationTraceableModels(t *testing.T) {
 }
 
 func TestAblationTPSShape(t *testing.T) {
-	fig := runFigure(t, AblationTPS)
+	fig := runFigure(t, "ablation-tps")
 	onion3 := mustSeries(t, fig, "Onion groups (K=3)")
 	onion10 := mustSeries(t, fig, "Onion groups (K=10)")
 	tps := mustSeries(t, fig, "TPS (s=3, tau=2)")
@@ -87,7 +87,7 @@ func TestAblationTPSShape(t *testing.T) {
 }
 
 func TestAblationModelGapDecomposition(t *testing.T) {
-	fig := runFigure(t, AblationModelGap)
+	fig := runFigure(t, "ablation-model-gap")
 	paper := mustSeries(t, fig, "Analysis (Eq. 4 as printed)")
 	corr := mustSeries(t, fig, "Analysis (last hop averaged)")
 	sim := mustSeries(t, fig, "Simulation")
@@ -117,7 +117,7 @@ func TestAblationModelGapDecomposition(t *testing.T) {
 }
 
 func TestAblationBaselinesShape(t *testing.T) {
-	fig := runFigure(t, AblationBaselines)
+	fig := runFigure(t, "ablation-baselines")
 	epi := mustSeries(t, fig, "Epidemic")
 	onion1 := mustSeries(t, fig, "Onion (K=3, L=1)")
 	direct := mustSeries(t, fig, "Direct delivery")
@@ -143,7 +143,7 @@ func TestAblationBaselinesShape(t *testing.T) {
 }
 
 func TestAblationPredecessorShape(t *testing.T) {
-	fig := runFigure(t, AblationPredecessor)
+	fig := runFigure(t, "ablation-predecessor")
 	single := mustSeries(t, fig, "L=1 (single copy)")
 	// With enough observations the attack succeeds far above the 1/n
 	// prior against a single-copy source.
@@ -156,7 +156,7 @@ func TestAblationPredecessorShape(t *testing.T) {
 }
 
 func TestAblationBuffersShape(t *testing.T) {
-	fig := runFigure(t, AblationBuffers)
+	fig := runFigure(t, "ablation-buffers")
 	plain := mustSeries(t, fig, "No acknowledgements")
 	anti := mustSeries(t, fig, "Anti-packets")
 	// Unlimited buffers deliver more than 1-onion buffers.

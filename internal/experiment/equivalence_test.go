@@ -23,26 +23,16 @@ func TestEquivalenceAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates figures several times")
 	}
-	gens := []struct {
-		name string
-		gen  Generator
-	}{
-		{"fig04", Fig04},
-		{"fig08", Fig08},
-		{"fig14", Fig14},
-		{"fig11", Fig11},
-		{"ablation-baselines", AblationBaselines},
-		{"ablation-predecessor", AblationPredecessor},
-	}
+	ids := []string{"fig04", "fig08", "fig14", "fig11", "ablation-baselines", "ablation-predecessor"}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, g := range gens {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
+	for _, id := range ids {
+		id := id
+		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []uint64{1, 42} {
 				var reference []byte
 				for _, w := range workerCounts {
-					fig, err := g.gen(equivalenceOptions(seed, w))
+					fig, err := Generate(id, equivalenceOptions(seed, w))
 					if err != nil {
 						t.Fatalf("seed %d workers %d: %v", seed, w, err)
 					}
@@ -68,11 +58,11 @@ func TestEquivalenceAcrossWorkerCounts(t *testing.T) {
 // harness that ignored the seed entirely would pass the byte-equality
 // checks, so assert the two seeds actually produce different figures.
 func TestEquivalenceSeedsDiffer(t *testing.T) {
-	a, err := Fig04(equivalenceOptions(1, 2))
+	a, err := Generate("fig04", equivalenceOptions(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig04(equivalenceOptions(42, 2))
+	b, err := Generate("fig04", equivalenceOptions(42, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

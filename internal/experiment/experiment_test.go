@@ -22,14 +22,14 @@ func TestOptionsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("accepted zero runs")
 	}
-	if _, err := Fig04(bad); err == nil {
+	if _, err := Generate("fig04", bad); err == nil {
 		t.Fatal("generator accepted invalid options")
 	}
 	negWorkers := Options{Seed: 1, Runs: 1, SecurityRuns: 1, TraceRuns: 1, Workers: -1}
 	if err := negWorkers.Validate(); err == nil {
 		t.Fatal("accepted negative workers")
 	}
-	if _, err := Fig04(negWorkers); err == nil {
+	if _, err := Generate("fig04", negWorkers); err == nil {
 		t.Fatal("generator accepted negative workers")
 	}
 	for _, w := range []int{0, 1, 8} {
@@ -59,9 +59,9 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 // runFigure generates a figure with fast options and validates it.
-func runFigure(t *testing.T, gen Generator) *Figure {
+func runFigure(t *testing.T, id string) *Figure {
 	t.Helper()
-	fig, err := gen(fastOptions())
+	fig, err := Generate(id, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func mustSeries(t *testing.T, f *Figure, name string) *stats.Series {
 }
 
 func TestFig04Shape(t *testing.T) {
-	fig := runFigure(t, Fig04)
+	fig := runFigure(t, "fig04")
 	if len(fig.Series) != 6 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
@@ -109,7 +109,7 @@ func TestFig04Shape(t *testing.T) {
 }
 
 func TestFig05Shape(t *testing.T) {
-	fig := runFigure(t, Fig05)
+	fig := runFigure(t, "fig05")
 	// Fewer onion routers deliver faster.
 	if seriesMean(mustSeries(t, fig, "Simulation: 3 onions")) <= seriesMean(mustSeries(t, fig, "Simulation: 10 onions")) {
 		t.Error("simulation: K=3 does not beat K=10")
@@ -120,7 +120,7 @@ func TestFig05Shape(t *testing.T) {
 }
 
 func TestFig06Shape(t *testing.T) {
-	fig := runFigure(t, Fig06)
+	fig := runFigure(t, "fig06")
 	// Traceable rate grows with the compromised fraction...
 	sim := mustSeries(t, fig, "Simulation: 3 onions")
 	if lastY(sim) <= sim.Y[0] {
@@ -140,7 +140,7 @@ func TestFig06Shape(t *testing.T) {
 }
 
 func TestFig07Shape(t *testing.T) {
-	fig := runFigure(t, Fig07)
+	fig := runFigure(t, "fig07")
 	// More compromised nodes -> more traceable at any K.
 	if seriesMean(mustSeries(t, fig, "Simulation: c/n=30%")) <= seriesMean(mustSeries(t, fig, "Simulation: c/n=10%")) {
 		t.Error("c/n=30% not above c/n=10%")
@@ -153,7 +153,7 @@ func TestFig07Shape(t *testing.T) {
 }
 
 func TestFig08Shape(t *testing.T) {
-	fig := runFigure(t, Fig08)
+	fig := runFigure(t, "fig08")
 	// Anonymity decreases with c/n, increases with g.
 	s1 := mustSeries(t, fig, "Simulation: g=1")
 	if lastY(s1) >= s1.Y[0] {
@@ -175,7 +175,7 @@ func TestFig08Shape(t *testing.T) {
 }
 
 func TestFig09Shape(t *testing.T) {
-	fig := runFigure(t, Fig09)
+	fig := runFigure(t, "fig09")
 	s := mustSeries(t, fig, "Simulation: c/n=10%")
 	if lastY(s) <= s.Y[0] {
 		t.Error("anonymity not increasing with g")
@@ -186,7 +186,7 @@ func TestFig09Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	fig := runFigure(t, Fig10)
+	fig := runFigure(t, "fig10")
 	if seriesMean(mustSeries(t, fig, "Simulation: L=5")) < seriesMean(mustSeries(t, fig, "Simulation: L=1")) {
 		t.Error("L=5 not above L=1")
 	}
@@ -196,7 +196,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	fig := runFigure(t, Fig11)
+	fig := runFigure(t, "fig11")
 	non := mustSeries(t, fig, "Non-anonymous")
 	ana := mustSeries(t, fig, "Analysis")
 	sim := mustSeries(t, fig, "Simulation")
@@ -218,7 +218,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	fig := runFigure(t, Fig12)
+	fig := runFigure(t, "fig12")
 	if seriesMean(mustSeries(t, fig, "Simulation: L=5")) >= seriesMean(mustSeries(t, fig, "Simulation: L=1")) {
 		t.Error("anonymity with L=5 not below L=1")
 	}
@@ -228,7 +228,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	fig := runFigure(t, Fig13)
+	fig := runFigure(t, "fig13")
 	s := mustSeries(t, fig, "Simulation: L=1")
 	if lastY(s) <= s.Y[0] {
 		t.Error("anonymity not increasing with g")
@@ -239,7 +239,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	fig := runFigure(t, Fig14)
+	fig := runFigure(t, "fig14")
 	sim := mustSeries(t, fig, "Simulation: L=1")
 	// Cambridge is dense: the delivery rate saturates by 1800 s.
 	if lastY(sim) < 0.85 {
@@ -253,7 +253,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig15And16Shapes(t *testing.T) {
-	f15 := runFigure(t, Fig15)
+	f15 := runFigure(t, "fig15")
 	sim := mustSeries(t, f15, "Simulation: L=1")
 	ana := mustSeries(t, f15, "Analysis: L=1")
 	for i := range sim.Y {
@@ -261,7 +261,7 @@ func TestFig15And16Shapes(t *testing.T) {
 			t.Errorf("fig15 point %d: |sim-analysis| = %v", i, d)
 		}
 	}
-	f16 := runFigure(t, Fig16)
+	f16 := runFigure(t, "fig16")
 	s := mustSeries(t, f16, "Simulation: L=1")
 	if lastY(s) >= s.Y[0] {
 		t.Error("fig16 anonymity not decreasing")
@@ -269,7 +269,7 @@ func TestFig15And16Shapes(t *testing.T) {
 }
 
 func TestFig17Shape(t *testing.T) {
-	fig := runFigure(t, Fig17)
+	fig := runFigure(t, "fig17")
 	if !fig.LogX {
 		t.Error("Infocom figure should use a log x-axis")
 	}
@@ -293,7 +293,7 @@ func TestFig17Shape(t *testing.T) {
 }
 
 func TestFig18And19Shapes(t *testing.T) {
-	f18 := runFigure(t, Fig18)
+	f18 := runFigure(t, "fig18")
 	sim := mustSeries(t, f18, "Simulation: L=1")
 	ana := mustSeries(t, f18, "Analysis: L=1")
 	for i := range sim.Y {
@@ -301,7 +301,7 @@ func TestFig18And19Shapes(t *testing.T) {
 			t.Errorf("fig18 point %d: |sim-analysis| = %v", i, d)
 		}
 	}
-	f19 := runFigure(t, Fig19)
+	f19 := runFigure(t, "fig19")
 	if seriesMean(mustSeries(t, f19, "Simulation: L=5")) >= seriesMean(mustSeries(t, f19, "Simulation: L=1")) {
 		t.Error("fig19: L=5 anonymity not below L=1")
 	}

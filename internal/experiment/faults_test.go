@@ -29,7 +29,7 @@ func TestFaultScheduleWorkerInvariance(t *testing.T) {
 	for _, seed := range []uint64{1, 42} {
 		var reference []byte
 		for _, w := range workerCounts {
-			fig, err := AblationFaults(faultOptions(seed, w))
+			fig, err := Generate("ablation-faults", faultOptions(seed, w))
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, w, err)
 			}
@@ -56,11 +56,11 @@ func TestFaultScheduleSeedsDiffer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the figure twice")
 	}
-	a, err := AblationFaults(faultOptions(1, 2))
+	a, err := Generate("ablation-faults", faultOptions(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AblationFaults(faultOptions(42, 2))
+	b, err := Generate("ablation-faults", faultOptions(42, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFaultScheduleSeedsDiffer(t *testing.T) {
 // the ideal-analysis and anonymity series stay flat, and the runtime
 // series actually injected faults (non-vacuity).
 func TestFaultAblationShapes(t *testing.T) {
-	fig, err := AblationFaults(faultOptions(7, runtime.GOMAXPROCS(0)))
+	fig, err := Generate("ablation-faults", faultOptions(7, runtime.GOMAXPROCS(0)))
 	if err != nil {
 		t.Fatal(err)
 	}

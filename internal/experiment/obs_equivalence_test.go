@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/obs"
@@ -21,7 +23,7 @@ func TestObsByteIdentical(t *testing.T) {
 	}
 	gen := func(t *testing.T, opt Options) []byte {
 		t.Helper()
-		fig, err := Fig04(opt)
+		fig, err := Generate("fig04", opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,5 +86,49 @@ func TestObsByteIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// TestObsOnAddsNoPerTrialAllocs is the exact form of the observability
+// overhead gate. A live collector may cost a few allocations per figure
+// (phase records, first touches), but none per trial: the on-minus-off
+// allocation count of fig04 must not grow when Runs quadruples. An
+// allocation count is exact on any machine, where a wall-time ratio on
+// a shared runner is not.
+func TestObsOnAddsNoPerTrialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	if obs.Active() != nil {
+		t.Fatal("a collector is already installed; test requires the disabled default state")
+	}
+	allocs := func(runs int, on bool) float64 {
+		if on {
+			obs.Install(obs.NewCollector())
+			defer obs.Install(nil)
+		}
+		opt := Options{Seed: 1, Runs: runs, SecurityRuns: 100, TraceRuns: 5, Workers: 1}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Generate("fig04", opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Left running, the garbage collector makes either count jitter by
+	// an allocation or two between measurements; with it held off the
+	// counts repeat exactly.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 20
+	var extra [2]float64
+	for i, r := range []int{runs, 4 * runs} {
+		off, on := allocs(r, false), allocs(r, true)
+		extra[i] = on - off
+		t.Logf("Runs %d: %.0f allocs off, %.0f on (%+.0f)", r, off, on, extra[i])
+	}
+	if d := extra[1] - extra[0]; math.Abs(d) > 2 {
+		t.Errorf("obs-on extra allocations grow with Runs: %+.0f at Runs %d, %+.0f at Runs %d", extra[0], runs, extra[1], 4*runs)
 	}
 }

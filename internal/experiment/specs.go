@@ -243,99 +243,3 @@ func ablationSpecs() []scenario.Scenario {
 		},
 	}
 }
-
-// Named generators: each figure and ablation keeps its exported
-// one-call entry point, now a thin delegate into the spec table.
-
-// Fig04 — delivery rate vs. deadline for group sizes g in {1, 5, 10}
-// (K = 3, L = 1, n = 100).
-func Fig04(opt Options) (*Figure, error) { return Generate("fig04", opt) }
-
-// Fig05 — delivery rate vs. deadline for K in {3, 5, 10} onion
-// routers (g = 5, L = 1).
-func Fig05(opt Options) (*Figure, error) { return Generate("fig05", opt) }
-
-// Fig06 — traceable rate vs. compromised rate for K in {3, 5, 10}.
-func Fig06(opt Options) (*Figure, error) { return Generate("fig06", opt) }
-
-// Fig07 — traceable rate vs. number of onion relays for c/n in
-// {10%, 20%, 30%}.
-func Fig07(opt Options) (*Figure, error) { return Generate("fig07", opt) }
-
-// Fig08 — path anonymity vs. compromised rate for g in {1, 5, 10}
-// (L = 1).
-func Fig08(opt Options) (*Figure, error) { return Generate("fig08", opt) }
-
-// Fig09 — path anonymity vs. group size for c/n in {10%, 20%, 30%}
-// (L = 1).
-func Fig09(opt Options) (*Figure, error) { return Generate("fig09", opt) }
-
-// Fig10 — delivery rate vs. deadline for L in {1, 3, 5} copies
-// (g = 5, K = 3, spray mode).
-func Fig10(opt Options) (*Figure, error) { return Generate("fig10", opt) }
-
-// Fig11 — message transmissions vs. number of copies: non-anonymous
-// baseline 2L, the analysis bound 2L-1+KL, and the simulated protocol.
-func Fig11(opt Options) (*Figure, error) { return Generate("fig11", opt) }
-
-// Fig12 — path anonymity vs. compromised rate for L in {1, 3, 5}
-// (g = 5).
-func Fig12(opt Options) (*Figure, error) { return Generate("fig12", opt) }
-
-// Fig13 — path anonymity vs. group size for L in {1, 3} (c/n = 10%).
-func Fig13(opt Options) (*Figure, error) { return Generate("fig13", opt) }
-
-// Fig14 — delivery rate vs. deadline on the Cambridge trace (L = 1,
-// K = 3, g = 10, 12 nodes).
-func Fig14(opt Options) (*Figure, error) { return Generate("fig14", opt) }
-
-// Fig15 — traceable rate vs. compromised rate on the Cambridge trace
-// (K = 3, 12 nodes).
-func Fig15(opt Options) (*Figure, error) { return Generate("fig15", opt) }
-
-// Fig16 — path anonymity vs. compromised rate on the Cambridge trace
-// (L = 1, g = 10, 12 nodes).
-func Fig16(opt Options) (*Figure, error) { return Generate("fig16", opt) }
-
-// Fig17 — delivery rate vs. deadline on the Infocom 2005 trace
-// (L in {1, 3, 5}, K = 3, g = 5, 41 nodes; log-scale x-axis).
-func Fig17(opt Options) (*Figure, error) { return Generate("fig17", opt) }
-
-// Fig18 — traceable rate vs. compromised rate on the Infocom trace
-// (K = 3, 41 nodes).
-func Fig18(opt Options) (*Figure, error) { return Generate("fig18", opt) }
-
-// Fig19 — path anonymity vs. compromised rate on the Infocom trace
-// (L in {1, 3, 5}, g = 5, 41 nodes).
-func Fig19(opt Options) (*Figure, error) { return Generate("fig19", opt) }
-
-// AblationBaselines — the price of anonymity: onion routing against
-// the non-anonymous DTN baselines of Sec. VI-A.
-func AblationBaselines(opt Options) (*Figure, error) { return Generate("ablation-baselines", opt) }
-
-// AblationBuffers — delivery under storage pressure in the full-crypto
-// runtime, with and without anti-packets.
-func AblationBuffers(opt Options) (*Figure, error) { return Generate("ablation-buffers", opt) }
-
-// AblationFaults — every layer's view of the injected-fault sweep.
-func AblationFaults(opt Options) (*Figure, error) { return Generate("ablation-faults", opt) }
-
-// AblationPredecessor — longitudinal predecessor attack on the
-// abstract protocol.
-func AblationPredecessor(opt Options) (*Figure, error) { return Generate("ablation-predecessor", opt) }
-
-// AblationSpray — Algorithm 2 strict vs. the paper's source
-// spray-and-wait variant at L = 3.
-func AblationSpray(opt Options) (*Figure, error) { return Generate("ablation-spray", opt) }
-
-// AblationTraceableModel — the two reconstructions of the
-// traceable-rate analysis against a Monte-Carlo reference.
-func AblationTraceableModel(opt Options) (*Figure, error) { return Generate("ablation-traceable", opt) }
-
-// AblationTPS — onion groups vs. the Threshold Pivot Scheme of
-// Sec. VI-C.
-func AblationTPS(opt Options) (*Figure, error) { return Generate("ablation-tps", opt) }
-
-// AblationModelGap — decomposing Eq. 4's optimism into last-hop
-// summation and rate heterogeneity.
-func AblationModelGap(opt Options) (*Figure, error) { return Generate("ablation-model-gap", opt) }

@@ -88,11 +88,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Enabled reports whether any fault class can fire.
-func (c Config) Enabled() bool {
-	return c.Truncate > 0 || c.Corrupt > 0 || c.Duplicate > 0 || c.Crash > 0
-}
-
 // handoffEnabled reports whether any per-hand-off class can fire.
 func (c Config) handoffEnabled() bool {
 	return c.Truncate > 0 || c.Corrupt > 0 || c.Duplicate > 0

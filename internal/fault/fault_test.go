@@ -32,7 +32,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestUniform(t *testing.T) {
-	if got := Uniform(0); got.Enabled() {
+	if got := Uniform(0); got != (Config{}) {
 		t.Fatalf("Uniform(0) = %+v, want disabled zero config", got)
 	}
 	c := Uniform(0.2)

@@ -40,9 +40,6 @@ type Directory struct {
 	groupOpen map[onion.GroupID]onion.Cipher // open side
 	node      []onion.Cipher                 // destination seal side
 	nodeOpen  []onion.Cipher                 // destination open side
-	reKey     func() error                   // re-runs the active provisioning
-	epoch     int                            // key epoch, bumped by Rekey
-	revoked   map[contact.NodeID]bool        // nodes denied current keys
 }
 
 // NewPartition randomly partitions n nodes into ceil(n/g) groups of
@@ -166,7 +163,6 @@ func (d *Directory) ProvisionKeys() error {
 	}
 	d.group, d.groupOpen = group, group
 	d.node, d.nodeOpen = node, node
-	d.reKey = d.ProvisionKeys
 	return nil
 }
 
@@ -219,7 +215,6 @@ func (d *Directory) ProvisionHybridKeys(bits int) error {
 	}
 	d.group, d.groupOpen = groupSeal, groupOpen
 	d.node, d.nodeOpen = nodeSeal, nodeOpen
-	d.reKey = func() error { return d.ProvisionHybridKeys(bits) }
 	return nil
 }
 

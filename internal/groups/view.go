@@ -68,8 +68,7 @@ func NewFromAssignment(byNode []onion.GroupID, g int) (*Directory, error) {
 // distributed AES layer keys (one per group, one per node), the
 // symmetric trust model of ProvisionKeys: seal and open sides
 // coincide. Key material arrives from a directory service (typically
-// recovered from shamir threshold shares); this directory cannot
-// Rekey — rotation is the key-origin's job.
+// recovered from shamir threshold shares).
 func (d *Directory) InstallSymmetricKeys(groupKeys map[onion.GroupID][]byte, nodeKeys [][]byte) error {
 	if len(nodeKeys) != d.n {
 		return fmt.Errorf("groups: %d node keys for %d nodes", len(nodeKeys), d.n)
@@ -96,8 +95,5 @@ func (d *Directory) InstallSymmetricKeys(groupKeys map[onion.GroupID][]byte, nod
 	}
 	d.group, d.groupOpen = group, group
 	d.node, d.nodeOpen = node, node
-	d.reKey = func() error {
-		return errors.New("groups: externally keyed directory cannot rekey locally")
-	}
 	return nil
 }

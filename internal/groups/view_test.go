@@ -110,10 +110,6 @@ func TestInstallSymmetricKeys(t *testing.T) {
 	if string(pt) != "cross-process layer" {
 		t.Fatal("layer did not round-trip across views")
 	}
-
-	if err := view.Rekey(nil); err == nil {
-		t.Fatal("externally keyed view allowed a local rekey")
-	}
 }
 
 func TestInstallSymmetricKeysRejects(t *testing.T) {

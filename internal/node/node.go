@@ -360,8 +360,8 @@ func (n *Node) acceptLocked(c *carried) error {
 	}
 	cipher, err := n.dir.MemberCipher(n.id, c.group)
 	if err != nil {
-		// A member without epoch access (revoked) cannot peel; the
-		// sender keeps custody and routes via another member.
+		// A member whose directory holds no key for the group cannot
+		// peel; the sender keeps custody and routes via another member.
 		n.stats.Rejected++
 		return fmt.Errorf("%w: %v", errTransfer, err)
 	}
@@ -423,14 +423,6 @@ func (n *Node) mergeAcksLocked(peer *Node) {
 		n.learnAckLocked(id)
 	}
 	n.ackCursor[peer.id] = len(peer.ackLog)
-}
-
-// KnowsDelivered reports whether this node has learned (directly or
-// via anti-packet gossip) that the message was delivered.
-func (n *Node) KnowsDelivered(msgID string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.acks[msgID]
 }
 
 // crashLocked models a crash/restart at a contact (node churn). The

@@ -291,54 +291,6 @@ func BenchmarkEndToEnd(b *testing.B) {
 	}
 }
 
-func TestRevokedRelayRoutedAround(t *testing.T) {
-	// A compromised relay is revoked via rekey; it can no longer peel,
-	// so hand-offs to it are rejected and the message routes through
-	// another member of the same onion group.
-	nw := testNetwork(t, Config{Nodes: 20, GroupSize: 4, Seed: 41})
-	dir := nw.Directory()
-	if err := dir.Rekey(nil); err != nil { // fresh epoch before sending
-		t.Fatal(err)
-	}
-	msgID, err := nw.Node(0).Send(SendSpec{Dst: 19, Payload: []byte("resilient"), Relays: 2, Copies: 1}, rng.New(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Revoking reissues all keys, which would strand the in-flight
-	// onion; so revoke WITHOUT rotating by marking the node directly:
-	// use Rekey on a copy-free path instead. Here we simply revoke a
-	// node and rebuild the message afterwards to model the real order
-	// of operations: compromise detected -> rekey -> new traffic.
-	victims := dir.Members(0)
-	if err := dir.Rekey([]contact.NodeID{victims[0]}); err != nil {
-		t.Fatal(err)
-	}
-	// The pre-rekey onion is now stale: it can never be peeled. Send a
-	// fresh one under the new epoch.
-	msgID2, err := nw.Node(0).Send(SendSpec{Dst: 19, Payload: []byte("fresh epoch"), Relays: 2, Copies: 1}, rng.New(43))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := contact.NewRandom(20, 1, 10, rng.New(44))
-	dst := nw.Node(19)
-	nw.DriveSynthetic(g, 1e6, rng.New(45), func() bool {
-		_, ok := dst.Delivered(msgID2)
-		return ok
-	})
-	if _, ok := dst.Delivered(msgID2); !ok {
-		t.Fatal("fresh-epoch message not delivered")
-	}
-	if _, ok := dst.Delivered(msgID); ok {
-		t.Fatal("stale-epoch onion was delivered despite the rekey")
-	}
-	// The revoked node never successfully carried the new message.
-	if s := nw.Node(victims[0]).Stats(); s.Carried > 0 && dir.IsRevoked(victims[0]) {
-		// Carrying without peeling is allowed only for sprayed copies;
-		// with Spray disabled the revoked node must not have carried.
-		t.Fatalf("revoked node carried a copy: %+v", s)
-	}
-}
-
 func TestBufferLimitRefusesCustody(t *testing.T) {
 	nw := testNetwork(t, Config{Nodes: 20, GroupSize: 4, Seed: 51, BufferLimit: 1})
 	// Two messages from node 0: relays can hold only one onion each,
@@ -462,4 +414,12 @@ func TestWithoutAntiPacketsStaleCopiesLinger(t *testing.T) {
 	if nw.TotalStats().Purged != 0 {
 		t.Fatal("purge happened without anti-packets")
 	}
+}
+
+// KnowsDelivered reports whether this node has learned (directly or
+// via anti-packet gossip) that the message was delivered.
+func (n *Node) KnowsDelivered(msgID string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.acks[msgID]
 }

@@ -224,29 +224,6 @@ func hypoexpUniformization(rates []float64, t float64) float64 {
 	return Clamp01(f)
 }
 
-// ErlangCDF returns the CDF at t of an Erlang distribution with k
-// phases of the given rate: the k-fold convolution of Exp(rate).
-func ErlangCDF(k int, rate, t float64) (float64, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("numeric: Erlang requires k >= 1, got %d", k)
-	}
-	if rate <= 0 {
-		return 0, fmt.Errorf("numeric: Erlang requires rate > 0, got %v", rate)
-	}
-	if t <= 0 {
-		return 0, nil
-	}
-	// F(t) = 1 - e^{-rt} sum_{m<k} (rt)^m / m!
-	rt := rate * t
-	term := 1.0
-	sum := 1.0
-	for m := 1; m < k; m++ {
-		term *= rt / float64(m)
-		sum += term
-	}
-	return Clamp01(1 - math.Exp(-rt)*sum), nil
-}
-
 // LogFactorial returns ln(n!). It panics if n < 0.
 func LogFactorial(n int) float64 {
 	if n < 0 {

@@ -1,12 +1,36 @@
 package numeric
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
 )
+
+// ErlangCDF returns the CDF at t of an Erlang distribution with k
+// phases of the given rate: the k-fold convolution of Exp(rate).
+func ErlangCDF(k int, rate, t float64) (float64, error) {
+	if k <= 0 {
+		return 0, fmt.Errorf("numeric: Erlang requires k >= 1, got %d", k)
+	}
+	if rate <= 0 {
+		return 0, fmt.Errorf("numeric: Erlang requires rate > 0, got %v", rate)
+	}
+	if t <= 0 {
+		return 0, nil
+	}
+	// F(t) = 1 - e^{-rt} sum_{m<k} (rt)^m / m!
+	rt := rate * t
+	term := 1.0
+	sum := 1.0
+	for m := 1; m < k; m++ {
+		term *= rt / float64(m)
+		sum += term
+	}
+	return Clamp01(1 - math.Exp(-rt)*sum), nil
+}
 
 func TestHypoexpCoefficientsSumToOne(t *testing.T) {
 	cases := [][]float64{

@@ -35,7 +35,7 @@ type Counter uint8
 // The counter set, grouped by the layer that emits it.
 const (
 	// internal/des: discrete-event scheduler.
-	DESEvents         Counter = iota // events dispatched by Run/RunUntil
+	DESEvents         Counter = iota // events dispatched by Scheduler.Run
 	DESQueueHighWater                // max pending events observed (high-water)
 
 	// internal/sim: contact engines.

@@ -10,7 +10,6 @@ package rng
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand/v2"
 )
 
@@ -154,9 +153,6 @@ func (s *Stream) PickOther(n, avoid int) int {
 	return v
 }
 
-// NormFloat64 returns a standard normal variate.
-func (s *Stream) NormFloat64() float64 { return s.src.NormFloat64() }
-
 // splitmix is the SplitMix64 finalizer, used to expand seed material.
 func splitmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -172,11 +168,4 @@ func bitreverse(x uint64) uint64 {
 		x >>= 1
 	}
 	return r
-}
-
-// Jitter returns t multiplied by a uniform factor in [1-f, 1+f]; useful
-// for de-synchronizing synthetic schedules. f is clamped to [0, 1].
-func (s *Stream) Jitter(t, f float64) float64 {
-	f = math.Max(0, math.Min(1, f))
-	return t * s.Uniform(1-f, 1+f)
 }

@@ -214,22 +214,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestJitterBounds(t *testing.T) {
-	s := New(31)
-	for i := 0; i < 10000; i++ {
-		v := s.Jitter(100, 0.1)
-		if v < 90 || v > 110 {
-			t.Fatalf("Jitter(100, 0.1) = %v out of bounds", v)
-		}
-	}
-	if v := s.Jitter(100, -1); v < 90 || v > 110 {
-		// negative f is clamped to 0: exact value
-		if v != 100 {
-			t.Fatalf("Jitter with clamped f=0 should be identity, got %v", v)
-		}
-	}
-}
-
 func BenchmarkExp(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {

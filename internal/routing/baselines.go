@@ -63,9 +63,6 @@ func (e *Epidemic) Done() bool { return e.res.Delivered }
 // Result returns the outcome so far.
 func (e *Epidemic) Result() BaselineResult { return e.res }
 
-// InfectedCount returns how many nodes carry the message.
-func (e *Epidemic) InfectedCount() int { return len(e.infected) }
-
 // SprayAndWait is the source spray-and-wait baseline [Spyropoulos et
 // al. 2005]: the source hands out L-1 copies to the first distinct
 // nodes it meets and keeps one; every copy holder then waits to meet

@@ -168,9 +168,6 @@ func (p *Prophet) Done() bool { return p.res.Delivered }
 // Result returns the outcome so far.
 func (p *Prophet) Result() BaselineResult { return p.res }
 
-// Carriers returns how many nodes hold a copy.
-func (p *Prophet) Carriers() int { return len(p.infected) }
-
 // BinarySprayAndWait is the binary variant of spray-and-wait
 // [Spyropoulos et al. 2005]: a holder with t > 1 tickets gives HALF of
 // them (floor) to any node without a copy; holders with a single
@@ -236,6 +233,3 @@ func (p *BinarySprayAndWait) Done() bool { return p.res.Delivered }
 
 // Result returns the outcome so far.
 func (p *BinarySprayAndWait) Result() BaselineResult { return p.res }
-
-// Carriers returns how many nodes hold at least one ticket.
-func (p *BinarySprayAndWait) Carriers() int { return len(p.tickets) }

@@ -90,12 +90,12 @@ func TestProphetForwardsTowardBetterCustodian(t *testing.T) {
 	}
 	// Source meets node 3 (knows nothing): no replication.
 	p.OnContact(10, 0, 3)
-	if p.Carriers() != 1 {
+	if len(p.infected) != 1 {
 		t.Fatal("replicated to a hopeless custodian")
 	}
 	// Source meets node 2: replicate.
 	p.OnContact(11, 0, 2)
-	if p.Carriers() != 2 {
+	if len(p.infected) != 2 {
 		t.Fatal("did not replicate to a better custodian")
 	}
 	if p.Result().Transmissions != 1 {
@@ -142,8 +142,8 @@ func TestBinarySprayAndWaitHalving(t *testing.T) {
 	if p.tickets[1] != 2 || p.tickets[2] != 2 {
 		t.Fatalf("tickets: %v", p.tickets)
 	}
-	if p.Carriers() != 3 {
-		t.Fatalf("carriers = %d", p.Carriers())
+	if len(p.tickets) != 3 {
+		t.Fatalf("carriers = %d", len(p.tickets))
 	}
 	// Single-ticket holders do not spray.
 	p.OnContact(4, 0, 3) // 0: 4 -> 0: 2, 3: 2

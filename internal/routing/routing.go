@@ -82,9 +82,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// K returns the number of onion groups.
-func (p Params) K() int { return len(p.Sets) }
-
 // Visit records that a node held a message copy at the given onion
 // path position (0 = source/sprayed relay, k = member of R_k,
 // K+1 = destination).

@@ -410,8 +410,8 @@ func TestEpidemicBasics(t *testing.T) {
 	if !r.Delivered || r.Time != 4 || r.Transmissions != 3 {
 		t.Fatalf("%+v", r)
 	}
-	if e.InfectedCount() != 4 {
-		t.Fatalf("infected = %d", e.InfectedCount())
+	if len(e.infected) != 4 {
+		t.Fatalf("infected = %d", len(e.infected))
 	}
 	if !e.Done() {
 		t.Fatal("not done")

@@ -100,19 +100,6 @@ func Replay(tr *trace.Trace, from, horizon float64, p Protocol) int {
 	return events
 }
 
-// CountContacts returns how many synthetic contacts would occur in
-// [0, horizon]; useful for workload sizing in tests and benchmarks.
-func CountContacts(g *contact.Graph, horizon float64, s *rng.Stream) int {
-	return RunSynthetic(g, horizon, s, nopProtocol{})
-}
-
-type nopProtocol struct{}
-
-func (nopProtocol) OnContact(float64, contact.NodeID, contact.NodeID) {}
-func (nopProtocol) Done() bool                                        { return false }
-
-var _ Protocol = nopProtocol{}
-
 // Validate sanity-checks engine inputs shared by experiment code.
 func Validate(g *contact.Graph, src, dst contact.NodeID) error {
 	if err := g.Validate(); err != nil {

@@ -149,10 +149,17 @@ func TestReplayZeroHorizon(t *testing.T) {
 	}
 }
 
+type nopProtocol struct{}
+
+func (nopProtocol) OnContact(float64, contact.NodeID, contact.NodeID) {}
+func (nopProtocol) Done() bool                                        { return false }
+
+var _ Protocol = nopProtocol{}
+
 func TestCountContacts(t *testing.T) {
 	g := contact.NewGraph(2)
 	g.SetRate(0, 1, 1)
-	n := CountContacts(g, 50, rng.New(9))
+	n := RunSynthetic(g, 50, rng.New(9), nopProtocol{})
 	if n < 20 || n > 90 {
 		t.Fatalf("contact count %d wildly off mean 50", n)
 	}

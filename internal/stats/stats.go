@@ -35,16 +35,6 @@ func (a *Accumulator) Add(v float64) {
 	a.m2 += d * (v - a.mean)
 }
 
-// AddBool incorporates an indicator observation (1 for true, 0 for
-// false), convenient for success-rate estimation.
-func (a *Accumulator) AddBool(b bool) {
-	if b {
-		a.Add(1)
-	} else {
-		a.Add(0)
-	}
-}
-
 // N returns the number of observations.
 func (a *Accumulator) N() int { return a.n }
 
@@ -192,40 +182,6 @@ func (e *ECDF) At(t float64) float64 {
 	}
 	idx := sort.SearchFloat64s(e.values, math.Nextafter(t, math.Inf(1)))
 	return float64(idx) / float64(n)
-}
-
-// Curve evaluates the ECDF at each point in ts.
-func (e *ECDF) Curve(ts []float64) []float64 {
-	out := make([]float64, len(ts))
-	for i, t := range ts {
-		out[i] = e.At(t)
-	}
-	return out
-}
-
-// Entropy returns the Shannon entropy (bits) of the distribution p.
-// Entries that are zero contribute nothing; p need not be normalized
-// exactly, but negative entries panic.
-func Entropy(p []float64) float64 {
-	h := 0.0
-	for _, v := range p {
-		if v < 0 {
-			panic("stats: negative probability")
-		}
-		if v > 0 {
-			h -= v * math.Log2(v)
-		}
-	}
-	return h
-}
-
-// UniformEntropy returns log2(n), the entropy of a uniform distribution
-// over n outcomes; 0 for n <= 1.
-func UniformEntropy(n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	return math.Log2(float64(n))
 }
 
 // Run is a maximal block of consecutive equal bits.

@@ -43,16 +43,6 @@ func TestAccumulatorSingleObservation(t *testing.T) {
 	}
 }
 
-func TestAccumulatorAddBool(t *testing.T) {
-	var a Accumulator
-	for i := 0; i < 10; i++ {
-		a.AddBool(i < 3)
-	}
-	if math.Abs(a.Mean()-0.3) > 1e-12 {
-		t.Fatalf("mean = %v, want 0.3", a.Mean())
-	}
-}
-
 func TestAccumulatorMatchesBatch(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -207,44 +197,13 @@ func TestECDFCurveMonotone(t *testing.T) {
 		e.Observe(v)
 	}
 	ts := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	curve := e.Curve(ts)
-	for i := 1; i < len(curve); i++ {
-		if curve[i] < curve[i-1] {
+	for i := 1; i < len(ts); i++ {
+		if e.At(ts[i]) < e.At(ts[i-1]) {
 			t.Fatalf("ECDF not monotone at %v", ts[i])
 		}
 	}
-	if curve[len(curve)-1] != 1 {
+	if e.At(ts[len(ts)-1]) != 1 {
 		t.Fatal("ECDF should reach 1 past the max")
-	}
-}
-
-func TestEntropy(t *testing.T) {
-	if v := Entropy([]float64{0.5, 0.5}); math.Abs(v-1) > 1e-12 {
-		t.Fatalf("Entropy(fair coin) = %v", v)
-	}
-	if v := Entropy([]float64{1, 0, 0}); v != 0 {
-		t.Fatalf("Entropy(deterministic) = %v", v)
-	}
-	if v := Entropy([]float64{0.25, 0.25, 0.25, 0.25}); math.Abs(v-2) > 1e-12 {
-		t.Fatalf("Entropy(4-uniform) = %v", v)
-	}
-}
-
-func TestEntropyPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on negative probability")
-		}
-	}()
-	Entropy([]float64{-0.1, 1.1})
-}
-
-func TestUniformEntropy(t *testing.T) {
-	if UniformEntropy(1) != 0 || UniformEntropy(0) != 0 {
-		t.Fatal("UniformEntropy of trivial sets should be 0")
-	}
-	if math.Abs(UniformEntropy(8)-3) > 1e-12 {
-		t.Fatalf("UniformEntropy(8) = %v", UniformEntropy(8))
 	}
 }
 

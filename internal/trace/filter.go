@@ -50,18 +50,6 @@ func (t *Trace) FilterNodes(keep func(contact.NodeID) bool) (*Trace, error) {
 	return out, nil
 }
 
-// MinContacts returns a predicate keeping only nodes that appear in at
-// least min contacts — the standard way to drop external devices that
-// were sighted a handful of times.
-func (t *Trace) MinContacts(min int) func(contact.NodeID) bool {
-	counts := make(map[contact.NodeID]int, t.NodeCount)
-	for _, c := range t.Contacts {
-		counts[c.A]++
-		counts[c.B]++
-	}
-	return func(v contact.NodeID) bool { return counts[v] >= min }
-}
-
 // KeepBusiest keeps the n most active nodes (by contact count, ties
 // broken by lower ID) and compacts IDs to [0, n) — how a small cluster
 // replays a campus-scale trace. A trace already at or below n nodes is
@@ -93,45 +81,4 @@ func (t *Trace) KeepBusiest(n int) (*Trace, error) {
 		keep[contact.NodeID(v)] = true
 	}
 	return t.FilterNodes(func(v contact.NodeID) bool { return keep[v] })
-}
-
-// Window returns a new trace restricted to contacts starting in
-// [from, to), with times shifted so the window starts at zero. Node
-// IDs are preserved (not compacted): the population is unchanged.
-func (t *Trace) Window(from, to float64) (*Trace, error) {
-	if to <= from {
-		return nil, fmt.Errorf("trace: empty window [%v, %v)", from, to)
-	}
-	out := &Trace{NodeCount: t.NodeCount}
-	for _, c := range t.Contacts {
-		if c.Start < from || c.Start >= to {
-			continue
-		}
-		out.Contacts = append(out.Contacts, Contact{
-			A: c.A, B: c.B, Start: c.Start - from, End: c.End - from,
-		})
-	}
-	if len(out.Contacts) == 0 {
-		return nil, fmt.Errorf("trace: no contacts in window [%v, %v)", from, to)
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Merge combines two traces over the same population into one
-// chronologically sorted trace.
-func Merge(a, b *Trace) (*Trace, error) {
-	if a.NodeCount != b.NodeCount {
-		return nil, fmt.Errorf("trace: merging populations of %d and %d nodes", a.NodeCount, b.NodeCount)
-	}
-	out := &Trace{NodeCount: a.NodeCount}
-	out.Contacts = append(out.Contacts, a.Contacts...)
-	out.Contacts = append(out.Contacts, b.Contacts...)
-	out.SortByStart()
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

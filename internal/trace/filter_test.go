@@ -46,66 +46,6 @@ func TestFilterNodesErrors(t *testing.T) {
 	}
 }
 
-func TestMinContactsPredicate(t *testing.T) {
-	tr := filterFixture()
-	keep := tr.MinContacts(3)
-	// Node 0 and 1 appear 3 times; node 2 twice; node 4 twice; node 3
-	// never.
-	if !keep(0) || !keep(1) {
-		t.Fatal("frequent nodes dropped")
-	}
-	if keep(2) || keep(4) || keep(3) {
-		t.Fatal("infrequent nodes kept")
-	}
-	// Chaining: filter to the mobile, well-observed population.
-	out, err := tr.FilterNodes(keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NodeCount != 2 || len(out.Contacts) != 2 {
-		t.Fatalf("filtered trace: %d nodes, %d contacts", out.NodeCount, len(out.Contacts))
-	}
-}
-
-func TestWindow(t *testing.T) {
-	tr := filterFixture()
-	out, err := tr.Window(5, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Contacts) != 3 {
-		t.Fatalf("contacts = %d, want 3", len(out.Contacts))
-	}
-	if out.Contacts[0].Start != 0 { // shifted
-		t.Fatalf("window not shifted: %v", out.Contacts[0].Start)
-	}
-	if out.NodeCount != 5 {
-		t.Fatal("window should preserve the population")
-	}
-	if _, err := tr.Window(10, 10); err == nil {
-		t.Fatal("accepted empty window")
-	}
-	if _, err := tr.Window(1000, 2000); err == nil {
-		t.Fatal("accepted contactless window")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := &Trace{NodeCount: 3, Contacts: []Contact{{A: 0, B: 1, Start: 5, End: 5}}}
-	b := &Trace{NodeCount: 3, Contacts: []Contact{{A: 1, B: 2, Start: 1, End: 1}}}
-	out, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Contacts) != 2 || out.Contacts[0].Start != 1 {
-		t.Fatalf("merge wrong: %+v", out.Contacts)
-	}
-	c := &Trace{NodeCount: 4}
-	if _, err := Merge(a, c); err == nil {
-		t.Fatal("merged different populations")
-	}
-}
-
 func TestFilterPipelineOnSynthetic(t *testing.T) {
 	// Realistic use: drop the least-connected third of an Infocom-like
 	// trace's nodes and verify the result still routes.
@@ -126,7 +66,7 @@ func TestFilterPipelineOnSynthetic(t *testing.T) {
 			minCount = c
 		}
 	}
-	out, err := tr.FilterNodes(tr.MinContacts(minCount + 1))
+	out, err := tr.FilterNodes(func(v contact.NodeID) bool { return counts[v] > minCount })
 	if err != nil {
 		t.Fatal(err)
 	}
