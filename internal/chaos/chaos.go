@@ -170,9 +170,10 @@ func (c Config) filled() Config {
 }
 
 // maxCut caps reset/tear cut offsets strictly below the smallest
-// possible hello frame (4-byte length prefix + 1 type byte + ~29 bytes
-// of JSON), so a cut always lands inside the contact preamble and
-// never between an offer and its verdict.
+// possible hello frame (4-byte length prefix + 1 type byte + a 31-byte
+// JSON body when the hello lists no offer IDs), so a cut always lands
+// inside the hello, the first frame a dialer writes, and never between
+// an offer and its verdict.
 const maxCut = 28
 
 // NewPlan draws the full schedule from rng substreams of cfg.Seed. The

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -613,21 +615,26 @@ func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep
 	}
 	defer conn.Close()
 	d.node.Expire(now)
-	hello := helloMsg{Version: protoVersion, From: d.cfg.ID, To: int(peer), Now: now}
+	offers := d.node.OffersTo(peer, d.cfg.Spray)
+	hello := helloMsg{Version: protoVersion, From: d.cfg.ID, To: int(peer), Now: now, IDs: offerIDs(offers)}
 	if err := writeJSON(conn, mHello, hello); err != nil {
 		return rep, false, err
 	}
-	if err := readExpect(conn, mOK, nil); err != nil {
+	var ack helloAckMsg
+	if err := readExpect(conn, mHelloAck, &ack); err != nil {
 		return rep, false, fmt.Errorf("cluster: contact %d->%d: %w", d.cfg.ID, peer, err)
 	}
-	x := exchange{conn: conn, peer: peer, rep: node.MeetReport{Contacts: 1}, frames: 2}
-	err = d.offer(&x)
-	if err == nil {
-		x.frames++
-		err = writeMsg(conn, mEndOffers, nil)
-	}
-	if err == nil {
-		err = d.take(&x, mContactDone)
+	x := exchange{conn: conn, rep: node.MeetReport{Contacts: 1}, frames: 2}
+	err = checkFlags(ack.Seen, len(offers))
+	if err == nil && !ack.Done {
+		err = d.offer(&x, unseen(offers, ack.Seen))
+		if err == nil {
+			x.frames++
+			err = writeJSON(conn, mEndOffers, endOffersMsg{Seen: d.node.Seen(ack.IDs)})
+		}
+		if err == nil {
+			_, err = d.take(&x, mContactDone)
+		}
 	}
 	if errors.Is(err, errUnexpected) {
 		err = fmt.Errorf("cluster: contact %d->%d: %w", d.cfg.ID, peer, err)
@@ -644,8 +651,9 @@ func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep
 	return x.rep, x.progressed, nil
 }
 
-// serveContact is the passive side of a contact: it takes the
-// initiator's offers, then offers its own.
+// serveContact is the passive side of a contact: it answers the
+// hello's inventory with its own, takes the initiator's offers, then
+// offers its own unseen copies.
 func (d *Daemon) serveContact(conn net.Conn, helloBody []byte) {
 	var hello helloMsg
 	if err := unmarshalStrict(helloBody, &hello); err != nil {
@@ -660,18 +668,38 @@ func (d *Daemon) serveContact(conn net.Conn, helloBody []byte) {
 		sendErr(conn, fmt.Errorf("contact addressed to node %d, reached node %d", hello.To, d.cfg.ID))
 		return
 	}
+	peer := contact.NodeID(hello.From)
 	d.node.Expire(hello.Now)
-	if err := writeJSON(conn, mOK, okMsg{}); err != nil {
+	offers := d.node.OffersTo(peer, d.cfg.Spray)
+	ack := helloAckMsg{Seen: d.node.Seen(hello.IDs), IDs: offerIDs(offers)}
+	if len(offers) == 0 && !slices.Contains(ack.Seen, false) {
+		// Nothing moves either way, so the ack ends the contact. This
+		// side's share is observed before the ack releases the peer.
+		ack.Done = true
+		node.MeetReport{}.Observe(obs.Active(), d.node.BufferLen())
+		_ = writeJSON(conn, mHelloAck, ack)
 		return
 	}
-	x := exchange{conn: conn, peer: contact.NodeID(hello.From)}
-	if err := d.take(&x, mEndOffers); err != nil {
+	if err := writeJSON(conn, mHelloAck, ack); err != nil {
+		return
+	}
+	x := exchange{conn: conn}
+	body, err := d.take(&x, mEndOffers)
+	var end endOffersMsg
+	if err == nil {
+		if err = json.Unmarshal(body, &end); err != nil {
+			err = fmt.Errorf("%w: end of offers: %v", errUnexpected, err)
+		} else {
+			err = checkFlags(end.Seen, len(offers))
+		}
+	}
+	if err != nil {
 		if errors.Is(err, errUnexpected) {
 			sendErr(conn, fmt.Errorf("%w during offers", err))
 		}
 		return
 	}
-	if d.offer(&x) != nil {
+	if d.offer(&x, unseen(offers, end.Seen)) != nil {
 		return
 	}
 	// The initiator observes the contact and both directions' hand-offs;
@@ -685,7 +713,6 @@ func (d *Daemon) serveContact(conn net.Conn, helloBody []byte) {
 // custody exchange run on it.
 type exchange struct {
 	conn net.Conn
-	peer contact.NodeID
 	rep  node.MeetReport
 	// progressed turns true at the first offer byte either way: from
 	// then on a failure is custody-ambiguous and the attempt is final.
@@ -694,14 +721,43 @@ type exchange struct {
 }
 
 // errUnexpected marks a peer that broke the contact protocol.
-var errUnexpected = errors.New("unexpected message type")
+var errUnexpected = errors.New("protocol violation")
 
-// offer is the sending half of a contact: every eligible onion, in
-// custody order, is offered and settled by the peer's verdict before
-// the next (stop-and-wait). Custody is released only on a read
-// accept-verdict.
-func (d *Daemon) offer(x *exchange) error {
-	for _, off := range d.node.OffersTo(x.peer, d.cfg.Spray) {
+// offerIDs lists the message IDs of offers, in order: the inventory a
+// contact preamble carries.
+func offerIDs(offers []node.Offer) []string {
+	ids := make([]string, len(offers))
+	for i, off := range offers {
+		ids[i] = off.MsgID
+	}
+	return ids
+}
+
+// unseen keeps the offers whose seen flag is false.
+func unseen(offers []node.Offer, seen []bool) []node.Offer {
+	var out []node.Offer
+	for i, off := range offers {
+		if !seen[i] {
+			out = append(out, off)
+		}
+	}
+	return out
+}
+
+// checkFlags requires one seen flag per listed offer ID.
+func checkFlags(seen []bool, ids int) error {
+	if len(seen) != ids {
+		return fmt.Errorf("%w: %d seen flags for %d offer IDs", errUnexpected, len(seen), ids)
+	}
+	return nil
+}
+
+// offer is the sending half of a contact: every offer the peer has
+// not seen, in custody order, is sent and settled by the peer's
+// verdict before the next (stop-and-wait). Custody is released only on
+// a read accept-verdict.
+func (d *Daemon) offer(x *exchange, offers []node.Offer) error {
+	for _, off := range offers {
 		// From the first offer byte on, a failure is custody-ambiguous:
 		// the peer may or may not have ingested the copy, so no retry.
 		x.progressed = true
@@ -720,19 +776,20 @@ func (d *Daemon) offer(x *exchange) error {
 }
 
 // take is the receiving half of a contact: it answers each peer offer
-// with this node's verdict until the peer sends end.
-func (d *Daemon) take(x *exchange, end byte) error {
+// with this node's verdict until the peer sends end, whose body it
+// returns.
+func (d *Daemon) take(x *exchange, end byte) ([]byte, error) {
 	for {
 		typ, body, err := readMsg(x.conn)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		x.frames++
 		if typ == end {
-			return nil
+			return body, nil
 		}
 		if typ != mOffer {
-			return fmt.Errorf("%w %d", errUnexpected, typ)
+			return nil, fmt.Errorf("%w: message type %d", errUnexpected, typ)
 		}
 		// A received offer is about to be ingested; a lost verdict from
 		// here on duplicates custody if the attempt were replayed.
@@ -749,7 +806,7 @@ func (d *Daemon) take(x *exchange, end byte) error {
 			m.Reason = v.Err.Error()
 		}
 		if err := writeJSON(x.conn, mVerdict, m); err != nil {
-			return err
+			return nil, err
 		}
 		x.frames++
 	}

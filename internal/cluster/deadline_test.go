@@ -144,18 +144,12 @@ func TestStalledConnectionTimesOut(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = c.Close() })
 
-	conn, err := net.DialTimeout("tcp", c.Daemon(1).Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
+	// List one unseen offer so the hello ack does not end the contact.
+	conn, ack := rawHello(t, c.Daemon(1).Addr(), 0, 1, 0, fmt.Sprintf("%032x", 0x300))
+	if ack.Done {
+		t.Fatalf("hello ack ended the contact: %+v", ack)
 	}
-	defer conn.Close()
-	if err := writeJSON(conn, mHello, helloMsg{Version: protoVersion, From: 0, To: 1, Now: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := readExpect(conn, mOK, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Stall: never send an offer. The daemon's read deadline must fire
+	// Stall: never send the offer. The daemon's read deadline must fire
 	// and close the connection; we observe the close as EOF/reset.
 	start := time.Now()
 	_ = conn.SetReadDeadline(time.Now().Add(10 * timeout))
@@ -252,17 +246,20 @@ func TestClusterRefusalChargesReofferBudget(t *testing.T) {
 	if got := d0.Node().BufferLen(); got != 1 {
 		t.Fatalf("sender buffer = %d onions, want 1 after backpressure drops", got)
 	}
-	// Contact 3: the surviving copy is re-offered (the sender cannot
-	// know the peer's seen log) and rejected as a duplicate — a seen
-	// rejection, not a refusal, so it charges no budget.
+	// Contact 3: the peer's hello ack flags the surviving copy seen, so
+	// it is not offered at all — as in Network.Meet. It stays in
+	// custody and its re-offer budget is not charged.
 	rep, err = d0.Contact(1, d1.Addr(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Offered != 1 || rep.Rejected != 1 {
-		t.Fatalf("third contact = %+v, want one duplicate re-offer", rep)
+	if rep.Offered != 0 || rep.Rejected != 0 {
+		t.Fatalf("third contact = %+v, want no offer of a copy the peer has seen", rep)
+	}
+	if got := d0.Node().BufferLen(); got != 1 {
+		t.Fatalf("sender buffer = %d onions after a skipped offer, want 1", got)
 	}
 	if got := d0.Node().Stats().BackpressureDropped; got != msgs-1 {
-		t.Fatalf("seen rejection charged the re-offer budget: dropped = %d", got)
+		t.Fatalf("skipped offer charged the re-offer budget: dropped = %d", got)
 	}
 }

@@ -13,10 +13,10 @@ package cluster
 //   - the same partition seed, so group structure agrees.
 //
 // Stats compared are the conserved subset (Sent, Forwarded, Carried,
-// Delivered): counters like Rejected can legitimately differ, because
-// an in-process sender consults the receiver's duplicate log before
-// offering while a socket sender cannot — the duplicate is rejected on
-// the wire instead of skipped silently.
+// Delivered). Both tiers skip copies the receiver has already seen —
+// the in-process sender reads the receiver's seen log, the socket
+// sender the seen flags of the contact preamble — so seen rejections
+// do not occur in either.
 //
 // The in-process reference run, the delivered-set comparison and the
 // workload injection (Cluster.Inject) are test-only and live in

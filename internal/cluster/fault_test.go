@@ -29,25 +29,37 @@ func launchTrio(t *testing.T) *Cluster {
 	return c
 }
 
-// fakePeer opens a contact with the daemon at addr, pretending to be
-// node from, sends no offers of its own, and reads the daemon's first
-// offer — then tears the connection without ever sending a verdict.
-// It returns the raw offer body (hops + frame).
-func fakePeerStealOffer(t *testing.T, addr string, from, to int) []byte {
+// rawHello opens a contact with the daemon at addr, pretending to be
+// node from and listing ids as its offers, and returns the connection
+// with the daemon's hello ack.
+func rawHello(t *testing.T, addr string, from, to int, now float64, ids ...string) (net.Conn, helloAckMsg) {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { _ = conn.Close() })
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeJSON(conn, mHello, helloMsg{Version: protoVersion, From: from, To: to, Now: 0}); err != nil {
+	if err := writeJSON(conn, mHello, helloMsg{Version: protoVersion, From: from, To: to, Now: now, IDs: ids}); err != nil {
 		t.Fatal(err)
 	}
-	if err := readExpect(conn, mOK, nil); err != nil {
+	var ack helloAckMsg
+	if err := readExpect(conn, mHelloAck, &ack); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMsg(conn, mEndOffers, nil); err != nil {
+	return conn, ack
+}
+
+// fakePeerStealOffer opens a contact with the daemon at addr,
+// pretending to be node from, sends no offers of its own, claims to
+// have seen none of the daemon's, and reads the daemon's first offer —
+// then tears the connection without ever sending a verdict. It returns
+// the raw offer body (hops + frame).
+func fakePeerStealOffer(t *testing.T, addr string, from, to int) []byte {
+	t.Helper()
+	conn, ack := rawHello(t, addr, from, to, 0)
+	defer conn.Close()
+	if err := writeJSON(conn, mEndOffers, endOffersMsg{Seen: make([]bool, len(ack.IDs))}); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err := readMsg(conn)
@@ -136,20 +148,20 @@ func TestCustodySurvivesTearsAndCrash(t *testing.T) {
 	}
 
 	// Fault 4: the lost verdict of fault 2 means a crashed-and-revived
-	// node 2 could re-offer the delivered frame. The destination's seen
-	// log must reject it — accepting would deliver twice.
-	conn, err := net.DialTimeout("tcp", d1.Addr(), 5*time.Second)
-	if err != nil {
+	// node 2 could re-offer the delivered frame. A peer that honours
+	// the inventory never sends it: the destination flags it seen.
+	// Node 1 first takes custody of a message of its own (1 -> 0, via
+	// group {2}), so the contact outlives the hello.
+	spec = node.SendSpec{Dst: 0, Payload: []byte("return"), Relays: 1, Copies: 1, ID: "0f0e0d0c0b0a09080706050403020100"}
+	if _, err := d1.Send(spec, PathStream(21, 1)); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeJSON(conn, mHello, helloMsg{Version: protoVersion, From: 2, To: 1, Now: 3.0}); err != nil {
-		t.Fatal(err)
+	conn, ack := rawHello(t, d1.Addr(), 2, 1, 3.0, faultMsgID)
+	if len(ack.Seen) != 1 || !ack.Seen[0] || len(ack.IDs) != 1 || ack.Done {
+		t.Fatalf("hello ack = %+v, want the delivered message flagged seen and one offer listed", ack)
 	}
-	if err := readExpect(conn, mOK, nil); err != nil {
-		t.Fatal(err)
-	}
+	// A peer that ignores the flag and re-offers anyway must still be
+	// rejected by the seen log — accepting would deliver twice.
 	if err := writeMsg(conn, mOffer, finalOffer); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +175,9 @@ func TestCustodySurvivesTearsAndCrash(t *testing.T) {
 	if !strings.Contains(v.Reason, "already saw") {
 		t.Fatalf("duplicate rejected for the wrong reason: %q", v.Reason)
 	}
-	if err := writeMsg(conn, mEndOffers, nil); err != nil {
+	// Claim node 1's offer as seen: the contact winds down with no
+	// further offer.
+	if err := writeJSON(conn, mEndOffers, endOffersMsg{Seen: []bool{true}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := readExpect(conn, mContactDone, nil); err != nil {

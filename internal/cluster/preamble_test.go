@@ -1,0 +1,120 @@
+package cluster
+
+// Contact-preamble tests: the hello / hello-ack / end-of-offers
+// inventory exchange. A peer that miscounts its seen flags or speaks
+// the previous protocol version is refused, and a contact with nothing
+// to move ends after the hello round trip.
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/node"
+)
+
+// TestHelloAckFlagCountIsProtocolError: a responder whose hello ack
+// carries a different number of seen flags than the hello listed IDs
+// breaks the protocol; the initiator moves no custody.
+func TestHelloAckFlagCountIsProtocolError(t *testing.T) {
+	c, err := Launch(Config{Nodes: 3, GroupSize: 1, Seed: 21, Timeout: 5 * time.Second, Retry: RetryPolicy{Budget: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	d0 := c.Daemon(0)
+	spec := node.SendSpec{Dst: 1, Payload: []byte("miscount"), Relays: 1, Copies: 1, ID: faultMsgID}
+	if _, err := d0.Send(spec, PathStream(21, 0)); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fake node 2 that answers every hello with two flags.
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = lis.Close() })
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			var hello helloMsg
+			if typ, body, err := readMsg(conn); err == nil && typ == mHello && unmarshalStrict(body, &hello) == nil {
+				_ = writeJSON(conn, mHelloAck, helloAckMsg{Seen: make([]bool, len(hello.IDs)+1)})
+			}
+			_ = conn.Close()
+		}
+	}()
+
+	_, err = d0.Contact(2, lis.Addr().String(), 1)
+	if !errors.Is(err, errUnexpected) {
+		t.Fatalf("contact with a miscounting peer: err = %v, want a protocol violation", err)
+	}
+	if d0.Node().BufferLen() != 1 || d0.Node().Stats().Forwarded != 0 {
+		t.Fatalf("custody moved on a refused preamble: buffer %d, stats %+v", d0.Node().BufferLen(), d0.Node().Stats())
+	}
+}
+
+// TestEndOffersFlagCountIsProtocolError: an initiator whose end of
+// offers carries a different number of seen flags than the hello ack
+// listed IDs is told so, and the responder offers nothing.
+func TestEndOffersFlagCountIsProtocolError(t *testing.T) {
+	c := launchTrio(t)
+	d0 := c.Daemon(0)
+	spec := node.SendSpec{Dst: 1, Payload: []byte("miscount"), Relays: 1, Copies: 1, ID: faultMsgID}
+	if _, err := d0.Send(spec, PathStream(21, 0)); err != nil {
+		t.Fatal(err)
+	}
+	conn, ack := rawHello(t, d0.Addr(), 2, 0, 0)
+	if len(ack.IDs) != 1 || ack.Done {
+		t.Fatalf("hello ack = %+v, want one offer listed", ack)
+	}
+	if err := writeJSON(conn, mEndOffers, endOffersMsg{Seen: []bool{false, false}}); err != nil {
+		t.Fatal(err)
+	}
+	err := readExpect(conn, mOffer, nil)
+	if err == nil || !strings.Contains(err.Error(), "2 seen flags for 1 offer IDs") {
+		t.Fatalf("miscounted end of offers: err = %v, want a protocol violation", err)
+	}
+	if d0.Node().BufferLen() != 1 || d0.Node().Stats().Forwarded != 0 {
+		t.Fatalf("custody moved on a refused contact: buffer %d", d0.Node().BufferLen())
+	}
+}
+
+// TestVersionOneHelloRefused: a daemon built before the inventory
+// preamble sends version-1 hellos; they are refused, not misread.
+func TestVersionOneHelloRefused(t *testing.T) {
+	c := launchTrio(t)
+	conn, err := net.DialTimeout("tcp", c.Daemon(1).Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeJSON(conn, mHello, helloMsg{Version: 1, From: 0, To: 1}); err != nil {
+		t.Fatal(err)
+	}
+	err = readExpect(conn, mHelloAck, nil)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("protocol version 1, want %d", protoVersion)) {
+		t.Fatalf("version-1 hello: err = %v, want a version refusal", err)
+	}
+}
+
+// TestIdleContactEndsAfterHello: when every listed copy is seen and
+// the responder has nothing to offer, the hello ack is the last frame.
+func TestIdleContactEndsAfterHello(t *testing.T) {
+	c := launchTrio(t)
+	conn, ack := rawHello(t, c.Daemon(1).Addr(), 0, 1, 0)
+	if !ack.Done || len(ack.IDs) != 0 {
+		t.Fatalf("hello ack = %+v, want the contact done", ack)
+	}
+	if rest, err := io.ReadAll(conn); err != nil || len(rest) != 0 {
+		t.Fatalf("after a done ack the responder sent %d bytes (err %v), want a clean close", len(rest), err)
+	}
+}

@@ -39,10 +39,10 @@ import (
 // binary (hop counter + marshaled bundle).
 const (
 	// Node <-> node: the contact protocol.
-	mHello       byte = iota + 1 // contact opening: who calls whom, at what sim time
+	mHello       byte = iota + 1 // contact opening: who calls whom, at what sim time, the initiator's offer IDs
 	mOffer                       // one custody hand-off: 4-byte hops + bundle frame
 	mVerdict                     // receiver's accept/reject for the preceding offer
-	mEndOffers                   // initiator is done offering; peer's turn
+	mEndOffers                   // initiator is done offering; seen flags for the peer's IDs
 	mContactDone                 // peer is done offering; contact over
 
 	// Node <-> directory: the bulletin board.
@@ -59,17 +59,46 @@ const (
 	mStats     // request a stats snapshot
 	mStatsResp // stats answer
 	mQuit      // shut down
+
+	// Node <-> node, appended so the numbering above stays put.
+	mHelloAck // seen flags for the initiator's IDs, the responder's offer IDs
 )
 
 // protoVersion guards against skew between daemons built from
-// different revisions; Hello and Register carry it.
-const protoVersion = 1
+// different revisions; Hello and Register carry it. Version 2 added
+// the seen-flag inventory to the contact preamble.
+const protoVersion = 2
 
+// The contact preamble is a summary-vector exchange: each side lists
+// the IDs of the copies it would offer, the other answers with one
+// seen flag per ID, and only unseen copies are offered. The IDs
+// already travel in clear inside every offer frame, and a rejection
+// verdict already told the sender the peer's seen bit, so the
+// inventory reveals nothing the exchange did not.
 type helloMsg struct {
 	Version int     `json:"v"`
 	From    int     `json:"from"`
 	To      int     `json:"to"`
 	Now     float64 `json:"now"`
+	// IDs lists the initiator's offers to this peer, in custody order.
+	IDs []string `json:"ids,omitempty"`
+}
+
+type helloAckMsg struct {
+	// Seen holds one flag per hello ID: true means the responder has
+	// seen that message and the initiator does not offer it.
+	Seen []bool `json:"seen,omitempty"`
+	// IDs lists the responder's offers to the initiator, snapshotted at
+	// hello time.
+	IDs []string `json:"ids,omitempty"`
+	// Done ends the contact here: every hello ID was seen and the
+	// responder has nothing to offer, so neither side sends again.
+	Done bool `json:"done,omitempty"`
+}
+
+type endOffersMsg struct {
+	// Seen holds one flag per hello-ack ID, as helloAckMsg.Seen.
+	Seen []bool `json:"seen,omitempty"`
 }
 
 type verdictMsg struct {
@@ -175,10 +204,14 @@ func writeMsg(w io.Writer, typ byte, body []byte) error {
 	payload := make([]byte, 1+len(body))
 	payload[0] = typ
 	copy(payload[1:], body)
+	// The frame counts toward the collector installed when its write
+	// began: the peer may act on the frame, and a new collector be
+	// installed, before this goroutine returns from the write.
+	c := obs.Active()
 	if err := bundle.WriteFrame(w, payload); err != nil {
 		return err
 	}
-	if c := obs.Active(); c != nil {
+	if c != nil {
 		c.Add(obs.ClusterFramesOut, 1)
 		c.Add(obs.ClusterBytesOut, int64(len(payload)))
 	}

@@ -174,8 +174,9 @@ func (nw *Network) exchangeLocked(sender, receiver *Node, rep *MeetReport, col *
 	// Releases during the walk only tombstone; Meet compacts after both
 	// directions. The cheap integer eligibility test runs before the
 	// string-keyed seen lookup, since most held onions are ineligible.
-	// Skipping copies the receiver has seen, before marshalling, is a
-	// shortcut only a shared address space allows.
+	// Skipping copies the receiver has seen is the inventory step the
+	// live tier runs in its contact preamble (Seen); here it also saves
+	// marshalling them.
 	for _, c := range sender.order {
 		if c.gone || !sender.eligibleLocked(c, receiver.id, nw.cfg.Spray) || receiver.seen[c.id] {
 			continue

@@ -3,12 +3,20 @@ package node
 // Transport surface: the one custody exchange both tiers run.
 // Network.Meet drives it over an in-memory pipe (with fault
 // injection); internal/cluster drives it over real TCP sockets. Each
-// direction of a contact is a half-duplex offer/verdict exchange:
+// direction of a contact is an inventory step followed by a
+// half-duplex offer/verdict exchange over the copies that survive it:
 //
 //	sender:   OffersTo(peer)             -> eligible frames, FIFO order
+//	receiver: Seen(ids)                  -> one flag per offer; seen copies are not sent
 //	receiver: Receive(frame, senderHops) -> Verdict
 //	sender:   Settle(id, verdict)        -> spend a ticket, or charge a refusal
 //	both:     MeetReport.Count(verdict, dropped), then one Observe per contact
+//
+// The inventory is exact, not a heuristic: within one direction the
+// sender holds at most one copy per message ID and the receiver's seen
+// log grows only by the IDs it takes in that direction, so flags read
+// once before the offers equal a seen test before each offer. Receive
+// still rejects a seen copy, for a peer that ignores the flags.
 //
 // Custody safety falls out of the verdict discipline: a sender that
 // never hears an accept keeps the onion and re-offers at a later
@@ -64,6 +72,20 @@ func (n *Node) OffersTo(peer contact.NodeID, spray bool) []Offer {
 			continue
 		}
 		out = append(out, Offer{MsgID: c.id, Hops: c.hops, Frame: c.frame()})
+	}
+	return out
+}
+
+// Seen reports, for each message ID, whether this node has ever
+// carried or delivered that message — the inventory step of a contact.
+// A copy the peer has seen would only be rejected, so the sender skips
+// it instead of offering it.
+func (n *Node) Seen(ids []string) []bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]bool, len(ids))
+	for i, id := range ids {
+		out[i] = n.seen[id]
 	}
 	return out
 }

@@ -10,16 +10,27 @@ import (
 
 // driveTransport executes one contact through the exported transport
 // surface — the exact call sequence a cluster daemon performs over
-// TCP: expire both sides, then each direction offers, receives, and
-// settles every verdict through Settle.
+// TCP: both sides expire and list their offers (the hello and its
+// ack), then each direction reads the receiver's seen flags and
+// offers, receives, and settles only the copies the receiver has not
+// seen.
 func driveTransport(nw *Network, x, y contact.NodeID, now float64) MeetReport {
 	a, b := nw.Node(x), nw.Node(y)
 	a.Expire(now)
 	b.Expire(now)
+	offers := [2][]Offer{a.OffersTo(y, nw.cfg.Spray), b.OffersTo(x, nw.cfg.Spray)}
 	rep := MeetReport{Contacts: 1}
-	for _, pair := range [][2]*Node{{a, b}, {b, a}} {
+	for i, pair := range [][2]*Node{{a, b}, {b, a}} {
 		sender, receiver := pair[0], pair[1]
-		for _, off := range sender.OffersTo(receiver.ID(), nw.cfg.Spray) {
+		ids := make([]string, len(offers[i]))
+		for j, off := range offers[i] {
+			ids[j] = off.MsgID
+		}
+		seen := receiver.Seen(ids)
+		for j, off := range offers[i] {
+			if seen[j] {
+				continue
+			}
 			v := receiver.Receive(off.Frame, off.Hops)
 			rep.Count(v, sender.Settle(off.MsgID, v))
 		}
@@ -27,13 +38,28 @@ func driveTransport(nw *Network, x, y contact.NodeID, now float64) MeetReport {
 	return rep
 }
 
+// addReport sums every field of r into sum.
+func addReport(sum *MeetReport, r MeetReport) {
+	sum.Contacts += r.Contacts
+	sum.Offered += r.Offered
+	sum.Transfers += r.Transfers
+	sum.Deliveries += r.Deliveries
+	sum.Rejected += r.Rejected
+	sum.Refused += r.Refused
+	sum.Dropped += r.Dropped
+	sum.Truncated += r.Truncated
+	sum.Corrupted += r.Corrupted
+	sum.Retried += r.Retried
+	sum.Duplicates += r.Duplicates
+}
+
 // TestTransportMatchesMeet drives the identical workload and contact
 // sequence through Network.Meet and through the transport methods; the
 // two runtimes must agree on every node's delivered set, hop counts,
-// and the conserved counters, and on the summed contact reports. This
-// pins the one custody exchange both tiers run. Offered and Rejected
-// legitimately differ: Meet skips copies the receiver has already
-// seen before marshalling them, which a socket sender cannot.
+// and the conserved counters, and on every field of each contact
+// report. This pins the one custody exchange both tiers run, including
+// the seen-flag inventory: Offered and Rejected agree only because
+// both skip copies the receiver has already seen.
 func TestTransportMatchesMeet(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -76,7 +102,7 @@ func testTransportMatchesMeet(t *testing.T, cfg Config, messages int) {
 	meetNW, transportNW := build(), build()
 
 	// A deterministic pseudo-random contact sequence over all pairs.
-	var meetSum, transportSum MeetReport
+	var meetSum MeetReport
 	cs := rng.New(5).Split("contacts")
 	for step := 0; step < 60; step++ {
 		x := contact.NodeID(cs.IntN(n))
@@ -86,17 +112,10 @@ func testTransportMatchesMeet(t *testing.T, cfg Config, messages int) {
 		}
 		now := float64(step)
 		m, tr := meetNW.Meet(x, y, now), driveTransport(transportNW, x, y, now)
-		meetSum.Transfers += m.Transfers
-		meetSum.Deliveries += m.Deliveries
-		meetSum.Refused += m.Refused
-		meetSum.Dropped += m.Dropped
-		transportSum.Transfers += tr.Transfers
-		transportSum.Deliveries += tr.Deliveries
-		transportSum.Refused += tr.Refused
-		transportSum.Dropped += tr.Dropped
-	}
-	if meetSum != transportSum {
-		t.Fatalf("summed reports diverged:\nmeet:      %+v\ntransport: %+v", meetSum, transportSum)
+		if m != tr {
+			t.Fatalf("step %d (%d meets %d) reports diverged:\nmeet:      %+v\ntransport: %+v", step, x, y, m, tr)
+		}
+		addReport(&meetSum, m)
 	}
 	if meetSum.Deliveries == 0 {
 		t.Fatalf("vacuous workload: no deliveries (%+v)", meetSum)
