@@ -247,9 +247,6 @@ type Chaos struct {
 	streak map[string]int // consecutive faulted grants per address
 }
 
-// New draws a fresh plan from cfg and arms it.
-func New(cfg Config) *Chaos { return FromPlan(NewPlan(cfg)) }
-
 // FromPlan arms a previously serialized plan (replay).
 func FromPlan(p *Plan) *Chaos {
 	return &Chaos{plan: p, start: time.Now(), streak: make(map[string]int)}

@@ -28,14 +28,14 @@ import (
 // stays fast, which changes nothing about coverage (every fault kind
 // still fires) or determinism.
 func chaosFor(seed uint64, nodes int) *chaos.Chaos {
-	return chaos.New(chaos.Config{
+	return chaos.FromPlan(chaos.NewPlan(chaos.Config{
 		Seed:       seed,
 		Nodes:      nodes,
 		MaxDelayMs: 15,
 		MinBps:     16 << 10,
 		MaxBps:     64 << 10,
 		MaxStallMs: 60,
-	})
+	}))
 }
 
 // TestDifferentialConferenceTraceUnderChaos replays the conference

@@ -569,7 +569,8 @@ func (d *Daemon) dialContact(peer contact.NodeID, addr string) (net.Conn, error)
 // custody negotiation has begun in either direction the attempt is
 // final: a retried offer whose verdict was lost could double custody,
 // so the DTN discipline (re-offer at the NEXT contact) applies
-// instead.
+// instead. A peer that breaks the protocol (errUnexpected) fails the
+// contact at once too: a retry would meet the same peer.
 func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (node.MeetReport, error) {
 	pol := d.cfg.Retry.filled()
 	br := d.breakerFor(addr)
@@ -588,7 +589,7 @@ func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (node.Me
 			return rep, nil
 		}
 		br.failure(time.Now())
-		if progressed {
+		if progressed || errors.Is(err, errUnexpected) {
 			return rep, err
 		}
 		wait := pol.backoff(attempt, d.jitterFloat)

@@ -51,9 +51,6 @@ func New() *Scheduler { return &Scheduler{} }
 // Now returns the current simulation time.
 func (s *Scheduler) Now() float64 { return s.now }
 
-// Len returns the number of pending events.
-func (s *Scheduler) Len() int { return s.queue.size }
-
 // At schedules fn to run at time t. Scheduling in the past (t < Now)
 // panics: it would silently reorder causality.
 func (s *Scheduler) At(t float64, fn func()) {
@@ -65,15 +62,6 @@ func (s *Scheduler) At(t float64, fn func()) {
 	if n := s.queue.size; n > s.maxQueue {
 		s.maxQueue = n
 	}
-}
-
-// After schedules fn to run delay time units from now. Negative delays
-// panic.
-func (s *Scheduler) After(delay float64, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
-	s.At(s.now+delay, fn)
 }
 
 // Step dispatches the earliest pending event and reports whether one
@@ -114,7 +102,3 @@ func (s *Scheduler) flushObs(dispatched int) {
 // Stop makes the current Run return after the in-flight event
 // completes. Pending events remain queued.
 func (s *Scheduler) Stop() { s.stopped = true }
-
-// Reset discards all pending events and rewinds the clock to zero,
-// returning the scheduler to its zero value.
-func (s *Scheduler) Reset() { *s = Scheduler{} }

@@ -1,10 +1,27 @@
 package des
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// Len returns the number of pending events.
+func (s *Scheduler) Len() int { return s.queue.size }
+
+// After schedules fn to run delay time units from now. Negative delays
+// panic.
+func (s *Scheduler) After(delay float64, fn func()) {
+	if delay < 0 {
+		panic(fmt.Sprintf("des: negative delay %v", delay))
+	}
+	s.At(s.now+delay, fn)
+}
+
+// Reset discards all pending events and rewinds the clock to zero,
+// returning the scheduler to its zero value.
+func (s *Scheduler) Reset() { *s = Scheduler{} }
 
 // RunUntil dispatches events in order until the queue drains, the
 // horizon is passed, or Stop is called. Events scheduled exactly at the

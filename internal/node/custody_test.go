@@ -44,17 +44,48 @@ func checkCustody(t *testing.T, n *Node, step int) {
 	if len(n.order) > 2*len(n.buffer) {
 		t.Fatalf("step %d node %d: order holds %d slots for %d onions", step, n.id, len(n.order), len(n.buffer))
 	}
-	if len(n.ackLog) != len(n.acks) {
-		t.Fatalf("step %d node %d: ack log has %d entries for %d acks", step, n.id, len(n.ackLog), len(n.acks))
+}
+
+// checkAckLogs asserts the per-origin acknowledgement logs'
+// invariants: n's log of each origin o is a prefix of o's own log,
+// every ID in it was delivered at o, and no ID appears twice across
+// n's logs.
+func checkAckLogs(t *testing.T, nw *Network, n *Node, step int) {
+	t.Helper()
+	if n.ackLog != nil && len(n.ackLog) != len(nw.nodes) {
+		t.Fatalf("step %d node %d: %d ack logs for %d nodes", step, n.id, len(n.ackLog), len(nw.nodes))
+	}
+	known := make(map[string]bool)
+	for o, log := range n.ackLog {
+		origin := nw.Node(contact.NodeID(o))
+		own := origin.ackLog
+		if len(log) > 0 && (own == nil || len(log) > len(own[o])) {
+			t.Fatalf("step %d node %d: knows %d acks of node %d, which originated fewer", step, n.id, len(log), o)
+		}
+		for i, id := range log {
+			if own[o][i] != id {
+				t.Fatalf("step %d node %d: ack %d of node %d is %s, node %d's own log has %s", step, n.id, i, o, id, o, own[o][i])
+			}
+			if _, ok := origin.delivered[id]; !ok {
+				t.Fatalf("step %d node %d: ack %s of node %d, which never delivered it", step, n.id, id, o)
+			}
+			if known[id] {
+				t.Fatalf("step %d node %d: ack %s twice in its logs", step, n.id, id)
+			}
+			known[id] = true
+		}
 	}
 }
 
-func copySet(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
+// knownAcks returns the set of delivered-message IDs n knows of.
+func knownAcks(n *Node) map[string]bool {
+	known := make(map[string]bool)
+	for _, log := range n.ackLog {
+		for _, id := range log {
+			known[id] = true
+		}
 	}
-	return out
+	return known
 }
 
 // checkAcksMerged asserts that after a contact n knows exactly the
@@ -62,12 +93,13 @@ func copySet(m map[string]bool) map[string]bool {
 // messages delivered to n during the contact itself.
 func checkAcksMerged(t *testing.T, n *Node, union, deliveredBefore map[string]bool, step int) {
 	t.Helper()
+	known := knownAcks(n)
 	for id := range union {
-		if !n.acks[id] {
+		if !known[id] {
 			t.Fatalf("step %d node %d: ack %s not merged", step, n.id, id)
 		}
 	}
-	for id := range n.acks {
+	for id := range known {
 		if union[id] {
 			continue
 		}
@@ -113,8 +145,8 @@ func TestCustodyInvariantsRandomized(t *testing.T) {
 				x := contact.NodeID(s.IntN(nodes))
 				y := contact.NodeID(s.PickOther(nodes, int(x)))
 				a, b := nw.Node(x), nw.Node(y)
-				union := copySet(a.acks)
-				for id := range b.acks {
+				union := knownAcks(a)
+				for id := range knownAcks(b) {
 					union[id] = true
 				}
 				aDelivered, bDelivered := make(map[string]bool), make(map[string]bool)
@@ -127,6 +159,8 @@ func TestCustodyInvariantsRandomized(t *testing.T) {
 				nw.Meet(x, y, now)
 				checkCustody(t, a, step)
 				checkCustody(t, b, step)
+				checkAckLogs(t, nw, a, step)
+				checkAckLogs(t, nw, b, step)
 				checkAcksMerged(t, a, union, aDelivered, step)
 				checkAcksMerged(t, b, union, bDelivered, step)
 			}
@@ -199,8 +233,8 @@ func TestAckGossipCostIndependentOfHistory(t *testing.T) {
 			nw.Node(0).addAckLocked(fmt.Sprintf("%032x", i))
 		}
 		nw.Meet(0, 1, 0) // node 1 learns them all
-		if len(nw.Node(1).acks) != acks {
-			t.Fatalf("node 1 knows %d acks, want %d", len(nw.Node(1).acks), acks)
+		if got := len(knownAcks(nw.Node(1))); got != acks {
+			t.Fatalf("node 1 knows %d acks, want %d", got, acks)
 		}
 		return nw
 	}
@@ -222,5 +256,43 @@ func TestAckGossipCostIndependentOfHistory(t *testing.T) {
 	t.Logf("idle re-contact: 10 shared acks %v, 10000 shared acks %v per 2000 meets (ratio %.2f)", bestSmall, bestLarge, ratio)
 	if ratio >= 3 {
 		t.Fatalf("idle re-contact with 10000 shared acks costs %.1fx one with 10, want < 3x", ratio)
+	}
+}
+
+// TestAckGossipCostIndependentOfRecarriedAcks is a paired ratio gate,
+// so it holds on any machine. Node 0 originates the acknowledgements
+// and nodes 1..k each learn them all from it, so every pair among
+// 1..k already shares them when it first meets. Such first contacts
+// must cost less than 3x with 10,000 shared acknowledgements than with
+// 10. Merging a peer's whole learn-order log, which re-carries what
+// node 0 gossiped, makes the ratio over 1000x. One first contact is
+// too short to time alone, so each measurement times all k(k-1)/2.
+func TestAckGossipCostIndependentOfRecarriedAcks(t *testing.T) {
+	const k = 40
+	measure := func(acks int) time.Duration {
+		nw := testNetwork(t, Config{Nodes: k + 1, GroupSize: 2, Seed: 1, AntiPackets: true})
+		for i := 0; i < acks; i++ {
+			nw.Node(0).addAckLocked(fmt.Sprintf("%032x", i))
+		}
+		for i := 1; i <= k; i++ {
+			nw.Meet(0, contact.NodeID(i), 0)
+		}
+		start := time.Now()
+		for i := 1; i <= k; i++ {
+			for j := i + 1; j <= k; j++ {
+				nw.Meet(contact.NodeID(i), contact.NodeID(j), 0)
+			}
+		}
+		return time.Since(start)
+	}
+	bestSmall, bestLarge := time.Duration(1<<62), time.Duration(1<<62)
+	for round := 0; round < 7; round++ {
+		bestSmall = min(bestSmall, measure(10))
+		bestLarge = min(bestLarge, measure(10_000))
+	}
+	ratio := float64(bestLarge) / float64(bestSmall)
+	t.Logf("first contacts among %d nodes sharing node 0's acks: 10 acks %v, 10000 acks %v (ratio %.2f)", k, bestSmall, bestLarge, ratio)
+	if ratio >= 3 {
+		t.Fatalf("first contacts sharing 10000 re-carried acks cost %.1fx those sharing 10, want < 3x", ratio)
 	}
 }

@@ -153,11 +153,11 @@ func (nw *Network) Meet(x, y contact.NodeID, now float64) MeetReport {
 	return rep
 }
 
-// exchangeAcksLocked merges both parties' acknowledgement sets and
-// purges any buffered copy of an already-delivered message. Each side
-// merges only the part of the other's ack log it has not merged
-// before, so the cost is the number of new entries. Both locks are
-// held.
+// exchangeAcksLocked merges both parties' acknowledgements and purges
+// any buffered copy of an already-delivered message. Each side takes,
+// per origin, only the suffix of the other's log it lacks, so the cost
+// is the number of new acknowledgements plus one length comparison per
+// node. Both locks are held.
 func exchangeAcksLocked(a, b *Node) {
 	b.mergeAcksLocked(a)
 	a.mergeAcksLocked(b)

@@ -103,16 +103,14 @@ type Node struct {
 	delivered     map[string][]byte
 	deliveredHops map[string]int  // msg id -> custody transfers to reach us
 	seen          map[string]bool // message IDs ever carried or delivered
-	acks          map[string]bool // delivered-message IDs known to this node
-	// ackLog lists the keys of acks in the order they were learned. It
-	// is append-only, like acks itself (acknowledgements survive
-	// crashes), so a peer that has merged a prefix of it never needs
-	// that prefix again.
-	ackLog []string
-	// ackCursor maps a peer to how much of that peer's ackLog this node
-	// has already merged. Allocated at the first anti-packet exchange.
-	ackCursor map[contact.NodeID]int
-	stats     Stats
+	// ackLog holds the delivery acknowledgements this node knows, by
+	// origin: ackLog[o] lists the messages delivered at node o, in o's
+	// order. Only o appends to its own entry and acknowledgements
+	// survive crashes, so every node's ackLog[o] is a prefix of o's and
+	// a contact takes the longer prefix per origin. Allocated, one entry
+	// per node, at the node's first acknowledgement.
+	ackLog [][]string
+	stats  Stats
 }
 
 // newNode builds a node bound to the shared group directory.
@@ -125,7 +123,6 @@ func newNode(id contact.NodeID, dir *groups.Directory, bufferLimit int) *Node {
 		delivered:     make(map[string][]byte),
 		deliveredHops: make(map[string]int),
 		seen:          make(map[string]bool),
-		acks:          make(map[string]bool),
 	}
 }
 
@@ -384,45 +381,45 @@ func (n *Node) acceptLocked(c *carried) error {
 	return nil
 }
 
-// learnAckLocked records a delivery acknowledgement and purges any
-// buffered copy of that message. The caller holds n.mu.
-func (n *Node) learnAckLocked(id string) {
-	if !n.addAckLocked(id) {
-		return
+// addAckLocked appends id, just delivered here, to this node's own
+// acknowledgement log. The caller holds n.mu.
+func (n *Node) addAckLocked(id string) {
+	if n.ackLog == nil {
+		n.ackLog = make([][]string, n.dir.N())
 	}
-	if c, held := n.buffer[id]; held {
-		n.releaseLocked(c)
-		n.stats.Purged++
-	}
+	n.ackLog[n.id] = append(n.ackLog[n.id], id)
 }
 
-// addAckLocked records id in the acknowledgement set and its log and
-// reports whether it was new. The caller holds n.mu.
-func (n *Node) addAckLocked(id string) bool {
-	if n.acks[id] {
-		return false
-	}
-	n.acks[id] = true
-	n.ackLog = append(n.ackLog, id)
-	return true
-}
-
-// mergeAcksLocked learns every acknowledgement in peer's log that this
-// node has not merged before. Both locks are held. The merge is exact:
-// logs are append-only and acknowledgements survive crashes, so every
-// entry below the cursor is already in n.acks.
+// mergeAcksLocked learns every acknowledgement peer knows and this
+// node lacks, and purges any buffered copy of those messages. Both
+// locks are held. Both logs of one origin are prefixes of the origin's
+// own, so the acks this node lacks are exactly the suffix of the
+// longer one, and the merge touches nothing else. The suffix is taken
+// by sharing the peer's backing array, capped so it is never appended
+// to: only the origin appends, and to its own log.
 func (n *Node) mergeAcksLocked(peer *Node) {
-	from := n.ackCursor[peer.id]
-	if from == len(peer.ackLog) {
+	if peer.ackLog == nil {
 		return
 	}
-	if n.ackCursor == nil {
-		n.ackCursor = make(map[contact.NodeID]int)
+	if n.ackLog == nil {
+		n.ackLog = make([][]string, len(peer.ackLog))
 	}
-	for _, id := range peer.ackLog[from:] {
-		n.learnAckLocked(id)
+	// Every contact walks all origins, so the loop indexes a local
+	// slice of proven length: no field reload, no bounds check.
+	logs := n.ackLog[:len(peer.ackLog)]
+	for o, theirs := range peer.ackLog {
+		mine := logs[o]
+		if len(theirs) <= len(mine) {
+			continue
+		}
+		for _, id := range theirs[len(mine):] {
+			if c, held := n.buffer[id]; held {
+				n.releaseLocked(c)
+				n.stats.Purged++
+			}
+		}
+		logs[o] = theirs[:len(theirs):len(theirs)]
 	}
-	n.ackCursor[peer.id] = len(peer.ackLog)
 }
 
 // crashLocked models a crash/restart at a contact (node churn). The

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -209,38 +210,45 @@ func TestMeetSelfIsNoop(t *testing.T) {
 	}
 }
 
+// TestConcurrentMeets hammers Meet from many goroutines (run with
+// -race). With anti-packets, nodes share the backing arrays of their
+// per-origin ack logs while the origins append to them.
 func TestConcurrentMeets(t *testing.T) {
-	nw := testNetwork(t, Config{Nodes: 40, GroupSize: 5, Seed: 31})
-	// Ten messages from different sources.
-	for i := 0; i < 10; i++ {
-		if _, err := nw.Node(contact.NodeID(i)).Send(SendSpec{
-			Dst: contact.NodeID(39 - i), Payload: []byte{byte(i)}, Relays: 2, Copies: 2,
-		}, rng.New(uint64(100+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Hammer Meet from many goroutines; the per-pair double-locking
-	// must keep ticket accounting consistent (run with -race).
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := rng.New(uint64(w))
-			for i := 0; i < 2000; i++ {
-				a := contact.NodeID(s.IntN(40))
-				b := contact.NodeID(s.PickOther(40, int(a)))
-				nw.Meet(a, b, float64(i))
+	for _, anti := range []bool{false, true} {
+		t.Run(fmt.Sprintf("antipackets=%v", anti), func(t *testing.T) {
+			nw := testNetwork(t, Config{Nodes: 40, GroupSize: 5, Seed: 31, AntiPackets: anti})
+			// Ten messages from different sources.
+			for i := 0; i < 10; i++ {
+				if _, err := nw.Node(contact.NodeID(i)).Send(SendSpec{
+					Dst: contact.NodeID(39 - i), Payload: []byte{byte(i)}, Relays: 2, Copies: 2,
+				}, rng.New(uint64(100+i))); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	total := nw.TotalStats()
-	if total.Delivered > 10 {
-		t.Fatalf("delivered %d > sent 10", total.Delivered)
-	}
-	if total.Sent != 10 {
-		t.Fatalf("sent = %d", total.Sent)
+			// The per-pair double-locking must keep ticket accounting
+			// consistent.
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					s := rng.New(uint64(w))
+					for i := 0; i < 2000; i++ {
+						a := contact.NodeID(s.IntN(40))
+						b := contact.NodeID(s.PickOther(40, int(a)))
+						nw.Meet(a, b, float64(i))
+					}
+				}(w)
+			}
+			wg.Wait()
+			total := nw.TotalStats()
+			if total.Delivered > 10 {
+				t.Fatalf("delivered %d > sent 10", total.Delivered)
+			}
+			if total.Sent != 10 {
+				t.Fatalf("sent = %d", total.Sent)
+			}
+		})
 	}
 }
 
@@ -421,5 +429,5 @@ func TestWithoutAntiPacketsStaleCopiesLinger(t *testing.T) {
 func (n *Node) KnowsDelivered(msgID string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.acks[msgID]
+	return knownAcks(n)[msgID]
 }

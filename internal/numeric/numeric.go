@@ -294,12 +294,3 @@ func Clamp01(v float64) float64 {
 		return v
 	}
 }
-
-// Log2 returns base-2 logarithm; 0 for x <= 0 (entropy convention
-// 0*log 0 = 0 is handled by callers).
-func Log2(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Log2(x)
-}

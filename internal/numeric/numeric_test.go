@@ -293,6 +293,15 @@ func TestClamp01(t *testing.T) {
 	}
 }
 
+// Log2 returns base-2 logarithm; 0 for x <= 0 (entropy convention
+// 0*log 0 = 0 is handled by callers).
+func Log2(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return math.Log2(x)
+}
+
 func TestLog2(t *testing.T) {
 	if Log2(8) != 3 {
 		t.Fatalf("Log2(8) = %v", Log2(8))

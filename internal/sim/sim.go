@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/contact"
@@ -98,20 +97,6 @@ func Replay(tr *trace.Trace, from, horizon float64, p Protocol) int {
 		c.Add(obs.SimReplayContacts, int64(events))
 	}
 	return events
-}
-
-// Validate sanity-checks engine inputs shared by experiment code.
-func Validate(g *contact.Graph, src, dst contact.NodeID) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	if src == dst {
-		return fmt.Errorf("sim: source and destination are both node %d", src)
-	}
-	if src < 0 || int(src) >= g.N() || dst < 0 || int(dst) >= g.N() {
-		return fmt.Errorf("sim: endpoints (%d, %d) out of range [0, %d)", src, dst, g.N())
-	}
-	return nil
 }
 
 // Fanout feeds one contact stream to several protocols simultaneously,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -163,6 +164,21 @@ func TestCountContacts(t *testing.T) {
 	if n < 20 || n > 90 {
 		t.Fatalf("contact count %d wildly off mean 50", n)
 	}
+}
+
+// Validate sanity-checks a contact graph and a source-destination
+// pair on it.
+func Validate(g *contact.Graph, src, dst contact.NodeID) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if src == dst {
+		return fmt.Errorf("sim: source and destination are both node %d", src)
+	}
+	if src < 0 || int(src) >= g.N() || dst < 0 || int(dst) >= g.N() {
+		return fmt.Errorf("sim: endpoints (%d, %d) out of range [0, %d)", src, dst, g.N())
+	}
+	return nil
 }
 
 func TestValidate(t *testing.T) {
