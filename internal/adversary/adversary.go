@@ -64,12 +64,6 @@ func RandomFraction(n int, frac float64, s *rng.Stream) (*Adversary, error) {
 	return Random(n, c, s)
 }
 
-// N returns the network size.
-func (a *Adversary) N() int { return a.n }
-
-// Count returns the number of compromised nodes c.
-func (a *Adversary) Count() int { return len(a.compromised) }
-
 // IsCompromised reports whether node v is controlled by the adversary.
 func (a *Adversary) IsCompromised(v contact.NodeID) bool { return a.compromised[v] }
 

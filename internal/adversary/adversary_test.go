@@ -21,8 +21,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Count() != 2 || a.N() != 5 {
-		t.Fatalf("count=%d n=%d", a.Count(), a.N())
+	if len(a.compromised) != 2 || a.n != 5 {
+		t.Fatalf("count=%d n=%d", len(a.compromised), a.n)
 	}
 	if !a.IsCompromised(1) || a.IsCompromised(2) {
 		t.Fatal("membership wrong")
@@ -34,8 +34,8 @@ func TestRandomCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Count() != 17 {
-		t.Fatalf("count = %d", a.Count())
+	if len(a.compromised) != 17 {
+		t.Fatalf("count = %d", len(a.compromised))
 	}
 	if _, err := Random(10, 11, rng.New(1)); err == nil {
 		t.Fatal("accepted c > n")
@@ -50,8 +50,8 @@ func TestRandomFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Count() != 10 {
-		t.Fatalf("count = %d, want 10", a.Count())
+	if len(a.compromised) != 10 {
+		t.Fatalf("count = %d, want 10", len(a.compromised))
 	}
 	if _, err := RandomFraction(100, 1.5, rng.New(1)); err == nil {
 		t.Fatal("accepted fraction > 1")

@@ -252,9 +252,6 @@ func FromPlan(p *Plan) *Chaos {
 	return &Chaos{plan: p, start: time.Now(), streak: make(map[string]int)}
 }
 
-// Plan returns the armed schedule.
-func (c *Chaos) Plan() *Plan { return c.plan }
-
 // BlockedError reports a dial refused by an asymmetric partition.
 // Wait is how long the current window has left: the caller's backoff
 // should sleep at least that long before retrying, turning a

@@ -95,7 +95,7 @@ func TestDirectoryBlackoutMidReplay(t *testing.T) {
 	}
 
 	// The second half of the replay runs entirely in the dark: contacts
-	// resolve peers from the launch-time address cache.
+	// resolve peers from the daemons' own addresses.
 	if _, err := c.Replay(tr, split, 2*3600-split, 2); err != nil {
 		t.Fatalf("replay through the blackout: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestDirectoryBlackoutMidReplay(t *testing.T) {
 	if err := c.Dir().Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if inc := c.Dir().Incarnation(); inc != 2 {
+	if inc := c.Dir().Audit().Incarnation; inc != 2 {
 		t.Fatalf("directory incarnation after restart = %d, want 2", inc)
 	}
 	if err := c.Revalidate(); err != nil {

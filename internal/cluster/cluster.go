@@ -24,11 +24,7 @@ type Config struct {
 	// survives before its daemon drops it (0 = unlimited re-offers).
 	ReofferLimit int
 	Spray        bool
-	// Shares and Threshold configure the directory's Shamir key split
-	// (defaults 5 and 3).
-	Shares    int
-	Threshold int
-	Timeout   time.Duration
+	Timeout      time.Duration
 	// ContactBudget caps each contact connection's total wall time
 	// (0 = uncapped); see DaemonConfig.ContactBudget.
 	ContactBudget time.Duration
@@ -47,12 +43,6 @@ type Cluster struct {
 	cfg     Config
 	dir     *Dir
 	daemons []*Daemon
-
-	// peerAddrs caches each daemon's listening address at launch so a
-	// replay can keep scheduling contacts while the directory is dark
-	// (daemon addresses are stable across a directory blackout — only
-	// daemon restarts move them, and those re-register).
-	peerAddrs []string
 }
 
 // Launch starts the directory and all daemons. On any failure the
@@ -62,8 +52,6 @@ func Launch(cfg Config) (*Cluster, error) {
 		Nodes:     cfg.Nodes,
 		GroupSize: cfg.GroupSize,
 		Seed:      cfg.Seed,
-		Shares:    cfg.Shares,
-		Threshold: cfg.Threshold,
 		Timeout:   cfg.Timeout,
 	})
 	if err != nil {
@@ -73,10 +61,9 @@ func Launch(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		dir:       dir,
-		daemons:   make([]*Daemon, cfg.Nodes),
-		peerAddrs: make([]string, cfg.Nodes),
+		cfg:     cfg,
+		dir:     dir,
+		daemons: make([]*Daemon, cfg.Nodes),
 	}
 	for id := 0; id < cfg.Nodes; id++ {
 		d, err := StartDaemon(DaemonConfig{
@@ -96,22 +83,8 @@ func Launch(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: start daemon %d: %w", id, err)
 		}
 		c.daemons[id] = d
-		c.peerAddrs[id] = d.Addr()
 	}
 	return c, nil
-}
-
-// peerAddr resolves node id's contact address: the directory's live
-// registration when it answers, falling back to the launch-time cache
-// so contacts keep flowing through a directory blackout.
-func (c *Cluster) peerAddr(id contact.NodeID) (string, bool) {
-	if addr, ok := c.dir.MemberAddr(id); ok {
-		return addr, true
-	}
-	if id >= 0 && int(id) < len(c.peerAddrs) && c.peerAddrs[id] != "" {
-		return c.peerAddrs[id], true
-	}
-	return "", false
 }
 
 // Nodes returns the launched daemons in id order.
@@ -161,25 +134,9 @@ func (c *Cluster) Close() error {
 func (c *Cluster) TotalStats() node.Stats {
 	var total node.Stats
 	for _, d := range c.daemons {
-		if d == nil {
-			continue
+		if d != nil {
+			total.Add(d.Node().Stats())
 		}
-		s := d.Node().Stats()
-		total.Sent += s.Sent
-		total.Forwarded += s.Forwarded
-		total.Carried += s.Carried
-		total.Delivered += s.Delivered
-		total.Rejected += s.Rejected
-		total.Refused += s.Refused
-		total.Expired += s.Expired
-		total.Purged += s.Purged
-		total.BackpressureDropped += s.BackpressureDropped
-		total.Truncated += s.Truncated
-		total.Corrupted += s.Corrupted
-		total.Retried += s.Retried
-		total.Duplicates += s.Duplicates
-		total.Crashes += s.Crashes
-		total.CrashDropped += s.CrashDropped
 	}
 	return total
 }

@@ -318,14 +318,6 @@ func (d *Daemon) Revalidate() error {
 	return nil
 }
 
-// DirIncarnation returns the directory incarnation from the most
-// recent welcome this daemon accepted.
-func (d *Daemon) DirIncarnation() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dirIncarnation
-}
-
 // Addr returns the daemon's current listening address.
 func (d *Daemon) Addr() string {
 	d.mu.Lock()
@@ -617,7 +609,7 @@ func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep
 	defer conn.Close()
 	d.node.Expire(now)
 	offers := d.node.OffersTo(peer, d.cfg.Spray)
-	hello := helloMsg{Version: protoVersion, From: d.cfg.ID, To: int(peer), Now: now, IDs: offerIDs(offers)}
+	hello := helloMsg{Version: protoVersion, From: d.cfg.ID, To: int(peer), Now: now, IDs: offers}
 	if err := writeJSON(conn, mHello, hello); err != nil {
 		return rep, false, err
 	}
@@ -672,7 +664,7 @@ func (d *Daemon) serveContact(conn net.Conn, helloBody []byte) {
 	peer := contact.NodeID(hello.From)
 	d.node.Expire(hello.Now)
 	offers := d.node.OffersTo(peer, d.cfg.Spray)
-	ack := helloAckMsg{Seen: d.node.Seen(hello.IDs), IDs: offerIDs(offers)}
+	ack := helloAckMsg{Seen: d.node.Seen(hello.IDs), IDs: offers}
 	if len(offers) == 0 && !slices.Contains(ack.Seen, false) {
 		// Nothing moves either way, so the ack ends the contact. This
 		// side's share is observed before the ack releases the peer.
@@ -724,22 +716,12 @@ type exchange struct {
 // errUnexpected marks a peer that broke the contact protocol.
 var errUnexpected = errors.New("protocol violation")
 
-// offerIDs lists the message IDs of offers, in order: the inventory a
-// contact preamble carries.
-func offerIDs(offers []node.Offer) []string {
-	ids := make([]string, len(offers))
-	for i, off := range offers {
-		ids[i] = off.MsgID
-	}
-	return ids
-}
-
-// unseen keeps the offers whose seen flag is false.
-func unseen(offers []node.Offer, seen []bool) []node.Offer {
-	var out []node.Offer
-	for i, off := range offers {
+// unseen keeps the offered IDs whose seen flag is false.
+func unseen(ids []string, seen []bool) []string {
+	var out []string
+	for i, id := range ids {
 		if !seen[i] {
-			out = append(out, off)
+			out = append(out, id)
 		}
 	}
 	return out
@@ -753,16 +735,21 @@ func checkFlags(seen []bool, ids int) error {
 	return nil
 }
 
-// offer is the sending half of a contact: every offer the peer has
-// not seen, in custody order, is sent and settled by the peer's
-// verdict before the next (stop-and-wait). Custody is released only on
-// a read accept-verdict.
-func (d *Daemon) offer(x *exchange, offers []node.Offer) error {
-	for _, off := range offers {
+// offer is the sending half of a contact: every copy the peer has not
+// seen, in custody order, is framed, sent and settled by the peer's
+// verdict before the next (stop-and-wait). A copy that left custody
+// since the inventory is skipped. Custody is released only on a read
+// accept-verdict.
+func (d *Daemon) offer(x *exchange, ids []string) error {
+	for _, id := range ids {
+		frame, hops, ok := d.node.OfferFrame(id)
+		if !ok {
+			continue
+		}
 		// From the first offer byte on, a failure is custody-ambiguous:
 		// the peer may or may not have ingested the copy, so no retry.
 		x.progressed = true
-		if err := writeMsg(x.conn, mOffer, offerBody(off.Hops, off.Frame)); err != nil {
+		if err := writeMsg(x.conn, mOffer, offerBody(hops, frame)); err != nil {
 			return err
 		}
 		var m verdictMsg
@@ -771,7 +758,7 @@ func (d *Daemon) offer(x *exchange, offers []node.Offer) error {
 		}
 		x.frames += 2
 		v := node.Verdict{Accepted: m.Accepted, Delivered: m.Delivered, BufferFull: m.BufferFull}
-		x.rep.Count(v, d.node.Settle(off.MsgID, v))
+		x.rep.Count(v, d.node.Settle(id, v))
 	}
 	return nil
 }

@@ -221,13 +221,6 @@ func (d *Dir) Restart() error {
 	return nil
 }
 
-// Incarnation returns the directory's current lifetime number.
-func (d *Dir) Incarnation() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.incarnation
-}
-
 // Audit returns a snapshot of the issuance ledger.
 func (d *Dir) Audit() DirAudit {
 	d.mu.Lock()
@@ -263,10 +256,6 @@ func (d *Dir) MemberAddr(id contact.NodeID) (string, bool) {
 	reg, ok := d.members[id]
 	return reg.addr, ok
 }
-
-// Directory exposes the partition (for in-process harnesses and the
-// coordinator's path bookkeeping).
-func (d *Dir) Directory() *groups.Directory { return d.dir }
 
 // Close stops the listener and waits for in-flight connections.
 func (d *Dir) Close() error {
@@ -337,20 +326,6 @@ func (d *Dir) serve(raw net.Conn) {
 			return
 		}
 		_ = writeJSON(conn, mWelcome, welcome)
-	case mLookup:
-		var q lookupMsg
-		if err := unmarshalStrict(body, &q); err != nil {
-			sendErr(conn, err)
-			return
-		}
-		d.mu.Lock()
-		reg, ok := d.members[contact.NodeID(q.ID)]
-		d.mu.Unlock()
-		if !ok {
-			sendErr(conn, fmt.Errorf("node %d not registered", q.ID))
-			return
-		}
-		_ = writeJSON(conn, mLookupResp, lookupRespMsg{Addr: reg.addr, Incarnation: reg.incarnation})
 	case mLeave:
 		var q leaveMsg
 		if err := unmarshalStrict(body, &q); err != nil {

@@ -83,7 +83,7 @@ func TestWelcomeRebuildsReferencePartition(t *testing.T) {
 	}
 	// A layer sealed by the directory's origin cipher must open with
 	// the keys recovered from threshold shares.
-	sealer, err := d.Directory().GroupCipher(0)
+	sealer, err := d.dir.GroupCipher(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +180,11 @@ func TestRegistrationDiscipline(t *testing.T) {
 	if err := dirRequest(t, d.Addr(), mRegister, req, mWelcome, &w); err != nil {
 		t.Fatal(err)
 	}
-	var look lookupRespMsg
-	if err := dirRequest(t, d.Addr(), mLookup, lookupMsg{ID: 1}, mLookupResp, &look); err != nil {
-		t.Fatal(err)
+	if addr, ok := d.MemberAddr(1); !ok || addr != "127.0.0.1:10" {
+		t.Fatalf("address after restart: %q, %v", addr, ok)
 	}
-	if look.Addr != "127.0.0.1:10" || look.Incarnation != 2 {
-		t.Fatalf("lookup after restart: %+v", look)
+	if regs := d.Audit().Registrations; regs[len(regs)-1] != (RegEvent{Node: 1, Incarnation: 2}) {
+		t.Fatalf("last registration after restart: %+v", regs[len(regs)-1])
 	}
 	// The pre-restart incarnation is now stale everywhere.
 	if _, err := register(t, d.Addr(), 1, 1); err == nil || !strings.Contains(err.Error(), "stale") {
@@ -197,8 +196,8 @@ func TestRegistrationDiscipline(t *testing.T) {
 	if err := dirRequest(t, d.Addr(), mLeave, leaveMsg{ID: 1, Incarnation: 2}, mOK, nil); err != nil {
 		t.Fatalf("live leave: %v", err)
 	}
-	if err := dirRequest(t, d.Addr(), mLookup, lookupMsg{ID: 1}, mLookupResp, nil); err == nil {
-		t.Fatal("lookup succeeded after leave")
+	if addr, ok := d.MemberAddr(1); ok {
+		t.Fatalf("node 1 still registered at %q after leave", addr)
 	}
 	if got := d.Members(); got != 0 {
 		t.Fatalf("%d members after leave", got)

@@ -11,9 +11,11 @@
 //     format over length-framed TCP (bundle.WriteFrame/ReadFrame), so
 //     the PR 2 truncation/tamper classification applies to real socket
 //     tears;
-//   - a contact scheduler (Cluster.Replay) replaying the same trace
-//     files internal/trace parses as real link events between daemons;
-//   - a differential harness (diff.go) proving the live tier delivers
+//   - a control-plane client (Coordinator) with which cmd/dtndir
+//     injects a workload into remote daemons and replays the same
+//     trace files internal/trace parses as real contacts between them;
+//   - the workload and trace recording (diff.go) that the differential
+//     suites replay through both tiers, proving the live tier delivers
 //     exactly the message set the in-process sim delivers for the same
 //     (trace, seed).
 //
@@ -46,12 +48,12 @@ const (
 	mContactDone                 // peer is done offering; contact over
 
 	// Node <-> directory: the bulletin board.
-	mRegister   // join/rejoin: id, address, incarnation
-	mWelcome    // membership + threshold key shares
-	mLookup     // resolve a node id to its current address
-	mLookupResp // lookup answer
-	mLeave      // voluntary departure
-	mOK         // generic ack; carries an error string when the request failed
+	mRegister // join/rejoin: id, address, incarnation
+	mWelcome  // membership + threshold key shares
+	_         // 8 and 9 are unassigned: the blanks keep every later
+	_         // type's wire value
+	mLeave    // voluntary departure
+	mOK       // generic ack; carries an error string when the request failed
 
 	// Coordinator -> node: control plane used by cmd/dtndir replay mode.
 	mSend      // originate a message (workload spec fields)
@@ -144,15 +146,6 @@ type welcomeMsg struct {
 	// assert the bulletin board never moves backwards. Welcomes are
 	// parsed non-strict, so older daemons ignore the field.
 	DirIncarnation uint64 `json:"dir_incarnation,omitempty"`
-}
-
-type lookupMsg struct {
-	ID int `json:"id"`
-}
-
-type lookupRespMsg struct {
-	Addr        string `json:"addr"`
-	Incarnation uint64 `json:"incarnation"`
 }
 
 type leaveMsg struct {

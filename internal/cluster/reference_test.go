@@ -119,3 +119,11 @@ func RunReference(cfg Config, msgs []Message, tr *trace.Trace, from, horizon flo
 func Subset(s node.Stats) StatsSubset {
 	return StatsSubset{Sent: s.Sent, Forwarded: s.Forwarded, Carried: s.Carried, Delivered: s.Delivered}
 }
+
+// DirIncarnation returns the directory incarnation from the most
+// recent welcome this daemon accepted.
+func (d *Daemon) DirIncarnation() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.dirIncarnation
+}

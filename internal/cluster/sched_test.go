@@ -9,6 +9,11 @@ package cluster
 // node pairs commute — the custody protocol only touches its two
 // endpoints — so the final delivered sets and per-node stats are
 // identical to serial replay at every worker count.
+//
+// Only the differential, chaos, blackout and wire-cost suites replay
+// traces over a live cluster (binaries drive Daemon.Contact directly),
+// so the scheduler lives with them; the external cluster_test files
+// reach it too.
 
 import (
 	"errors"
@@ -93,4 +98,18 @@ func (c *Cluster) Replay(tr *trace.Trace, from, horizon float64, workers int) (i
 	}
 	wg.Wait()
 	return len(window), errors.Join(errs...)
+}
+
+// peerAddr resolves node id's contact address: the directory's live
+// registration when it answers, falling back to the daemon's own
+// listening address so contacts keep flowing through a directory
+// blackout.
+func (c *Cluster) peerAddr(id contact.NodeID) (string, bool) {
+	if addr, ok := c.dir.MemberAddr(id); ok {
+		return addr, true
+	}
+	if id >= 0 && int(id) < len(c.daemons) && c.daemons[id] != nil {
+		return c.daemons[id].Addr(), true
+	}
+	return "", false
 }

@@ -125,9 +125,6 @@ func newNetwork(cfg Config, g *contact.Graph, root *rng.Stream) (*Network, error
 	return &Network{cfg: cfg, graph: g, groups: dir, root: root}, nil
 }
 
-// Config returns the network's configuration.
-func (nw *Network) Config() Config { return nw.cfg }
-
 // Graph returns the realized contact graph.
 func (nw *Network) Graph() *contact.Graph { return nw.graph }
 
@@ -335,15 +332,6 @@ func NewTraceNetwork(tr *trace.Trace, seed uint64) (*TraceNetwork, error) {
 	}
 	return &TraceNetwork{tr: tr, rates: rates, root: rng.New(seed)}, nil
 }
-
-// Trace returns the underlying trace.
-func (tn *TraceNetwork) Trace() *trace.Trace { return tn.tr }
-
-// Rates returns the fitted contact-rate graph.
-func (tn *TraceNetwork) Rates() *contact.Graph { return tn.rates }
-
-// N returns the node count.
-func (tn *TraceNetwork) N() int { return tn.tr.NodeCount }
 
 // TraceTrial is one trace-replay message: endpoints, ad-hoc onion
 // groups, fitted rates, and the transmission start time (a contact of

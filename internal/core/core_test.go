@@ -202,8 +202,8 @@ func buildTraceNetwork(t *testing.T) *TraceNetwork {
 
 func TestTraceNetworkTrial(t *testing.T) {
 	tn := buildTraceNetwork(t)
-	if tn.N() != 12 {
-		t.Fatalf("N = %d", tn.N())
+	if tn.tr.NodeCount != 12 {
+		t.Fatalf("N = %d", tn.tr.NodeCount)
 	}
 	for i := 0; i < 20; i++ {
 		tr, err := tn.NewTrial(i, 10, 3)
@@ -314,7 +314,7 @@ func TestAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nw.Config().Nodes != cfg.Nodes {
+	if nw.cfg.Nodes != cfg.Nodes {
 		t.Fatal("Config accessor wrong")
 	}
 	if nw.Graph().N() != cfg.Nodes {
@@ -324,7 +324,7 @@ func TestAccessors(t *testing.T) {
 		t.Fatal("Groups accessor wrong")
 	}
 	tn := buildTraceNetwork(t)
-	if tn.Trace().NodeCount != 12 || tn.Rates().N() != 12 {
+	if tn.tr.NodeCount != 12 || tn.rates.N() != 12 {
 		t.Fatal("trace accessors wrong")
 	}
 }

@@ -110,9 +110,6 @@ func New(store *resultcache.Store, opt Options) *Dispatcher {
 	return &Dispatcher{store: store, opt: opt.withDefaults()}
 }
 
-// Store returns the underlying cache entry.
-func (d *Dispatcher) Store() *resultcache.Store { return d.store }
-
 // chunk is one leaseable trial range [lo, hi).
 type chunk struct {
 	lo, hi int

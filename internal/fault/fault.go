@@ -121,9 +121,6 @@ type Handoff struct {
 	Duplicate bool
 }
 
-// Damaged reports whether the frame will arrive damaged.
-func (h Handoff) Damaged() bool { return h.Truncate || h.Corrupt }
-
 // Plan is one deterministic fault schedule: a Config bound to a random
 // substream. Methods are safe for concurrent use, but draws are
 // consumed in calling order — drive contacts sequentially (as every

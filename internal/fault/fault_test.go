@@ -125,9 +125,6 @@ func TestHandoffClasses(t *testing.T) {
 		default:
 			clean++
 		}
-		if h.Damaged() != (h.Truncate || h.Corrupt) {
-			t.Fatalf("Damaged() inconsistent: %+v", h)
-		}
 	}
 	for name, n := range map[string]int{"truncate": trunc, "corrupt": corr, "duplicate": dup, "clean": clean} {
 		if n == 0 {

@@ -246,22 +246,7 @@ func (nw *Network) handoffLocked(sender, receiver *Node, c *carried, rep *MeetRe
 func (nw *Network) TotalStats() Stats {
 	var total Stats
 	for _, n := range nw.nodes {
-		s := n.Stats()
-		total.Sent += s.Sent
-		total.Forwarded += s.Forwarded
-		total.Carried += s.Carried
-		total.Delivered += s.Delivered
-		total.Rejected += s.Rejected
-		total.Refused += s.Refused
-		total.Expired += s.Expired
-		total.Purged += s.Purged
-		total.BackpressureDropped += s.BackpressureDropped
-		total.Truncated += s.Truncated
-		total.Corrupted += s.Corrupted
-		total.Retried += s.Retried
-		total.Duplicates += s.Duplicates
-		total.Crashes += s.Crashes
-		total.CrashDropped += s.CrashDropped
+		total.Add(n.Stats())
 	}
 	return total
 }

@@ -50,6 +50,26 @@ type Stats struct {
 	CrashDropped int // custody onions lost to volatile-buffer crashes
 }
 
+// Add sums every counter of s into st: the one total both tiers'
+// TotalStats report.
+func (st *Stats) Add(s Stats) {
+	st.Sent += s.Sent
+	st.Forwarded += s.Forwarded
+	st.Carried += s.Carried
+	st.Delivered += s.Delivered
+	st.Rejected += s.Rejected
+	st.Refused += s.Refused
+	st.Expired += s.Expired
+	st.Purged += s.Purged
+	st.BackpressureDropped += s.BackpressureDropped
+	st.Truncated += s.Truncated
+	st.Corrupted += s.Corrupted
+	st.Retried += s.Retried
+	st.Duplicates += s.Duplicates
+	st.Crashes += s.Crashes
+	st.CrashDropped += s.CrashDropped
+}
+
 // carried is one onion in a node's buffer.
 type carried struct {
 	id string

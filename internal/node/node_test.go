@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +21,26 @@ func testNetwork(t *testing.T, cfg Config) *Network {
 		t.Fatal(err)
 	}
 	return nw
+}
+
+// TestStatsAddSumsEveryCounter gives every Stats field a distinct
+// value, so a counter that Stats.Add leaves out, and with it both
+// tiers' TotalStats, fails here.
+func TestStatsAddSumsEveryCounter(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	var total Stats
+	total.Add(s)
+	total.Add(s)
+	got := reflect.ValueOf(total)
+	for i := 0; i < v.NumField(); i++ {
+		if g := got.Field(i).Int(); g != int64(2*(i+1)) {
+			t.Errorf("Stats.Add sums %s to %d, want %d", v.Type().Field(i).Name, g, 2*(i+1))
+		}
+	}
 }
 
 func TestNewNetworkValidation(t *testing.T) {

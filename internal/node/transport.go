@@ -6,8 +6,9 @@ package node
 // direction of a contact is an inventory step followed by a
 // half-duplex offer/verdict exchange over the copies that survive it:
 //
-//	sender:   OffersTo(peer)             -> eligible frames, FIFO order
-//	receiver: Seen(ids)                  -> one flag per offer; seen copies are not sent
+//	sender:   OffersTo(peer)             -> eligible message IDs, FIFO order
+//	receiver: Seen(ids)                  -> one flag per ID; seen copies are not sent
+//	sender:   OfferFrame(id)             -> the frame and hops of an unseen copy
 //	receiver: Receive(frame, senderHops) -> Verdict
 //	sender:   Settle(id, verdict)        -> spend a ticket, or charge a refusal
 //	both:     MeetReport.Count(verdict, dropped), then one Observe per contact
@@ -34,14 +35,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Offer is one custody record proposed for hand-off to a peer: the
-// marshaled bundle frame plus the hop count that rides alongside it.
-type Offer struct {
-	MsgID string
-	Hops  int
-	Frame []byte
-}
-
 // eligibleLocked reports whether peer may take custody of c: the final
 // destination of a last-hop onion, a member of the addressed group, or
 // (in spray mode) any node while spare tickets remain. The caller
@@ -58,22 +51,35 @@ func (n *Node) eligibleLocked(c *carried, peer contact.NodeID, spray bool) bool 
 	return false
 }
 
-// OffersTo returns a marshaled frame for every onion in custody that
-// peer is eligible to receive, in custody FIFO order. The offers are
-// snapshots: custody is only released by Settle, so a connection that
-// dies between offer and verdict leaves the sender holding every
-// unacknowledged onion.
-func (n *Node) OffersTo(peer contact.NodeID, spray bool) []Offer {
+// OffersTo lists the message IDs of every onion in custody that peer
+// is eligible to receive, in custody FIFO order: the inventory a
+// contact preamble carries. Nothing is marshaled until OfferFrame, so
+// a copy the peer has seen costs no frame.
+func (n *Node) OffersTo(peer contact.NodeID, spray bool) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var out []Offer
+	var out []string
 	for _, c := range n.order {
-		if c.gone || !n.eligibleLocked(c, peer, spray) {
-			continue
+		if !c.gone && n.eligibleLocked(c, peer, spray) {
+			out = append(out, c.id)
 		}
-		out = append(out, Offer{MsgID: c.id, Hops: c.hops, Frame: c.frame()})
 	}
 	return out
+}
+
+// OfferFrame marshals the copy of msgID for the wire, with the hop
+// count that rides alongside it; ok is false once the copy has left
+// custody. The frame is a snapshot: custody is only released by
+// Settle, so a connection that dies between offer and verdict leaves
+// the sender holding every unacknowledged onion.
+func (n *Node) OfferFrame(msgID string) (frame []byte, hops int, ok bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	c, ok := n.buffer[msgID]
+	if !ok {
+		return nil, 0, false
+	}
+	return c.frame(), c.hops, true
 }
 
 // Seen reports, for each message ID, whether this node has ever

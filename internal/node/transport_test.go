@@ -12,27 +12,27 @@ import (
 // surface — the exact call sequence a cluster daemon performs over
 // TCP: both sides expire and list their offers (the hello and its
 // ack), then each direction reads the receiver's seen flags and
-// offers, receives, and settles only the copies the receiver has not
+// frames, receives, and settles only the copies the receiver has not
 // seen.
 func driveTransport(nw *Network, x, y contact.NodeID, now float64) MeetReport {
 	a, b := nw.Node(x), nw.Node(y)
 	a.Expire(now)
 	b.Expire(now)
-	offers := [2][]Offer{a.OffersTo(y, nw.cfg.Spray), b.OffersTo(x, nw.cfg.Spray)}
+	offers := [2][]string{a.OffersTo(y, nw.cfg.Spray), b.OffersTo(x, nw.cfg.Spray)}
 	rep := MeetReport{Contacts: 1}
 	for i, pair := range [][2]*Node{{a, b}, {b, a}} {
 		sender, receiver := pair[0], pair[1]
-		ids := make([]string, len(offers[i]))
-		for j, off := range offers[i] {
-			ids[j] = off.MsgID
-		}
-		seen := receiver.Seen(ids)
-		for j, off := range offers[i] {
+		seen := receiver.Seen(offers[i])
+		for j, id := range offers[i] {
 			if seen[j] {
 				continue
 			}
-			v := receiver.Receive(off.Frame, off.Hops)
-			rep.Count(v, sender.Settle(off.MsgID, v))
+			frame, hops, ok := sender.OfferFrame(id)
+			if !ok {
+				continue
+			}
+			v := receiver.Receive(frame, hops)
+			rep.Count(v, sender.Settle(id, v))
 		}
 	}
 	return rep

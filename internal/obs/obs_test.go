@@ -260,7 +260,7 @@ func TestRunFlagsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer run.Abort()
-	if Active() != run.Collector() {
+	if Active() != run.collector {
 		t.Fatal("Begin did not install the collector")
 	}
 	Active().Add(SimSyntheticContacts, 5)

@@ -164,10 +164,6 @@ func (rf *RunFlags) Begin(command string, args []string) (*Run, error) {
 	return r, nil
 }
 
-// Collector returns the run's collector, or nil when no manifest was
-// requested.
-func (r *Run) Collector() *Collector { return r.collector }
-
 // Finish stops profiling, uninstalls the collector, and writes the
 // manifest if one was requested. The config block, seed, workers, and
 // fault rate describe the scenario the command ran.

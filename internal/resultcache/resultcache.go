@@ -322,9 +322,6 @@ func (s *Store) Loaded() int {
 // LeaseDir returns the entry's lease directory for the dispatch layer.
 func (s *Store) LeaseDir() string { return filepath.Join(s.dir, leaseSubdir) }
 
-// Dir returns the entry directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close releases the shard append handle. Safe to call more than once.
 func (s *Store) Close() error {
 	s.mu.Lock()

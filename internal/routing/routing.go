@@ -119,14 +119,6 @@ type Result struct {
 	Copies        []CopyTrace
 }
 
-// Delay returns the delivery delay relative to the given start time.
-func (r Result) Delay(start float64) float64 {
-	if !r.Delivered {
-		return 0
-	}
-	return r.Time - start
-}
-
 // DeliveredCopy returns the trace of the first delivered copy, if any.
 func (r Result) DeliveredCopy() (CopyTrace, bool) {
 	for _, c := range r.Copies {

@@ -39,7 +39,6 @@ type Engine struct {
 	delivery map[string]*deliveryEntry
 	// traceable memoizes model.TraceableRate by (eta, frac bits).
 	traceable map[traceableKey]float64
-	stats     CacheStats
 
 	// noCache disables the model memo caches (benchmark baseline).
 	noCache bool
@@ -56,23 +55,6 @@ type traceableKey struct {
 	frac uint64
 }
 
-// CacheStats counts memo-cache traffic. Hits return previously
-// computed values of pure functions, so the counts are diagnostic
-// only — they cannot influence figure content.
-type CacheStats struct {
-	// DeliveryEvalHits/Misses count evaluator lookups (coefficient
-	// precomputation shared across deadlines).
-	DeliveryEvalHits   int64
-	DeliveryEvalMisses int64
-	// DeliveryValueHits/Misses count per-(evaluator, deadline) CDF
-	// value lookups.
-	DeliveryValueHits   int64
-	DeliveryValueMisses int64
-	// TraceableHits/Misses count model.TraceableRate lookups.
-	TraceableHits   int64
-	TraceableMisses int64
-}
-
 // NewEngine returns an engine for one effort level.
 func NewEngine(opt Options) *Engine {
 	return &Engine{
@@ -85,13 +67,6 @@ func NewEngine(opt Options) *Engine {
 
 // Options returns the engine's effort options.
 func (e *Engine) Options() Options { return e.opt }
-
-// CacheStats returns a snapshot of the memo-cache counters.
-func (e *Engine) CacheStats() CacheStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
 
 // network returns the deterministic network for cfg, constructed at
 // most once per engine. core.NewNetwork derives everything from
@@ -140,21 +115,16 @@ func (e *Engine) DeliveryRate(rates []float64, copies int, deadline float64) (fl
 		ev, err := model.NewDeliveryEvaluator(rates, copies)
 		ent = &deliveryEntry{ev: ev, err: err, vals: make(map[uint64]float64)}
 		e.delivery[key] = ent
-		e.stats.DeliveryEvalMisses++
-	} else {
-		e.stats.DeliveryEvalHits++
 	}
 	if ent.err != nil {
 		return 0, ent.err
 	}
 	tb := math.Float64bits(deadline)
 	if v, ok := ent.vals[tb]; ok {
-		e.stats.DeliveryValueHits++
 		return v, nil
 	}
 	v := ent.ev.At(deadline)
 	ent.vals[tb] = v
-	e.stats.DeliveryValueMisses++
 	return v, nil
 }
 
@@ -167,11 +137,9 @@ func (e *Engine) TraceableRate(eta int, frac float64) float64 {
 	key := traceableKey{eta: eta, frac: math.Float64bits(frac)}
 	e.mu.Lock()
 	if v, ok := e.traceable[key]; ok {
-		e.stats.TraceableHits++
 		e.mu.Unlock()
 		return v
 	}
-	e.stats.TraceableMisses++
 	e.mu.Unlock()
 	v := model.TraceableRate(eta, frac)
 	e.mu.Lock()

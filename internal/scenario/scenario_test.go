@@ -259,8 +259,13 @@ func TestEngineCacheBitIdentity(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatal("cache changed figure bytes")
 	}
-	st := cached.CacheStats()
-	if st.DeliveryValueHits+st.DeliveryEvalHits == 0 {
-		t.Fatalf("cached run never hit the cache: %+v", st)
+	// An evaluator holding values for two deadlines was found in the
+	// memo for the second: the cached run hit the cache.
+	hit := false
+	for _, ent := range cached.delivery {
+		hit = hit || len(ent.vals) > 1
+	}
+	if !hit {
+		t.Fatalf("cached run never hit the cache: none of %d evaluators was reused", len(cached.delivery))
 	}
 }

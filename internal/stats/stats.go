@@ -74,12 +74,6 @@ func (a *Accumulator) StdErr() float64 {
 // interval around the mean.
 func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
 
-// Min returns the smallest observation, or 0 if empty.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation, or 0 if empty.
-func (a *Accumulator) Max() float64 { return a.max }
-
 // Summary is a value snapshot of an Accumulator.
 type Summary struct {
 	N      int

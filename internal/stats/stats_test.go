@@ -27,8 +27,8 @@ func TestAccumulatorBasics(t *testing.T) {
 	if math.Abs(a.Variance()-want) > 1e-12 {
 		t.Fatalf("variance = %v, want %v", a.Variance(), want)
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", a.Min(), a.Max())
+	if a.min != 2 || a.max != 9 {
+		t.Fatalf("min/max = %v/%v", a.min, a.max)
 	}
 }
 
@@ -38,7 +38,7 @@ func TestAccumulatorSingleObservation(t *testing.T) {
 	if a.Variance() != 0 || a.StdDev() != 0 {
 		t.Fatal("variance with one observation should be 0")
 	}
-	if a.Min() != 3 || a.Max() != 3 {
+	if a.min != 3 || a.max != 3 {
 		t.Fatal("min/max wrong for single observation")
 	}
 }
@@ -111,7 +111,7 @@ func TestAccumulatorEmptyContract(t *testing.T) {
 	if a.Variance() != 0 || a.StdDev() != 0 || a.StdErr() != 0 || a.CI95() != 0 {
 		t.Fatal("empty spread statistics should be 0")
 	}
-	if a.Min() != 0 || a.Max() != 0 {
+	if a.min != 0 || a.max != 0 {
 		t.Fatal("empty min/max should be 0")
 	}
 	s := a.Summarize()
