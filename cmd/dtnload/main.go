@@ -221,7 +221,7 @@ func run(args []string, out io.Writer, ready func(metricsURL string)) error {
 		if cs == 0 {
 			cs = o.seed
 		}
-		o.plan = chaos.NewPlan(chaos.Config{Seed: cs, Nodes: o.nodes})
+		o.plan = chaos.NewPlan(cs, o.nodes)
 		fmt.Fprintf(out, "dtnload: chaos armed (seed %d: %d slots, %d partitions, %d blackouts, relent after %d)\n",
 			cs, len(o.plan.Slots), len(o.plan.Partitions), len(o.plan.Blackouts), o.plan.RelentAfter)
 		if *chaosPlanPath != "" {

@@ -126,7 +126,7 @@ func TestClusterChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPlan := append(chaos.NewPlan(chaos.Config{Seed: 42, Nodes: 6}).JSON(), '\n')
+	wantPlan := append(chaos.NewPlan(42, 6).JSON(), '\n')
 	if !bytes.Equal(gotPlan, wantPlan) {
 		t.Errorf("dumped plan is not the deterministic schedule for seed 42:\n got %s\nwant %s", gotPlan, wantPlan)
 	}

@@ -318,15 +318,15 @@ func runBaseline(out io.Writer, sup *runner.Supervisor, name string, n, l int, d
 		var err error
 		switch name {
 		case "epidemic":
-			p, err = routing.NewEpidemic(nodeID(src), nodeID(dst), 0)
+			p, err = routing.NewEpidemic(nodeID(src), nodeID(dst))
 		case "sprayandwait":
-			p, err = routing.NewSprayAndWait(nodeID(src), nodeID(dst), l, 0)
+			p, err = routing.NewSprayAndWait(nodeID(src), nodeID(dst), l)
 		case "binaryspray":
-			p, err = routing.NewBinarySprayAndWait(nodeID(src), nodeID(dst), l, 0)
+			p, err = routing.NewBinarySprayAndWait(nodeID(src), nodeID(dst), l)
 		case "prophet":
-			p, err = routing.NewProphet(n, nodeID(src), nodeID(dst), 0, routing.ProphetConfig{})
+			p, err = routing.NewProphet(n, nodeID(src), nodeID(dst))
 		case "direct":
-			p, err = routing.NewDirect(nodeID(src), nodeID(dst), 0)
+			p, err = routing.NewDirect(nodeID(src), nodeID(dst))
 		}
 		if err != nil {
 			return routing.BaselineResult{}, err

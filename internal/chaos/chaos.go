@@ -3,10 +3,10 @@
 // resets, half-open stalls, short-read tears, asymmetric partitions,
 // and scheduled directory blackouts — every fault drawn from rng
 // substreams so a chaos schedule is a replayable artifact. The Plan is
-// computed up front from (seed, config) alone: the same -chaos-seed
-// always serializes to byte-identical JSON regardless of worker count
-// or wall-clock timing, and goes into the run manifest so a violation
-// reproduces from a single number.
+// computed up front from the seed and the population size alone: the
+// same -chaos-seed always serializes to byte-identical JSON regardless
+// of worker count or wall-clock timing, and goes into the run manifest
+// so a violation reproduces from a single number.
 //
 // Two properties make turbulence compatible with the differential
 // harness's exact delivered-set agreement:
@@ -106,68 +106,20 @@ func (p *Plan) JSON() []byte {
 	return raw
 }
 
-// Config parameterizes plan generation. The zero value of every field
-// gets a usable default; only Seed and Nodes are meaningfully caller-
-// chosen.
-type Config struct {
-	Seed  uint64
-	Nodes int // population size, for partition pair draws (>= 2 enables partitions)
-
-	Slots        int     // connection slot table size (default 64)
-	FaultDensity float64 // fraction of slots that are non-clean (default 0.35)
-	MaxDelayMs   int     // delay upper bound (default 40)
-	MinBps       int     // throttle lower bound (default 4096)
-	MaxBps       int     // throttle upper bound (default 32768)
-	MaxStallMs   int     // stall upper bound (default 150)
-
-	Partitions     int // directional partition windows per period (default 2)
-	PeriodMs       int // partition cycle length (default 1000)
-	MaxPartitionMs int // partition window upper bound (default 250)
-
-	Blackouts   int // scheduled directory outages per run (default 1)
-	RelentAfter int // max consecutive faulted connections per address (default 3)
-}
-
-func (c Config) filled() Config {
-	if c.Slots <= 0 {
-		c.Slots = 64
-	}
-	if c.FaultDensity <= 0 {
-		c.FaultDensity = 0.35
-	}
-	if c.MaxDelayMs <= 0 {
-		c.MaxDelayMs = 40
-	}
-	if c.MinBps <= 0 {
-		c.MinBps = 4096
-	}
-	if c.MaxBps <= c.MinBps {
-		c.MaxBps = c.MinBps * 8
-	}
-	if c.MaxStallMs <= 0 {
-		c.MaxStallMs = 150
-	}
-	if c.Partitions < 0 {
-		c.Partitions = 0
-	} else if c.Partitions == 0 {
-		c.Partitions = 2
-	}
-	if c.PeriodMs <= 0 {
-		c.PeriodMs = 1000
-	}
-	if c.MaxPartitionMs <= 0 || c.MaxPartitionMs > c.PeriodMs/2 {
-		c.MaxPartitionMs = min(250, c.PeriodMs/2)
-	}
-	if c.Blackouts < 0 {
-		c.Blackouts = 0
-	} else if c.Blackouts == 0 {
-		c.Blackouts = 1
-	}
-	if c.RelentAfter <= 0 {
-		c.RelentAfter = 3
-	}
-	return c
-}
+// The plan's fixed shape and magnitudes.
+const (
+	planSlots      = 64    // connection slot table size
+	faultDensity   = 0.35  // fraction of slots that are non-clean
+	maxDelayMs     = 40    // delay upper bound
+	minBps         = 4096  // throttle lower bound
+	maxBps         = 32768 // throttle upper bound
+	maxStallMs     = 150   // stall upper bound
+	partitions     = 2     // directional partition windows per period
+	periodMs       = 1000  // partition cycle length
+	maxPartitionMs = 250   // partition window upper bound
+	blackouts      = 1     // scheduled directory outages per run
+	relentAfter    = 3     // max consecutive faulted connections per address
+)
 
 // maxCut caps reset/tear cut offsets strictly below the smallest
 // possible hello frame (4-byte length prefix + 1 type byte + a 31-byte
@@ -176,35 +128,35 @@ func (c Config) filled() Config {
 // an offer and its verdict.
 const maxCut = 28
 
-// NewPlan draws the full schedule from rng substreams of cfg.Seed. The
-// draw order is fixed and every family uses its own substream, so
-// adding slots never perturbs partitions and vice versa.
-func NewPlan(cfg Config) *Plan {
-	cfg = cfg.filled()
-	root := rng.New(cfg.Seed)
+// NewPlan draws the full schedule for a population of nodes from rng
+// substreams of seed; partitions need nodes >= 2. The draw order is
+// fixed and every family uses its own substream, so adding slots never
+// perturbs partitions and vice versa.
+func NewPlan(seed uint64, nodes int) *Plan {
+	root := rng.New(seed)
 	p := &Plan{
-		Seed:        cfg.Seed,
-		Nodes:       cfg.Nodes,
-		RelentAfter: cfg.RelentAfter,
-		PeriodMs:    cfg.PeriodMs,
-		Slots:       make([]Slot, cfg.Slots),
+		Seed:        seed,
+		Nodes:       nodes,
+		RelentAfter: relentAfter,
+		PeriodMs:    periodMs,
+		Slots:       make([]Slot, planSlots),
 	}
 	kinds := []Kind{KindDelay, KindThrottle, KindReset, KindStall, KindTear}
 	for i := range p.Slots {
 		s := root.SplitN("chaos-slot", i)
-		if s.Float64() >= cfg.FaultDensity {
+		if s.Float64() >= faultDensity {
 			p.Slots[i] = Slot{Kind: KindClean}
 			continue
 		}
 		switch kinds[s.IntN(len(kinds))] {
 		case KindDelay:
-			p.Slots[i] = Slot{Kind: KindDelay, DelayMs: 1 + s.IntN(cfg.MaxDelayMs)}
+			p.Slots[i] = Slot{Kind: KindDelay, DelayMs: 1 + s.IntN(maxDelayMs)}
 		case KindThrottle:
-			p.Slots[i] = Slot{Kind: KindThrottle, Bps: cfg.MinBps + s.IntN(cfg.MaxBps-cfg.MinBps)}
+			p.Slots[i] = Slot{Kind: KindThrottle, Bps: minBps + s.IntN(maxBps-minBps)}
 		case KindReset:
 			p.Slots[i] = Slot{Kind: KindReset, CutAfter: 4 + s.IntN(maxCut-4)}
 		case KindStall:
-			p.Slots[i] = Slot{Kind: KindStall, StallMs: 10 + s.IntN(cfg.MaxStallMs)}
+			p.Slots[i] = Slot{Kind: KindStall, StallMs: 10 + s.IntN(maxStallMs)}
 		case KindTear:
 			p.Slots[i] = Slot{Kind: KindTear, CutAfter: 4 + s.IntN(maxCut-4)}
 		}
@@ -214,19 +166,19 @@ func NewPlan(cfg Config) *Plan {
 	// is nonzero under -chaos" family check holds by construction.
 	if p.Slots[0].Kind == KindClean {
 		s := root.Split("chaos-slot0")
-		p.Slots[0] = Slot{Kind: KindDelay, DelayMs: 1 + s.IntN(cfg.MaxDelayMs)}
+		p.Slots[0] = Slot{Kind: KindDelay, DelayMs: 1 + s.IntN(maxDelayMs)}
 	}
-	if cfg.Nodes >= 2 {
-		for k := 0; k < cfg.Partitions; k++ {
+	if nodes >= 2 {
+		for k := 0; k < partitions; k++ {
 			s := root.SplitN("chaos-partition", k)
-			from := s.IntN(cfg.Nodes)
-			to := s.PickOther(cfg.Nodes, from)
-			win := 50 + s.IntN(max(cfg.MaxPartitionMs-50, 1))
-			start := s.IntN(cfg.PeriodMs - win)
+			from := s.IntN(nodes)
+			to := s.PickOther(nodes, from)
+			win := 50 + s.IntN(maxPartitionMs-50)
+			start := s.IntN(periodMs - win)
 			p.Partitions = append(p.Partitions, Partition{From: from, To: to, StartMs: start, EndMs: start + win})
 		}
 	}
-	for k := 0; k < cfg.Blackouts; k++ {
+	for k := 0; k < blackouts; k++ {
 		s := root.SplitN("chaos-blackout", k)
 		start := s.Uniform(0.25, 0.55)
 		length := s.Uniform(0.08, 0.18)

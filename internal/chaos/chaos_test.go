@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"net"
@@ -9,18 +11,37 @@ import (
 	"time"
 )
 
-// TestPlanDeterministic: the plan is a pure function of (seed, config)
+// TestPlanDeterministic: the plan is a pure function of (seed, nodes)
 // and serializes byte-identically — the replay artifact contract.
 func TestPlanDeterministic(t *testing.T) {
-	cfg := Config{Seed: 42, Nodes: 5}
-	a := NewPlan(cfg).JSON()
-	b := NewPlan(cfg).JSON()
+	a := NewPlan(42, 5).JSON()
+	b := NewPlan(42, 5).JSON()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same seed produced different plans:\n%s\n%s", a, b)
 	}
-	c := NewPlan(Config{Seed: 43, Nodes: 5}).JSON()
+	c := NewPlan(43, 5).JSON()
 	if bytes.Equal(a, c) {
 		t.Fatal("different seeds produced identical plans")
+	}
+}
+
+// TestPlanBytesPinned: the plan's JSON is pinned by SHA-256 at three
+// (seed, nodes) points, so a change to any planning constant or to the
+// draw order shows, not only a change between two runs of one build.
+func TestPlanBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed  uint64
+		nodes int
+		want  string
+	}{
+		{42, 5, "6a154274d7c351ddff3cfd6b317663600687b509793a816aaf1a40d21adb23c2"},
+		{43, 5, "246b2885d017b38886dd7d729c1a5a4a0da3f9aec42b9f76f7def7c4d75a73bf"},
+		{42, 6, "65062d82a8467c184ef6816bc75741f0cae0204e5d52d1c0750f83e111b279c6"},
+	} {
+		sum := sha256.Sum256(NewPlan(tc.seed, tc.nodes).JSON())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("NewPlan(%d, %d).JSON() sha256 %s, want %s", tc.seed, tc.nodes, got, tc.want)
+		}
 	}
 }
 
@@ -28,7 +49,7 @@ func TestPlanDeterministic(t *testing.T) {
 // first slot always injects, and partition windows fit their period.
 func TestPlanBounds(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
-		p := NewPlan(Config{Seed: seed, Nodes: 6})
+		p := NewPlan(seed, 6)
 		if p.Slots[0].Kind == KindClean {
 			t.Fatalf("seed %d: slot 0 is clean — a chaos run could inject nothing", seed)
 		}

@@ -24,18 +24,19 @@ import (
 )
 
 // chaosFor builds the turbulence layer for a test: the full fault
-// repertoire with timing magnitudes tuned down so a CI run under -race
-// stays fast, which changes nothing about coverage (every fault kind
-// still fires) or determinism.
+// repertoire with its delays and stalls scaled to about a third and its
+// throttles to four times the bandwidth, so a CI run under -race stays
+// fast. That changes nothing about coverage (every fault kind still
+// fires) or determinism.
 func chaosFor(seed uint64, nodes int) *chaos.Chaos {
-	return chaos.FromPlan(chaos.NewPlan(chaos.Config{
-		Seed:       seed,
-		Nodes:      nodes,
-		MaxDelayMs: 15,
-		MinBps:     16 << 10,
-		MaxBps:     64 << 10,
-		MaxStallMs: 60,
-	}))
+	p := chaos.NewPlan(seed, nodes)
+	for i := range p.Slots {
+		s := &p.Slots[i]
+		s.DelayMs = (s.DelayMs + 2) / 3
+		s.StallMs = (s.StallMs + 2) / 3
+		s.Bps *= 4
+	}
+	return chaos.FromPlan(p)
 }
 
 // TestDifferentialConferenceTraceUnderChaos replays the conference

@@ -31,8 +31,6 @@ type Config struct {
 	// JoinWait bounds each daemon's directory-registration retries
 	// (0 = a single attempt); see DaemonConfig.JoinWait.
 	JoinWait time.Duration
-	// Retry shapes every daemon's backoff/circuit-breaker discipline.
-	Retry RetryPolicy
 	// Chaos, when set, is shared by every daemon: all outbound
 	// connections pass through the seed-driven turbulence layer.
 	Chaos *chaos.Chaos
@@ -75,7 +73,6 @@ func Launch(cfg Config) (*Cluster, error) {
 			Timeout:       cfg.Timeout,
 			ContactBudget: cfg.ContactBudget,
 			JoinWait:      cfg.JoinWait,
-			Retry:         cfg.Retry,
 			Chaos:         cfg.Chaos,
 		})
 		if err != nil {

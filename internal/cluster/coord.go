@@ -87,7 +87,6 @@ func (co *Coordinator) Inject(addr string, seed uint64, m Message) error {
 		Dst:     int(m.Dst),
 		Relays:  m.Relays,
 		Copies:  m.Copies,
-		Expiry:  m.Expiry,
 		Payload: m.Payload,
 		MsgID:   m.ID,
 		Seed:    seed,

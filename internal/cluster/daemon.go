@@ -45,9 +45,6 @@ type DaemonConfig struct {
 	// up (0 = a single attempt). A node started before its directory
 	// is listening comes up as soon as the directory does.
 	JoinWait time.Duration
-	// Retry shapes the backoff and circuit-breaker discipline for
-	// dials and registrations; zero fields get defaults.
-	Retry RetryPolicy
 	// Chaos, when set, injects seed-driven network turbulence into
 	// every outbound connection (see internal/chaos).
 	Chaos *chaos.Chaos
@@ -232,10 +229,9 @@ func (d *Daemon) registerWithRetry(addr string, incarnation uint64) (*welcomeMsg
 	if d.cfg.JoinWait <= 0 {
 		return nil, err
 	}
-	pol := d.cfg.Retry.filled()
 	deadline := time.Now().Add(d.cfg.JoinWait)
 	for attempt := 0; ; attempt++ {
-		wait := pol.backoff(attempt, d.jitterFloat)
+		wait := backoff(attempt, d.jitterFloat)
 		if bw := br.wait(time.Now()); bw > wait {
 			wait = bw
 		}
@@ -488,7 +484,6 @@ func (d *Daemon) serveControl(conn net.Conn, typ byte, body []byte) error {
 			Payload: m.Payload,
 			Relays:  m.Relays,
 			Copies:  m.Copies,
-			Expiry:  m.Expiry,
 			ID:      m.MsgID,
 		}
 		if _, err := d.node.Send(spec, PathStream(m.Seed, m.Index)); err != nil {
@@ -564,9 +559,8 @@ func (d *Daemon) dialContact(peer contact.NodeID, addr string) (net.Conn, error)
 // instead. A peer that breaks the protocol (errUnexpected) fails the
 // contact at once too: a retry would meet the same peer.
 func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (node.MeetReport, error) {
-	pol := d.cfg.Retry.filled()
 	br := d.breakerFor(addr)
-	deadline := time.Now().Add(pol.Budget)
+	deadline := time.Now().Add(retryBudget)
 	var attempt int
 	for {
 		if wait := br.wait(time.Now()); wait > 0 {
@@ -584,7 +578,7 @@ func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (node.Me
 		if progressed || errors.Is(err, errUnexpected) {
 			return rep, err
 		}
-		wait := pol.backoff(attempt, d.jitterFloat)
+		wait := backoff(attempt, d.jitterFloat)
 		var blocked *chaos.BlockedError
 		if errors.As(err, &blocked) && blocked.Wait > wait {
 			wait = blocked.Wait

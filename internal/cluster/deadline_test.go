@@ -171,8 +171,6 @@ func TestContactBudgetCapsTrickle(t *testing.T) {
 		Nodes: 3, GroupSize: 1, Seed: 37, Spray: true,
 		Timeout:       5 * time.Second,
 		ContactBudget: budget,
-		// No preamble retries: the point is the cap, not the recovery.
-		Retry: RetryPolicy{Budget: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +187,9 @@ func TestContactBudgetCapsTrickle(t *testing.T) {
 	// contact would still "succeed" eventually.
 	proxyAddr := throttledProxy(t, c.Daemon(1).Addr(), 1, time.Second)
 	start := time.Now()
-	_, err = d0.Contact(1, proxyAddr, 1)
+	// One attempt, without Contact's preamble retries: the point is the
+	// cap, not the recovery.
+	_, _, err = d0.contactOnce(1, proxyAddr, 1)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatalf("one-byte-per-second contact completed (%v) despite a %v budget", elapsed, budget)

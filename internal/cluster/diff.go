@@ -38,7 +38,6 @@ type Message struct {
 	Dst     contact.NodeID
 	Relays  int
 	Copies  int
-	Expiry  float64
 	Payload []byte
 	ID      string // 32 hex characters, deterministic per (seed, index)
 }

@@ -22,67 +22,63 @@ import (
 // TestHelloAckFlagCountIsProtocolError: a responder whose hello ack
 // carries a different number of seen flags than the hello listed IDs
 // breaks the protocol; the initiator moves no custody and, since a
-// retry would meet the same peer, fails after one attempt even under
-// the default retry budget.
+// retry would meet the same peer, fails after one attempt although its
+// retry budget has seconds left.
 func TestHelloAckFlagCountIsProtocolError(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		retry RetryPolicy
-	}{{"1ms-budget", RetryPolicy{Budget: time.Millisecond}}, {"default-budget", RetryPolicy{}}} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := Launch(Config{Nodes: 3, GroupSize: 1, Seed: 21, Timeout: 5 * time.Second, Retry: tc.retry})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = c.Close() })
-			d0 := c.Daemon(0)
-			spec := node.SendSpec{Dst: 1, Payload: []byte("miscount"), Relays: 1, Copies: 1, ID: faultMsgID}
-			if _, err := d0.Send(spec, PathStream(21, 0)); err != nil {
-				t.Fatal(err)
-			}
+	// The contact runs under the default retry budget, seconds long.
+	t.Run("default-budget", func(t *testing.T) {
+		c, err := Launch(Config{Nodes: 3, GroupSize: 1, Seed: 21, Timeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		d0 := c.Daemon(0)
+		spec := node.SendSpec{Dst: 1, Payload: []byte("miscount"), Relays: 1, Copies: 1, ID: faultMsgID}
+		if _, err := d0.Send(spec, PathStream(21, 0)); err != nil {
+			t.Fatal(err)
+		}
 
-			// A fake node 2 that answers every hello with two flags.
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = lis.Close() })
-			var hellos atomic.Int64
-			go func() {
-				for {
-					conn, err := lis.Accept()
-					if err != nil {
-						return
-					}
-					var hello helloMsg
-					if typ, body, err := readMsg(conn); err == nil && typ == mHello && unmarshalStrict(body, &hello) == nil {
-						hellos.Add(1)
-						_ = writeJSON(conn, mHelloAck, helloAckMsg{Seen: make([]bool, len(hello.IDs)+1)})
-					}
-					_ = conn.Close()
+		// A fake node 2 that answers every hello with two flags.
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = lis.Close() })
+		var hellos atomic.Int64
+		go func() {
+			for {
+				conn, err := lis.Accept()
+				if err != nil {
+					return
 				}
-			}()
+				var hello helloMsg
+				if typ, body, err := readMsg(conn); err == nil && typ == mHello && unmarshalStrict(body, &hello) == nil {
+					hellos.Add(1)
+					_ = writeJSON(conn, mHelloAck, helloAckMsg{Seen: make([]bool, len(hello.IDs)+1)})
+				}
+				_ = conn.Close()
+			}
+		}()
 
-			col := obs.NewCollector()
-			obs.Install(col)
-			defer obs.Install(nil)
-			start := time.Now()
-			_, err = d0.Contact(2, lis.Addr().String(), 1)
-			elapsed := time.Since(start)
-			if !errors.Is(err, errUnexpected) {
-				t.Fatalf("contact with a miscounting peer: err = %v, want a protocol violation", err)
-			}
-			if d0.Node().BufferLen() != 1 || d0.Node().Stats().Forwarded != 0 {
-				t.Fatalf("custody moved on a refused preamble: buffer %d, stats %+v", d0.Node().BufferLen(), d0.Node().Stats())
-			}
-			if n, retries := hellos.Load(), col.Get(obs.RetryAttempts); n != 1 || retries != 0 {
-				t.Fatalf("protocol violation retried: %d hellos, %d retry attempts, want 1 and 0", n, retries)
-			}
-			if elapsed > time.Second {
-				t.Fatalf("protocol violation took %v to fail, want a prompt return", elapsed)
-			}
-		})
-	}
+		col := obs.NewCollector()
+		obs.Install(col)
+		defer obs.Install(nil)
+		start := time.Now()
+		_, err = d0.Contact(2, lis.Addr().String(), 1)
+		elapsed := time.Since(start)
+		if !errors.Is(err, errUnexpected) {
+			t.Fatalf("contact with a miscounting peer: err = %v, want a protocol violation", err)
+		}
+		if d0.Node().BufferLen() != 1 || d0.Node().Stats().Forwarded != 0 {
+			t.Fatalf("custody moved on a refused preamble: buffer %d, stats %+v", d0.Node().BufferLen(), d0.Node().Stats())
+		}
+		if n, retries := hellos.Load(), col.Get(obs.RetryAttempts); n != 1 || retries != 0 {
+			t.Fatalf("protocol violation retried: %d hellos, %d retry attempts, want 1 and 0", n, retries)
+		}
+		if elapsed > time.Second {
+			t.Fatalf("protocol violation took %v to fail, want a prompt return", elapsed)
+		}
+	})
 }
 
 // TestEndOffersFlagCountIsProtocolError: an initiator whose end of

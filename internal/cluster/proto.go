@@ -68,8 +68,9 @@ const (
 
 // protoVersion guards against skew between daemons built from
 // different revisions; Hello and Register carry it. Version 2 added
-// the seen-flag inventory to the contact preamble.
-const protoVersion = 2
+// the seen-flag inventory to the contact preamble; version 3 dropped
+// the send request's expiry, which was always 0.
+const protoVersion = 3
 
 // The contact preamble is a summary-vector exchange: each side lists
 // the IDs of the copies it would offer, the other answers with one
@@ -158,13 +159,12 @@ type okMsg struct {
 }
 
 type sendMsg struct {
-	Src     int     `json:"src"`
-	Dst     int     `json:"dst"`
-	Relays  int     `json:"relays"`
-	Copies  int     `json:"copies"`
-	Expiry  float64 `json:"expiry"`
-	Payload []byte  `json:"payload"`
-	MsgID   string  `json:"msg_id"`
+	Src     int    `json:"src"`
+	Dst     int    `json:"dst"`
+	Relays  int    `json:"relays"`
+	Copies  int    `json:"copies"`
+	Payload []byte `json:"payload"`
+	MsgID   string `json:"msg_id"`
 	// Seed and Index identify the relay-selection substream
 	// (PathStream) so every tier draws the same path.
 	Seed  uint64 `json:"seed"`

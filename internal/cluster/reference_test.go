@@ -76,7 +76,6 @@ func (m Message) spec() node.SendSpec {
 		Payload: m.Payload,
 		Relays:  m.Relays,
 		Copies:  m.Copies,
-		Expiry:  m.Expiry,
 		ID:      m.ID,
 	}
 }

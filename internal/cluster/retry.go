@@ -15,63 +15,40 @@ import (
 	"repro/internal/rng"
 )
 
-// RetryPolicy bounds one logical operation (a registration, a contact
-// preamble) across its retries. The zero value of each field gets a
-// sensible default.
-type RetryPolicy struct {
-	// Base is the first backoff sleep; each retry doubles it up to Max,
-	// then full jitter in [1/2, 1] de-synchronizes the fleet.
-	Base time.Duration // default 5ms
-	Max  time.Duration // default 200ms
-	// Budget caps the total wall time spent retrying one operation.
-	Budget time.Duration // default 3s
-	// BreakerThreshold consecutive failures to one peer trip its
-	// breaker open; while open, attempts wait out BreakerCooldown and
+// The retry discipline of one logical operation (a registration, a
+// contact preamble).
+const (
+	// retryBase is the first backoff sleep; each retry doubles it up to
+	// retryMax, then full jitter in [1/2, 1] de-synchronizes the fleet.
+	retryBase = 5 * time.Millisecond
+	retryMax  = 200 * time.Millisecond
+	// retryBudget caps the total wall time spent retrying one contact.
+	retryBudget = 3 * time.Second
+	// breakerThreshold consecutive failures to one peer trip its
+	// breaker open; while open, attempts wait out breakerCooldown and
 	// then probe half-open.
-	BreakerThreshold int           // default 3
-	BreakerCooldown  time.Duration // default 150ms
-}
-
-func (p RetryPolicy) filled() RetryPolicy {
-	if p.Base <= 0 {
-		p.Base = 5 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 200 * time.Millisecond
-	}
-	if p.Budget <= 0 {
-		p.Budget = 3 * time.Second
-	}
-	if p.BreakerThreshold <= 0 {
-		p.BreakerThreshold = 3
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = 150 * time.Millisecond
-	}
-	return p
-}
+	breakerThreshold = 3
+	breakerCooldown  = 150 * time.Millisecond
+)
 
 // backoff returns the sleep before retry number attempt (0-based),
 // exponential with full jitter drawn from the daemon's timing stream.
-func (p RetryPolicy) backoff(attempt int, jitter func() float64) time.Duration {
-	d := p.Base
-	for i := 0; i < attempt && d < p.Max; i++ {
+func backoff(attempt int, jitter func() float64) time.Duration {
+	d := retryBase
+	for i := 0; i < attempt && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > p.Max {
-		d = p.Max
+	if d > retryMax {
+		d = retryMax
 	}
 	return time.Duration(float64(d) * (0.5 + 0.5*jitter()))
 }
 
 // breaker is a per-peer circuit breaker. Closed: attempts flow.
-// After threshold consecutive failures it opens for cooldown; the
-// first attempt after the cooldown is the half-open probe — success
-// closes it, failure re-opens it.
+// After breakerThreshold consecutive failures it opens for
+// breakerCooldown; the first attempt after the cooldown is the
+// half-open probe — success closes it, failure re-opens it.
 type breaker struct {
-	threshold int
-	cooldown  time.Duration
-
 	mu        sync.Mutex
 	fails     int
 	openUntil time.Time
@@ -99,9 +76,9 @@ func (b *breaker) failure(now time.Time) {
 	b.mu.Lock()
 	wasOpen := now.Before(b.openUntil)
 	b.fails++
-	tripped := b.fails >= b.threshold
+	tripped := b.fails >= breakerThreshold
 	if tripped {
-		b.openUntil = now.Add(b.cooldown)
+		b.openUntil = now.Add(breakerCooldown)
 	}
 	b.mu.Unlock()
 	if tripped && !wasOpen {
@@ -113,7 +90,6 @@ func (b *breaker) failure(now time.Time) {
 
 // breakerFor returns (creating on first use) the breaker guarding addr.
 func (d *Daemon) breakerFor(addr string) *breaker {
-	pol := d.cfg.Retry.filled()
 	d.retryMu.Lock()
 	defer d.retryMu.Unlock()
 	if d.breakers == nil {
@@ -121,7 +97,7 @@ func (d *Daemon) breakerFor(addr string) *breaker {
 	}
 	b, ok := d.breakers[addr]
 	if !ok {
-		b = &breaker{threshold: pol.BreakerThreshold, cooldown: pol.BreakerCooldown}
+		b = &breaker{}
 		d.breakers[addr] = b
 	}
 	return b

@@ -10,43 +10,45 @@ import (
 	"time"
 )
 
-// TestBackoffBounds: exponential growth from Base, capped at Max, with
-// full jitter in [1/2, 1].
+// TestBackoffBounds: exponential growth from retryBase, capped at
+// retryMax, with full jitter in [1/2, 1].
 func TestBackoffBounds(t *testing.T) {
-	pol := RetryPolicy{Base: 4 * time.Millisecond, Max: 32 * time.Millisecond}.filled()
 	high := func() float64 { return 1.0 }
 	low := func() float64 { return 0.0 }
-	if got := pol.backoff(0, high); got != 4*time.Millisecond {
-		t.Fatalf("backoff(0) = %v, want Base", got)
+	if got := backoff(0, high); got != retryBase {
+		t.Fatalf("backoff(0) = %v, want retryBase", got)
 	}
-	if got := pol.backoff(2, high); got != 16*time.Millisecond {
-		t.Fatalf("backoff(2) = %v, want 16ms", got)
+	if got := backoff(2, high); got != 4*retryBase {
+		t.Fatalf("backoff(2) = %v, want 4*retryBase", got)
 	}
 	for attempt := 3; attempt < 20; attempt++ {
-		if got := pol.backoff(attempt, high); got > pol.Max {
-			t.Fatalf("backoff(%d) = %v escapes Max %v", attempt, got, pol.Max)
+		if got := backoff(attempt, high); got > retryMax {
+			t.Fatalf("backoff(%d) = %v escapes retryMax %v", attempt, got, retryMax)
 		}
 	}
-	if got := pol.backoff(0, low); got != 2*time.Millisecond {
-		t.Fatalf("fully-jittered backoff(0) = %v, want Base/2", got)
+	if got := backoff(10, high); got != retryMax {
+		t.Fatalf("backoff(10) = %v, want retryMax", got)
+	}
+	if got := backoff(0, low); got != retryBase/2 {
+		t.Fatalf("fully-jittered backoff(0) = %v, want retryBase/2", got)
 	}
 }
 
 // TestBreakerLifecycle walks the closed -> open -> half-open -> closed
 // cycle.
 func TestBreakerLifecycle(t *testing.T) {
-	b := &breaker{threshold: 3, cooldown: 100 * time.Millisecond}
+	b := &breaker{}
 	now := time.Now()
 	b.failure(now)
 	b.failure(now)
 	if w := b.wait(now); w != 0 {
 		t.Fatalf("breaker opened before the threshold: wait %v", w)
 	}
-	b.failure(now) // third consecutive failure trips it
+	b.failure(now) // third consecutive failure (breakerThreshold) trips it
 	if w := b.wait(now); w <= 0 {
 		t.Fatal("breaker did not open at the threshold")
 	}
-	probe := now.Add(b.cooldown)
+	probe := now.Add(breakerCooldown)
 	if w := b.wait(probe); w != 0 {
 		t.Fatalf("cooldown elapsed but breaker still open: wait %v", w)
 	}
@@ -93,7 +95,6 @@ func TestDaemonStartsBeforeDirectory(t *testing.T) {
 		d, err := StartDaemon(DaemonConfig{
 			ID: 0, DirAddr: dirAddr,
 			JoinWait: 10 * time.Second,
-			Retry:    RetryPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
 		})
 		started <- result{d, err}
 	}()

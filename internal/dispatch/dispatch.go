@@ -62,37 +62,28 @@ type Options struct {
 	// Owner names this worker's shard and leases (default "anon";
 	// CLIs pass hostname-pid).
 	Owner string
-	// ChunkSize is the trial count per lease (default 32). Smaller
-	// chunks spread better across a fleet; larger ones amortize lease
-	// traffic.
-	ChunkSize int
 	// LeaseTTL is how stale a lease's mtime must be before another
 	// worker steals it (default 30s). It bounds how long a dead
-	// worker's chunk stays unclaimed.
+	// worker's chunk stays unclaimed. A holder refreshes its lease
+	// mtime every LeaseTTL/4.
 	LeaseTTL time.Duration
-	// Heartbeat is how often a holder refreshes its lease mtime
-	// (default LeaseTTL/4).
-	Heartbeat time.Duration
-	// Poll is the wait between cache refreshes while another worker
-	// holds the remaining chunks (default 150ms).
-	Poll time.Duration
 }
+
+const (
+	// chunkSize is the trial count per lease. Smaller chunks spread
+	// better across a fleet; larger ones amortize lease traffic.
+	chunkSize = 32
+	// pollWait is the wait between cache refreshes while another
+	// worker holds the remaining chunks.
+	pollWait = 150 * time.Millisecond
+)
 
 func (o Options) withDefaults() Options {
 	if o.Owner == "" {
 		o.Owner = "anon"
 	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 32
-	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
-	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = o.LeaseTTL / 4
-	}
-	if o.Poll <= 0 {
-		o.Poll = 150 * time.Millisecond
 	}
 	return o
 }
@@ -133,9 +124,9 @@ func Run[T any](d *Dispatcher, sup *runner.Supervisor, batch string, workers, tr
 	if trials <= 0 {
 		return nil, nil
 	}
-	chunks := make([]*chunk, 0, (trials+d.opt.ChunkSize-1)/d.opt.ChunkSize)
-	for lo := 0; lo < trials; lo += d.opt.ChunkSize {
-		hi := lo + d.opt.ChunkSize
+	chunks := make([]*chunk, 0, (trials+chunkSize-1)/chunkSize)
+	for lo := 0; lo < trials; lo += chunkSize {
+		hi := lo + chunkSize
 		if hi > trials {
 			hi = trials
 		}
@@ -192,7 +183,7 @@ func Run[T any](d *Dispatcher, sup *runner.Supervisor, batch string, workers, tr
 			if sup.Stopping() {
 				return nil, fmt.Errorf("dispatch: batch %q: %w", batch, runner.ErrInterrupted)
 			}
-			time.Sleep(d.opt.Poll)
+			time.Sleep(pollWait)
 		}
 		if err := d.store.Refresh(); err != nil {
 			return nil, fmt.Errorf("dispatch: batch %q: %w", batch, err)
@@ -333,7 +324,7 @@ func execute[T any](d *Dispatcher, sup *runner.Supervisor, batch string, workers
 	return err
 }
 
-// heartbeat bumps the lease mtime every Heartbeat until the returned
+// heartbeat bumps the lease mtime every LeaseTTL/4 until the returned
 // stop function runs. Chtimes errors are ignored: the lease may have
 // been stolen and removed, which only means duplicate work, never
 // corruption.
@@ -341,7 +332,7 @@ func (d *Dispatcher) heartbeat(batch string, ch *chunk) (stop func()) {
 	path := d.leasePath(batch, ch)
 	done := make(chan struct{})
 	go func() {
-		t := time.NewTicker(d.opt.Heartbeat)
+		t := time.NewTicker(d.opt.LeaseTTL / 4)
 		defer t.Stop()
 		for {
 			select {

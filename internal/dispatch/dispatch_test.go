@@ -44,31 +44,31 @@ func trialFn(calls *atomic.Int64) func(i int) (float64, error) {
 
 func TestRunColdComputesAll(t *testing.T) {
 	s := openStore(t, t.TempDir(), "cold", "w")
-	d := New(s, Options{Owner: "w", ChunkSize: 4})
+	d := New(s, Options{Owner: "w"})
 	var calls atomic.Int64
-	out, err := Run(d, nil, "batch", 2, 10, trialFn(&calls))
+	out, err := Run(d, nil, "batch", 2, 70, trialFn(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 10 {
-		t.Fatalf("len(out) = %d; want 10", len(out))
+	if len(out) != 70 {
+		t.Fatalf("len(out) = %d; want 70", len(out))
 	}
 	for i, v := range out {
 		if v != float64(i)*1.5 {
 			t.Fatalf("out[%d] = %v; want %v", i, v, float64(i)*1.5)
 		}
 	}
-	if calls.Load() != 10 {
-		t.Fatalf("trial fn called %d times; want 10", calls.Load())
+	if calls.Load() != 70 {
+		t.Fatalf("trial fn called %d times; want 70", calls.Load())
 	}
 }
 
 func TestRunWarmComputesNothing(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, "warm", "w1")
-	d := New(s, Options{Owner: "w1", ChunkSize: 4})
+	d := New(s, Options{Owner: "w1"})
 	var calls atomic.Int64
-	want, err := Run(d, nil, "batch", 2, 10, trialFn(&calls))
+	want, err := Run(d, nil, "batch", 2, 70, trialFn(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +76,9 @@ func TestRunWarmComputesNothing(t *testing.T) {
 	// A second worker over the same entry must serve every trial from
 	// the cache and never invoke the trial function.
 	s2 := openStore(t, dir, "warm", "w2")
-	d2 := New(s2, Options{Owner: "w2", ChunkSize: 4})
+	d2 := New(s2, Options{Owner: "w2"})
 	var calls2 atomic.Int64
-	got, err := Run(d2, nil, "batch", 2, 10, trialFn(&calls2))
+	got, err := Run(d2, nil, "batch", 2, 70, trialFn(&calls2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,9 @@ func TestRunWarmComputesNothing(t *testing.T) {
 
 func TestRunOddTrialCountAndChunkBoundary(t *testing.T) {
 	s := openStore(t, t.TempDir(), "odd", "w")
-	d := New(s, Options{Owner: "w", ChunkSize: 3})
-	out, err := Run(d, nil, "batch", 1, 7, func(i int) (int, error) { return i * i, nil })
+	d := New(s, Options{Owner: "w"})
+	const trials = 2*chunkSize + 7
+	out, err := Run(d, nil, "batch", 1, trials, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +105,8 @@ func TestRunOddTrialCountAndChunkBoundary(t *testing.T) {
 			t.Fatalf("out[%d] = %d; want %d", i, v, i*i)
 		}
 	}
-	if n := s.Loaded(); n != 7 {
-		t.Fatalf("store holds %d records; want 7", n)
+	if n := s.Loaded(); n != trials {
+		t.Fatalf("store holds %d records; want %d", n, trials)
 	}
 }
 
@@ -120,10 +121,10 @@ func TestRunZeroTrials(t *testing.T) {
 
 func TestRunPropagatesTrialError(t *testing.T) {
 	s := openStore(t, t.TempDir(), "err", "w")
-	d := New(s, Options{Owner: "w", ChunkSize: 4})
+	d := New(s, Options{Owner: "w"})
 	boom := errors.New("boom")
-	_, err := Run(d, nil, "batch", 1, 10, func(i int) (int, error) {
-		if i == 5 {
+	_, err := Run(d, nil, "batch", 1, 70, func(i int) (int, error) {
+		if i == 37 {
 			return 0, boom
 		}
 		return i, nil
@@ -133,13 +134,13 @@ func TestRunPropagatesTrialError(t *testing.T) {
 	}
 }
 
-// TestFailuresNameBatchIndex runs 10 trials in chunks of 4 with trial
-// 6 panicking: with and without a dispatcher, supervised or not, the
-// error and the quarantine record name trial 6 of the batch, not its
-// index inside the chunk [4, 8).
+// TestFailuresNameBatchIndex runs 70 trials in chunks of 32 with trial
+// 38 panicking: with and without a dispatcher, supervised or not, the
+// error and the quarantine record name trial 38 of the batch, not its
+// index inside the chunk [32, 64).
 func TestFailuresNameBatchIndex(t *testing.T) {
 	fn := func(i int) (int, error) {
-		if i == 6 {
+		if i == 38 {
 			panic("boom")
 		}
 		return i, nil
@@ -153,14 +154,14 @@ func TestFailuresNameBatchIndex(t *testing.T) {
 				}
 				var d *Dispatcher
 				if dispatched {
-					d = New(openStore(t, t.TempDir(), "index", "w"), Options{Owner: "w", ChunkSize: 4})
+					d = New(openStore(t, t.TempDir(), "index", "w"), Options{Owner: "w"})
 				}
-				_, err := Run(d, sup, "batch", 2, 10, fn)
+				_, err := Run(d, sup, "batch", 2, 70, fn)
 				var te *runner.TrialError
-				if !errors.As(err, &te) || te.Trial != 6 {
-					t.Fatalf("err = %v; want a TrialError for trial 6", err)
+				if !errors.As(err, &te) || te.Trial != 38 {
+					t.Fatalf("err = %v; want a TrialError for trial 38", err)
 				}
-				if want := `trial 6 of batch "batch" panicked`; !strings.Contains(err.Error(), want) {
+				if want := `trial 38 of batch "batch" panicked`; !strings.Contains(err.Error(), want) {
 					t.Fatalf("err = %q; want it to contain %q", err, want)
 				}
 				if !supervised {
@@ -170,8 +171,8 @@ func TestFailuresNameBatchIndex(t *testing.T) {
 				if !errors.As(err, &qe) || len(qe.Trials) != 1 {
 					t.Fatalf("err = %v; want a QuarantineError with one trial", err)
 				}
-				if q := sup.Quarantined(); len(q) != 1 || q[0].Trial != 6 {
-					t.Fatalf("supervisor quarantined %v; want trial 6 only", q)
+				if q := sup.Quarantined(); len(q) != 1 || q[0].Trial != 38 {
+					t.Fatalf("supervisor quarantined %v; want trial 38 only", q)
 				}
 			})
 		}
@@ -183,17 +184,17 @@ func TestFailuresNameBatchIndex(t *testing.T) {
 func TestReturnedErrorNamesBatchIndex(t *testing.T) {
 	boom := errors.New("boom")
 	fn := func(i int) (int, error) {
-		if i == 6 {
+		if i == 38 {
 			return 0, boom
 		}
 		return i, nil
 	}
-	_, err := Run[int](nil, nil, "batch", 1, 10, fn)
+	_, err := Run[int](nil, nil, "batch", 1, 70, fn)
 	if !errors.Is(err, boom) {
 		t.Fatalf("plain pool: err = %v; want wrapped boom", err)
 	}
-	d := New(openStore(t, t.TempDir(), "index-err", "w"), Options{Owner: "w", ChunkSize: 4})
-	_, derr := Run(d, nil, "batch", 1, 10, fn)
+	d := New(openStore(t, t.TempDir(), "index-err", "w"), Options{Owner: "w"})
+	_, derr := Run(d, nil, "batch", 1, 70, fn)
 	if !errors.Is(derr, boom) || derr.Error() != err.Error() {
 		t.Fatalf("dispatched err = %q; want %q", derr, err)
 	}
@@ -201,7 +202,7 @@ func TestReturnedErrorNamesBatchIndex(t *testing.T) {
 
 func TestRunInterrupted(t *testing.T) {
 	s := openStore(t, t.TempDir(), "drain", "w")
-	d := New(s, Options{Owner: "w", ChunkSize: 1})
+	d := New(s, Options{Owner: "w"})
 	sup := runner.NewSupervisor(0)
 	sup.Stop()
 	_, err := Run(d, sup, "batch", 1, 4, func(i int) (int, error) { return i, nil })
@@ -216,7 +217,7 @@ func TestRunInterrupted(t *testing.T) {
 // and, in aggregate, every trial at least once.
 func TestFleetConcurrentWorkers(t *testing.T) {
 	dir := t.TempDir()
-	const trials = 40
+	const trials = 8 * chunkSize
 	const fleet = 4
 	var wg sync.WaitGroup
 	results := make([][]float64, fleet)
@@ -233,7 +234,7 @@ func TestFleetConcurrentWorkers(t *testing.T) {
 				return
 			}
 			defer s.Close()
-			d := New(s, Options{Owner: owner, ChunkSize: 4, Poll: 5 * time.Millisecond})
+			d := New(s, Options{Owner: owner})
 			results[w], errs[w] = Run(d, nil, "batch", 1, trials, trialFn(&calls))
 		}(w)
 	}
@@ -261,7 +262,7 @@ func TestFleetConcurrentWorkers(t *testing.T) {
 func TestStaleLeaseStolen(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, "steal", "victim")
-	d := New(s, Options{Owner: "victim", ChunkSize: 8, LeaseTTL: time.Hour})
+	d := New(s, Options{Owner: "victim", LeaseTTL: time.Hour})
 	// Forge the dead worker's lease for chunk [0,8) of "batch".
 	path := d.leasePath("batch", &chunk{lo: 0, hi: 8})
 	if err := os.WriteFile(path, []byte("victim\n"), 0o644); err != nil {
@@ -273,7 +274,7 @@ func TestStaleLeaseStolen(t *testing.T) {
 	}
 
 	s2 := openStore(t, dir, "steal", "stealer")
-	d2 := New(s2, Options{Owner: "stealer", ChunkSize: 8, LeaseTTL: time.Hour, Poll: 5 * time.Millisecond})
+	d2 := New(s2, Options{Owner: "stealer", LeaseTTL: time.Hour})
 	out, err := Run(d2, nil, "batch", 1, 8, func(i int) (int, error) { return i + 100, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +322,7 @@ func TestReleaseSparesStolenLease(t *testing.T) {
 func TestFreshLeaseBlocksThenServes(t *testing.T) {
 	dir := t.TempDir()
 	holder := openStore(t, dir, "block", "holder")
-	dh := New(holder, Options{Owner: "holder", ChunkSize: 8, LeaseTTL: time.Hour})
+	dh := New(holder, Options{Owner: "holder", LeaseTTL: time.Hour})
 	path := dh.leasePath("batch", &chunk{lo: 0, hi: 8})
 	if err := os.WriteFile(path, []byte("holder\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -348,7 +349,7 @@ func TestFreshLeaseBlocksThenServes(t *testing.T) {
 	}()
 
 	waiter := openStore(t, dir, "block", "waiter")
-	dw := New(waiter, Options{Owner: "waiter", ChunkSize: 8, LeaseTTL: time.Hour, Poll: 5 * time.Millisecond})
+	dw := New(waiter, Options{Owner: "waiter", LeaseTTL: time.Hour})
 	var calls atomic.Int64
 	out, err := Run(dw, nil, "batch", 1, 8, func(i int) (int, error) {
 		calls.Add(1)
@@ -372,13 +373,13 @@ func TestFreshLeaseBlocksThenServes(t *testing.T) {
 // path must hand back results gob-identical to runner.Supervised.
 func TestByteIdenticalToSupervised(t *testing.T) {
 	fn := func(i int) (float64, error) { return 1.0 / float64(i+1), nil }
-	want, err := runner.Supervised[float64](nil, "batch", 3, 20, fn)
+	want, err := runner.Supervised[float64](nil, "batch", 3, 70, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := openStore(t, t.TempDir(), "pin", "w")
-	d := New(s, Options{Owner: "w", ChunkSize: 7})
-	got, err := Run(d, nil, "batch", 3, 20, fn)
+	d := New(s, Options{Owner: "w"})
+	got, err := Run(d, nil, "batch", 3, 70, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,8 @@ func TestResumeFromCacheIsIdentical(t *testing.T) {
 		// Irrational-ish values so bit-identity is a real check.
 		return math.Sqrt(float64(i)+2) * math.Pi, nil
 	}
-	golden, err := Run[float64](nil, nil, "resume", 1, 12, trial)
+	const trials, stopAt = 70, 40 // the drain cuts the chunk [32, 64) short
+	golden, err := Run[float64](nil, nil, "resume", 1, trials, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,9 +427,9 @@ func TestResumeFromCacheIsIdentical(t *testing.T) {
 	dir := t.TempDir()
 	sup := runner.NewSupervisor(0)
 	var ran atomic.Int64
-	d := New(openStore(t, dir, "resume", "w"), Options{Owner: "w", ChunkSize: 5})
-	_, err = Run(d, sup, "resume", 1, 12, func(i int) (float64, error) {
-		if ran.Add(1) == 7 {
+	d := New(openStore(t, dir, "resume", "w"), Options{Owner: "w"})
+	_, err = Run(d, sup, "resume", 1, trials, func(i int) (float64, error) {
+		if ran.Add(1) == stopAt {
 			sup.Stop()
 		}
 		return trial(i)
@@ -437,16 +439,16 @@ func TestResumeFromCacheIsIdentical(t *testing.T) {
 	}
 
 	var executed atomic.Int64
-	d2 := New(openStore(t, dir, "resume", "w"), Options{Owner: "w", ChunkSize: 5})
-	out, err := Run(d2, nil, "resume", 4, 12, func(i int) (float64, error) {
+	d2 := New(openStore(t, dir, "resume", "w"), Options{Owner: "w"})
+	out, err := Run(d2, nil, "resume", 4, trials, func(i int) (float64, error) {
 		executed.Add(1)
 		return trial(i)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := executed.Load(); got != 12-7 {
-		t.Fatalf("rerun executed %d trials, want %d (rest from the cache)", got, 12-7)
+	if got := executed.Load(); got != trials-stopAt {
+		t.Fatalf("rerun executed %d trials, want %d (rest from the cache)", got, trials-stopAt)
 	}
 	for i := range golden {
 		if math.Float64bits(out[i]) != math.Float64bits(golden[i]) {

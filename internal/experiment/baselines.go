@@ -83,19 +83,19 @@ func ablationBaselines(e *scenario.Engine, sc *scenario.Scenario) ([]stats.Serie
 		}
 
 		// Engine-driven baselines share one identical contact stream.
-		epi, err := routing.NewEpidemic(src, dst, 0)
+		epi, err := routing.NewEpidemic(src, dst)
 		if err != nil {
 			return baselineTrial{}, err
 		}
-		bin, err := routing.NewBinarySprayAndWait(src, dst, copies, 0)
+		bin, err := routing.NewBinarySprayAndWait(src, dst, copies)
 		if err != nil {
 			return baselineTrial{}, err
 		}
-		pro, err := routing.NewProphet(n, src, dst, 0, routing.ProphetConfig{})
+		pro, err := routing.NewProphet(n, src, dst)
 		if err != nil {
 			return baselineTrial{}, err
 		}
-		dir, err := routing.NewDirect(src, dst, 0)
+		dir, err := routing.NewDirect(src, dst)
 		if err != nil {
 			return baselineTrial{}, err
 		}

@@ -19,27 +19,25 @@ type BaselineResult struct {
 // (Sec. VI-A). It implements sim.Protocol.
 type Epidemic struct {
 	src, dst contact.NodeID
-	start    float64
 	infected map[contact.NodeID]bool
 	res      BaselineResult
 }
 
 // NewEpidemic builds the protocol for one message.
-func NewEpidemic(src, dst contact.NodeID, start float64) (*Epidemic, error) {
+func NewEpidemic(src, dst contact.NodeID) (*Epidemic, error) {
 	if src == dst {
 		return nil, fmt.Errorf("routing: source equals destination (%d)", src)
 	}
 	return &Epidemic{
 		src:      src,
 		dst:      dst,
-		start:    start,
 		infected: map[contact.NodeID]bool{src: true},
 	}, nil
 }
 
 // OnContact implements sim.Protocol.
 func (e *Epidemic) OnContact(t float64, a, b contact.NodeID) {
-	if t < e.start || e.res.Delivered {
+	if e.res.Delivered {
 		return
 	}
 	if e.infected[a] == e.infected[b] {
@@ -71,14 +69,13 @@ func (e *Epidemic) Result() BaselineResult { return e.res }
 // sim.Protocol.
 type SprayAndWait struct {
 	src, dst contact.NodeID
-	start    float64
 	tickets  int
 	holders  map[contact.NodeID]bool
 	res      BaselineResult
 }
 
 // NewSprayAndWait builds the protocol for one message with L copies.
-func NewSprayAndWait(src, dst contact.NodeID, copies int, start float64) (*SprayAndWait, error) {
+func NewSprayAndWait(src, dst contact.NodeID, copies int) (*SprayAndWait, error) {
 	if src == dst {
 		return nil, fmt.Errorf("routing: source equals destination (%d)", src)
 	}
@@ -88,7 +85,6 @@ func NewSprayAndWait(src, dst contact.NodeID, copies int, start float64) (*Spray
 	return &SprayAndWait{
 		src:     src,
 		dst:     dst,
-		start:   start,
 		tickets: copies,
 		holders: map[contact.NodeID]bool{src: true},
 	}, nil
@@ -96,7 +92,7 @@ func NewSprayAndWait(src, dst contact.NodeID, copies int, start float64) (*Spray
 
 // OnContact implements sim.Protocol.
 func (p *SprayAndWait) OnContact(t float64, a, b contact.NodeID) {
-	if t < p.start || p.res.Delivered {
+	if p.res.Delivered {
 		return
 	}
 	p.try(t, a, b)
@@ -134,21 +130,20 @@ func (p *SprayAndWait) Result() BaselineResult { return p.res }
 // implements sim.Protocol.
 type Direct struct {
 	src, dst contact.NodeID
-	start    float64
 	res      BaselineResult
 }
 
 // NewDirect builds the protocol for one message.
-func NewDirect(src, dst contact.NodeID, start float64) (*Direct, error) {
+func NewDirect(src, dst contact.NodeID) (*Direct, error) {
 	if src == dst {
 		return nil, fmt.Errorf("routing: source equals destination (%d)", src)
 	}
-	return &Direct{src: src, dst: dst, start: start}, nil
+	return &Direct{src: src, dst: dst}, nil
 }
 
 // OnContact implements sim.Protocol.
 func (d *Direct) OnContact(t float64, a, b contact.NodeID) {
-	if t < d.start || d.res.Delivered {
+	if d.res.Delivered {
 		return
 	}
 	if (a == d.src && b == d.dst) || (a == d.dst && b == d.src) {

@@ -182,7 +182,7 @@ func TestEpidemicDominatesOnion(t *testing.T) {
 		if r.Delivered {
 			onionDelivered++
 		}
-		e, err := NewEpidemic(0, 39, 0)
+		e, err := NewEpidemic(0, 39)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,10 +15,8 @@ import (
 // copy is replicated to a peer whose predictability for the
 // destination exceeds the holder's. It implements sim.Protocol.
 type Prophet struct {
-	cfg      ProphetConfig
 	n        int
 	src, dst contact.NodeID
-	start    float64
 
 	pred     []float64 // n x n predictability matrix, row = owner
 	lastSeen []float64 // per node, time of last aging
@@ -26,58 +24,26 @@ type Prophet struct {
 	res      BaselineResult
 }
 
-// ProphetConfig holds the protocol constants; zero values select the
-// literature defaults.
-type ProphetConfig struct {
-	PInit float64 // predictability boost on contact (default 0.75)
-	Beta  float64 // transitivity damping (default 0.25)
-	Gamma float64 // aging factor per time unit (default 0.98)
-}
-
-func (c *ProphetConfig) setDefaults() {
-	if c.PInit == 0 {
-		c.PInit = 0.75
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.25
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.98
-	}
-}
-
-func (c ProphetConfig) validate() error {
-	if c.PInit <= 0 || c.PInit > 1 {
-		return fmt.Errorf("routing: prophet PInit %v out of (0,1]", c.PInit)
-	}
-	if c.Beta < 0 || c.Beta > 1 {
-		return fmt.Errorf("routing: prophet Beta %v out of [0,1]", c.Beta)
-	}
-	if c.Gamma <= 0 || c.Gamma > 1 {
-		return fmt.Errorf("routing: prophet Gamma %v out of (0,1]", c.Gamma)
-	}
-	return nil
-}
+// The PRoPHET constants, at the literature defaults.
+const (
+	prophetPInit = 0.75 // predictability boost on contact
+	prophetBeta  = 0.25 // transitivity damping
+	prophetGamma = 0.98 // aging factor per time unit
+)
 
 // NewProphet builds the protocol for one message over an n-node
 // population.
-func NewProphet(n int, src, dst contact.NodeID, start float64, cfg ProphetConfig) (*Prophet, error) {
+func NewProphet(n int, src, dst contact.NodeID) (*Prophet, error) {
 	if src == dst {
 		return nil, fmt.Errorf("routing: source equals destination (%d)", src)
 	}
 	if n < 2 || src < 0 || int(src) >= n || dst < 0 || int(dst) >= n {
 		return nil, fmt.Errorf("routing: endpoints (%d, %d) out of range [0, %d)", src, dst, n)
 	}
-	cfg.setDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	return &Prophet{
-		cfg:      cfg,
 		n:        n,
 		src:      src,
 		dst:      dst,
-		start:    start,
 		pred:     make([]float64, n*n),
 		lastSeen: make([]float64, n),
 		infected: map[contact.NodeID]bool{src: true},
@@ -98,7 +64,7 @@ func (p *Prophet) age(owner contact.NodeID, now float64) {
 	if dt <= 0 {
 		return
 	}
-	decay := math.Pow(p.cfg.Gamma, dt)
+	decay := math.Pow(prophetGamma, dt)
 	row := p.pred[int(owner)*p.n : int(owner+1)*p.n]
 	for i := range row {
 		row[i] *= decay
@@ -109,7 +75,7 @@ func (p *Prophet) age(owner contact.NodeID, now float64) {
 // OnContact implements sim.Protocol: predictability update, transitive
 // propagation, then replication toward better custodians.
 func (p *Prophet) OnContact(now float64, a, b contact.NodeID) {
-	if now < p.start || p.res.Delivered {
+	if p.res.Delivered {
 		return
 	}
 	p.age(a, now)
@@ -119,7 +85,7 @@ func (p *Prophet) OnContact(now float64, a, b contact.NodeID) {
 	for _, pair := range [2][2]contact.NodeID{{a, b}, {b, a}} {
 		o, peer := pair[0], pair[1]
 		v := p.predAt(o, peer)
-		p.setPred(o, peer, v+(1-v)*p.cfg.PInit)
+		p.setPred(o, peer, v+(1-v)*prophetPInit)
 	}
 	// Transitivity: a learns about everyone b predicts well, and vice
 	// versa.
@@ -130,7 +96,7 @@ func (p *Prophet) OnContact(now float64, a, b contact.NodeID) {
 			if node == o || node == peer {
 				continue
 			}
-			via := p.predAt(o, peer) * p.predAt(peer, node) * p.cfg.Beta
+			via := p.predAt(o, peer) * p.predAt(peer, node) * prophetBeta
 			if via > p.predAt(o, node) {
 				p.setPred(o, node, via)
 			}
@@ -175,14 +141,13 @@ func (p *Prophet) Result() BaselineResult { return p.res }
 // variant at the same total copy budget. It implements sim.Protocol.
 type BinarySprayAndWait struct {
 	dst     contact.NodeID
-	start   float64
 	tickets map[contact.NodeID]int
 	res     BaselineResult
 }
 
 // NewBinarySprayAndWait builds the protocol for one message with L
 // total copies.
-func NewBinarySprayAndWait(src, dst contact.NodeID, copies int, start float64) (*BinarySprayAndWait, error) {
+func NewBinarySprayAndWait(src, dst contact.NodeID, copies int) (*BinarySprayAndWait, error) {
 	if src == dst {
 		return nil, fmt.Errorf("routing: source equals destination (%d)", src)
 	}
@@ -191,14 +156,13 @@ func NewBinarySprayAndWait(src, dst contact.NodeID, copies int, start float64) (
 	}
 	return &BinarySprayAndWait{
 		dst:     dst,
-		start:   start,
 		tickets: map[contact.NodeID]int{src: copies},
 	}, nil
 }
 
 // OnContact implements sim.Protocol.
 func (p *BinarySprayAndWait) OnContact(now float64, a, b contact.NodeID) {
-	if now < p.start || p.res.Delivered {
+	if p.res.Delivered {
 		return
 	}
 	p.try(now, a, b)

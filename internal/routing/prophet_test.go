@@ -9,22 +9,16 @@ import (
 )
 
 func TestNewProphetValidation(t *testing.T) {
-	if _, err := NewProphet(10, 1, 1, 0, ProphetConfig{}); err == nil {
+	if _, err := NewProphet(10, 1, 1); err == nil {
 		t.Fatal("accepted src == dst")
 	}
-	if _, err := NewProphet(10, 0, 99, 0, ProphetConfig{}); err == nil {
+	if _, err := NewProphet(10, 0, 99); err == nil {
 		t.Fatal("accepted out-of-range destination")
-	}
-	if _, err := NewProphet(10, 0, 1, 0, ProphetConfig{PInit: 2}); err == nil {
-		t.Fatal("accepted PInit > 1")
-	}
-	if _, err := NewProphet(10, 0, 1, 0, ProphetConfig{Gamma: -1}); err == nil {
-		t.Fatal("accepted negative Gamma")
 	}
 }
 
 func TestProphetPredictabilityRises(t *testing.T) {
-	p, err := NewProphet(5, 0, 4, 0, ProphetConfig{})
+	p, err := NewProphet(5, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +40,7 @@ func TestProphetPredictabilityRises(t *testing.T) {
 }
 
 func TestProphetAging(t *testing.T) {
-	p, err := NewProphet(5, 0, 4, 0, ProphetConfig{})
+	p, err := NewProphet(5, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +55,7 @@ func TestProphetAging(t *testing.T) {
 }
 
 func TestProphetTransitivity(t *testing.T) {
-	p, err := NewProphet(5, 0, 4, 0, ProphetConfig{})
+	p, err := NewProphet(5, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +74,7 @@ func TestProphetTransitivity(t *testing.T) {
 }
 
 func TestProphetForwardsTowardBetterCustodian(t *testing.T) {
-	p, err := NewProphet(5, 0, 4, 0, ProphetConfig{})
+	p, err := NewProphet(5, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +108,7 @@ func TestProphetDeliversOnRandomGraph(t *testing.T) {
 	delivered := 0
 	const runs = 50
 	for i := 0; i < runs; i++ {
-		p, err := NewProphet(30, 0, 29, 0, ProphetConfig{})
+		p, err := NewProphet(30, 0, 29)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +123,7 @@ func TestProphetDeliversOnRandomGraph(t *testing.T) {
 }
 
 func TestBinarySprayAndWaitHalving(t *testing.T) {
-	p, err := NewBinarySprayAndWait(0, 9, 8, 0)
+	p, err := NewBinarySprayAndWait(0, 9, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +155,10 @@ func TestBinarySprayAndWaitHalving(t *testing.T) {
 }
 
 func TestBinarySprayAndWaitValidation(t *testing.T) {
-	if _, err := NewBinarySprayAndWait(1, 1, 3, 0); err == nil {
+	if _, err := NewBinarySprayAndWait(1, 1, 3); err == nil {
 		t.Fatal("accepted src == dst")
 	}
-	if _, err := NewBinarySprayAndWait(0, 1, 0, 0); err == nil {
+	if _, err := NewBinarySprayAndWait(0, 1, 0); err == nil {
 		t.Fatal("accepted zero copies")
 	}
 }
@@ -179,7 +173,7 @@ func TestBinarySpraySpreadsFasterThanSource(t *testing.T) {
 	var srcDelay, binDelay float64
 	var srcN, binN int
 	for i := 0; i < runs; i++ {
-		s1, err := NewSprayAndWait(0, 39, copies, 0)
+		s1, err := NewSprayAndWait(0, 39, copies)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +182,7 @@ func TestBinarySpraySpreadsFasterThanSource(t *testing.T) {
 			srcDelay += r.Time
 			srcN++
 		}
-		s2, err := NewBinarySprayAndWait(0, 39, copies, 0)
+		s2, err := NewBinarySprayAndWait(0, 39, copies)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +206,7 @@ func BenchmarkProphet(b *testing.B) {
 	s := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := NewProphet(50, 0, 49, 0, ProphetConfig{})
+		p, err := NewProphet(50, 0, 49)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -398,7 +398,7 @@ func TestSampleOnionMoreCopiesFasterDelivery(t *testing.T) {
 }
 
 func TestEpidemicBasics(t *testing.T) {
-	e, err := NewEpidemic(0, 3, 0)
+	e, err := NewEpidemic(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,13 +416,13 @@ func TestEpidemicBasics(t *testing.T) {
 	if !e.Done() {
 		t.Fatal("not done")
 	}
-	if _, err := NewEpidemic(1, 1, 0); err == nil {
+	if _, err := NewEpidemic(1, 1); err == nil {
 		t.Fatal("accepted src == dst")
 	}
 }
 
 func TestSprayAndWaitBasics(t *testing.T) {
-	p, err := NewSprayAndWait(0, 9, 3, 0)
+	p, err := NewSprayAndWait(0, 9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,17 +439,16 @@ func TestSprayAndWaitBasics(t *testing.T) {
 	if !r.Delivered || r.Time != 5 || r.Transmissions != 3 {
 		t.Fatalf("%+v", r)
 	}
-	if _, err := NewSprayAndWait(0, 1, 0, 0); err == nil {
+	if _, err := NewSprayAndWait(0, 1, 0); err == nil {
 		t.Fatal("accepted zero copies")
 	}
 }
 
 func TestDirectBasics(t *testing.T) {
-	d, err := NewDirect(2, 5, 10)
+	d, err := NewDirect(2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.OnContact(5, 2, 5) // before start
 	d.OnContact(11, 2, 4)
 	d.OnContact(12, 5, 2) // reversed order still works
 	r := d.Result()

@@ -21,7 +21,6 @@ type TPSParams struct {
 	Sets [][]contact.NodeID
 	// Threshold is tau, the number of shares the pivot needs.
 	Threshold int
-	StartTime float64
 }
 
 // Validate checks the parameters.
@@ -44,9 +43,6 @@ func (p TPSParams) Validate() error {
 				return fmt.Errorf("routing: tps share group %d contains an endpoint", i)
 			}
 		}
-	}
-	if p.StartTime < 0 {
-		return fmt.Errorf("routing: negative start time %v", p.StartTime)
 	}
 	return nil
 }
@@ -123,7 +119,7 @@ func (t *TPS) Result() TPSResult {
 
 // OnContact implements sim.Protocol.
 func (t *TPS) OnContact(now float64, a, b contact.NodeID) {
-	if now < t.p.StartTime || t.res.Delivered {
+	if t.res.Delivered {
 		return
 	}
 	t.try(now, a, b)

@@ -30,7 +30,6 @@ func TestTPSValidate(t *testing.T) {
 		"threshold > s":     func(p *TPSParams) { p.Threshold = 4 },
 		"empty group":       func(p *TPSParams) { p.Sets[1] = nil },
 		"group holds pivot": func(p *TPSParams) { p.Sets[0] = []contact.NodeID{8} },
-		"negative start":    func(p *TPSParams) { p.StartTime = -1 },
 	}
 	for name, mutate := range cases {
 		p := tpsParams()
@@ -100,19 +99,6 @@ func TestTPSSharesUseDistinctGroups(t *testing.T) {
 	}
 	if res.ShareRelays[0] != 1 || res.ShareRelays[1] != -1 {
 		t.Fatalf("share relays = %v", res.ShareRelays)
-	}
-}
-
-func TestTPSIgnoresBeforeStart(t *testing.T) {
-	p := tpsParams()
-	p.StartTime = 10
-	tp, err := NewTPS(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp.OnContact(5, 0, 1)
-	if tp.Result().Transmissions != 0 {
-		t.Fatal("moved a share before the start time")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // TrialError identifies one failed trial: which batch and index it was,
-// how it failed (panic, watchdog timeout, or a returned error), and how
-// many attempts were made. It is the error an unsupervised batch
+// how it failed (a panic or a watchdog timeout), and how many attempts
+// were made. It is the error an unsupervised batch
 // returns for a panicking trial and the unit a supervisor quarantines.
 type TrialError struct {
 	Batch      string // batch label (scenario ID + series); empty in MapTrials
@@ -22,7 +22,6 @@ type TrialError struct {
 	TimedOut   bool   // the watchdog expired on every attempt
 	PanicValue string // recovered panic value, when the trial panicked
 	Stack      string // goroutine stack captured at the panic site
-	Err        error  // underlying error for non-panic, non-timeout failures
 }
 
 // Error names the offending trial first, so the failure is identifiable
@@ -32,18 +31,11 @@ func (e *TrialError) Error() string {
 	if e.Batch != "" {
 		where = fmt.Sprintf("trial %d of batch %q", e.Trial, e.Batch)
 	}
-	switch {
-	case e.PanicValue != "":
-		return fmt.Sprintf("%s panicked (attempt %d): %s\n%s", where, e.Attempts, e.PanicValue, e.Stack)
-	case e.TimedOut:
+	if e.TimedOut {
 		return fmt.Sprintf("%s exceeded the watchdog timeout on %d attempts", where, e.Attempts)
-	default:
-		return fmt.Sprintf("%s failed: %v", where, e.Err)
 	}
+	return fmt.Sprintf("%s panicked (attempt %d): %s\n%s", where, e.Attempts, e.PanicValue, e.Stack)
 }
-
-// Unwrap exposes the underlying error, if any.
-func (e *TrialError) Unwrap() error { return e.Err }
 
 // QuarantineError reports a batch that completed its healthy trials but
 // quarantined one or more panicking or hung ones. The batch's results

@@ -27,26 +27,17 @@ func kSweepSpec() Scenario {
 	}
 }
 
-func benchSweep(b *testing.B, noCache bool) {
-	b.Helper()
+// BenchmarkSweepModelCached measures the 10-value K-sweep through the
+// engine memo caches, whose values equal direct model calls bit for
+// bit (see TestEngineCacheBitIdentity).
+func BenchmarkSweepModelCached(b *testing.B) {
 	opt := Options{Seed: 1, Runs: 40, SecurityRuns: 1, TraceRuns: 1, Workers: 1}
 	spec := kSweepSpec()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := NewEngine(opt)
-		e.noCache = noCache
-		if _, err := e.Run(&spec); err != nil {
+		if _, err := NewEngine(opt).Run(&spec); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkSweepModelCached measures the 10-value K-sweep with the
-// engine memo caches on (the default); BenchmarkSweepModelUncached is
-// the same sweep recomputing every hypoexponential CDF from scratch,
-// the pre-refactor behavior. Both produce byte-identical figures (see
-// TestEngineCacheBitIdentity); the delta is pure model-evaluation
-// time, about 27% fewer allocations per sweep.
-func BenchmarkSweepModelCached(b *testing.B)   { benchSweep(b, false) }
-func BenchmarkSweepModelUncached(b *testing.B) { benchSweep(b, true) }

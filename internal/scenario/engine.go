@@ -18,8 +18,9 @@ import (
 // deterministic network construction; figures generated by the same
 // engine share those caches. Caches are keyed by the full numerical
 // input of pure functions and never involve randomness, so an engine
-// with a cold cache, a warm cache, or no cache at all produces
-// byte-identical figures (see DESIGN.md's determinism argument).
+// with a cold cache or a warm cache produces the figures a direct
+// model call would, byte for byte (see DESIGN.md's determinism
+// argument).
 type Engine struct {
 	opt Options
 
@@ -39,9 +40,6 @@ type Engine struct {
 	delivery map[string]*deliveryEntry
 	// traceable memoizes model.TraceableRate by (eta, frac bits).
 	traceable map[traceableKey]float64
-
-	// noCache disables the model memo caches (benchmark baseline).
-	noCache bool
 }
 
 type deliveryEntry struct {
@@ -104,9 +102,6 @@ func deliveryKey(rates []float64, copies int) string {
 // model.DeliveryRateMultiCopy directly, because the cache stores the
 // outputs of exactly that computation.
 func (e *Engine) DeliveryRate(rates []float64, copies int, deadline float64) (float64, error) {
-	if e.noCache {
-		return model.DeliveryRateMultiCopy(rates, copies, deadline)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	key := deliveryKey(rates, copies)
@@ -131,9 +126,6 @@ func (e *Engine) DeliveryRate(rates []float64, copies int, deadline float64) (fl
 // TraceableRate evaluates Eq. 12 through the engine's memo cache,
 // bit-identical to model.TraceableRate.
 func (e *Engine) TraceableRate(eta int, frac float64) float64 {
-	if e.noCache {
-		return model.TraceableRate(eta, frac)
-	}
 	key := traceableKey{eta: eta, frac: math.Float64bits(frac)}
 	e.mu.Lock()
 	if v, ok := e.traceable[key]; ok {

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -97,6 +98,222 @@ func TestLeanScanResolvesUses(t *testing.T) {
 	}
 }
 
+// keptUnwritten lists the struct fields under internal/ that no
+// non-test code writes, and why each stays. Keys are
+// "<dir>.<Type>.<Field>" with dir relative to the module root.
+var keptUnwritten = map[string]string{}
+
+// leanDefaulters are the method names that fill a type's zero fields
+// with defaults. A default that nothing else overrides is a constant,
+// so a write to the receiver inside one of them does not count.
+var leanDefaulters = map[string]bool{"filled": true, "fill": true, "setDefaults": true, "withDefaults": true}
+
+// TestProductionFieldsHaveAProductionWriter fails for any field of a
+// top-level struct type under internal/ that no non-test Go file in
+// the module, its examples or the bench module sets, unless
+// keptUnwritten names it. A field only tests or its own defaulting
+// method set is a knob no binary turns: make it a constant or delete
+// it.
+func TestProductionFieldsHaveAProductionWriter(t *testing.T) {
+	start := time.Now()
+	unwritten, declared, err := leanFieldScan(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("scanned %d fields in %v", len(declared), time.Since(start).Round(time.Millisecond))
+	for key, reason := range keptUnwritten {
+		if reason == "" {
+			t.Errorf("keptUnwritten[%q] gives no reason", key)
+		}
+		if !declared[key] {
+			t.Errorf("keptUnwritten[%q] is stale: no such field", key)
+		} else if _, ok := unwritten[key]; !ok {
+			t.Errorf("keptUnwritten[%q] is stale: production code now writes it", key)
+		}
+	}
+	var keys []string
+	for key := range unwritten {
+		if _, kept := keptUnwritten[key]; !kept {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		t.Errorf("%s: %s has no production writer; make it a constant, delete it, or list it in keptUnwritten", unwritten[key], key)
+	}
+}
+
+// TestLeanFieldScanCountsWrites runs the field scan on the fixture
+// module. Of knob.Config, Burst is set only by a test and Depth only
+// by its defaulting method; every other field is written, and
+// knob.Pump.stat only through the nested selector p.stat.Sent.
+func TestLeanFieldScanCountsWrites(t *testing.T) {
+	unwritten, declared, err := leanFieldScan("testdata/leanfixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for key := range unwritten {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	want := "internal/knob.Config.Burst internal/knob.Config.Depth"
+	if got := strings.Join(keys, " "); got != want {
+		t.Errorf("unwritten %q, want %q", got, want)
+	}
+	if !declared["internal/knob.Pump.stat"] {
+		t.Error("internal/knob.Pump.stat, written through a nested selector, was not scanned")
+	}
+}
+
+// leanFieldScan returns the fields of top-level struct types under
+// root's internal/ that no non-test code under root writes, keyed as in
+// keptUnwritten and mapped to their position, with the set of every
+// key it examined. A field is written where code assigns it (also
+// through a nested or indexed selector, x.f.g = v or x.f[i] = v),
+// applies ++ or -- to it, takes its address, calls a method on it, or
+// fills it in a composite literal. Embedded fields and fields with a
+// struct tag, which decoders set by reflection, are not examined.
+func leanFieldScan(root string) (unwritten map[string]token.Position, declared map[string]bool, err error) {
+	fset, pkgs, err := leanLoaded(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := map[*types.Var]string{}
+	for _, p := range pkgs {
+		if !leanScanned(p.rel) {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, s := range gd.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					st, ok := p.info.Defs[ts.Name].Type().Underlying().(*types.Struct)
+					if !ok {
+						continue
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						if fv := st.Field(i); !fv.Embedded() && fv.Name() != "_" && st.Tag(i) == "" {
+							keys[fv] = p.rel + "." + ts.Name.Name + "." + fv.Name()
+						}
+					}
+				}
+			}
+		}
+	}
+
+	written := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		info := p.info
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				// Inside a defaulting method, writes rooted at the
+				// receiver do not count.
+				var recv types.Object
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && leanDefaulters[fd.Name.Name] && len(fd.Recv.List[0].Names) > 0 {
+					recv = info.Defs[fd.Recv.List[0].Names[0]]
+				}
+				target := func(e ast.Expr) {
+					var sel []*types.Var
+					for {
+						switch x := e.(type) {
+						case *ast.ParenExpr:
+							e = x.X
+							continue
+						case *ast.StarExpr:
+							e = x.X
+							continue
+						case *ast.IndexExpr:
+							e = x.X
+							continue
+						case *ast.SelectorExpr:
+							if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+								sel = append(sel, s.Obj().(*types.Var))
+								e = x.X
+								continue
+							}
+						case *ast.Ident:
+							if recv != nil && info.Uses[x] == recv {
+								return
+							}
+						}
+						break
+					}
+					for _, v := range sel {
+						written[v.Origin()] = true
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							target(lhs)
+						}
+					case *ast.RangeStmt:
+						if n.Tok == token.ASSIGN {
+							target(n.Key)
+							target(n.Value)
+						}
+					case *ast.IncDecStmt:
+						target(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							target(n.X)
+						}
+					case *ast.SelectorExpr:
+						if s := info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
+							target(n.X)
+						}
+					case *ast.CompositeLit:
+						tv, ok := info.Types[n]
+						if !ok {
+							break
+						}
+						st, ok := tv.Type.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+									written[v.Origin()] = true
+								}
+							} else {
+								written[st.Field(i).Origin()] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	unwritten = map[string]token.Position{}
+	declared = map[string]bool{}
+	for v, key := range keys {
+		declared[key] = true
+		if !written[v] {
+			unwritten[key] = fset.Position(v.Pos())
+		}
+	}
+	return unwritten, declared, nil
+}
+
+// leanScanned reports whether the lean scans examine the declarations
+// of the package in directory rel: those under internal/, apart from
+// the Prometheus test helper.
+func leanScanned(rel string) bool {
+	return strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "internal/obs/promtest")
+}
+
 // leanScan type-checks every non-test Go package under root, one module
 // per go.mod, and returns the top-level funcs, methods and types under
 // root's internal/ that nothing outside their own declaration uses,
@@ -108,7 +325,7 @@ func TestLeanScanResolvesUses(t *testing.T) {
 // method. With resolve false, a use is any identifier of the same
 // name, which is all a scan without type information can see.
 func leanScan(root string, resolve bool) (orphans map[string]token.Position, declared map[string]bool, err error) {
-	fset, pkgs, err := leanLoad(root)
+	fset, pkgs, err := leanLoaded(root)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -132,8 +349,7 @@ func leanScan(root string, resolve bool) (orphans map[string]token.Position, dec
 				}
 			}
 		}
-		scanned := strings.HasPrefix(p.rel, "internal/") && !strings.HasPrefix(p.rel, "internal/obs/promtest")
-		if !scanned {
+		if !leanScanned(p.rel) {
 			continue
 		}
 		for _, f := range p.files {
@@ -248,6 +464,32 @@ type leanPkg struct {
 	info  *types.Info
 }
 
+// leanLoads memoizes leanLoad per root, so the scans of one test run
+// type-check each tree once.
+var (
+	leanMu    sync.Mutex
+	leanLoads = map[string]*leanLoadResult{}
+)
+
+type leanLoadResult struct {
+	fset *token.FileSet
+	pkgs []*leanPkg
+	err  error
+}
+
+// leanLoaded returns leanLoad(root), loading it on first use.
+func leanLoaded(root string) (*token.FileSet, []*leanPkg, error) {
+	leanMu.Lock()
+	defer leanMu.Unlock()
+	r, ok := leanLoads[root]
+	if !ok {
+		r = &leanLoadResult{}
+		r.fset, r.pkgs, r.err = leanLoad(root)
+		leanLoads[root] = r
+	}
+	return r.fset, r.pkgs, r.err
+}
+
 // leanLoad parses and type-checks the non-test files of every package
 // under root, skipping testdata and hidden directories. Import paths
 // come from the nearest enclosing go.mod; anything else is imported
@@ -295,6 +537,7 @@ func leanLoad(root string) (*token.FileSet, []*leanPkg, error) {
 			rel, _ := filepath.Rel(root, dir)
 			pkg = &leanPkg{rel: filepath.ToSlash(rel), info: &types.Info{
 				Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+				Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
 			}}
 			byPath[ipaths[dir]] = pkg
 		}
