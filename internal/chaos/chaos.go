@@ -20,7 +20,7 @@
 //     ambiguity genuinely lives — are exercised separately by the
 //     fault-layer socket suite.
 //   - Turbulence is bounded: per peer address at most RelentAfter
-//     consecutive faulted connections are granted before a clean one
+//     consecutive faulted grants are issued before a clean one
 //     is guaranteed, so a retry loop with backoff always converges.
 //
 // Asymmetric partitions block the dialing direction of a node pair in
@@ -54,10 +54,10 @@ const (
 	KindTear     Kind = "tear"     // short write: deliver a frame prefix, then close
 )
 
-// Slot is one planned connection profile. Connections consume slots in
-// grant order (an atomic cursor over the slot table, wrapping), so the
-// table — not the racy assignment of slots to connections — is the
-// deterministic artifact.
+// Slot is one planned connection profile. Contact attempts and
+// directory dials consume slots in grant order (an atomic cursor over
+// the slot table, wrapping), so the table — not the racy assignment of
+// slots to attempts — is the deterministic artifact.
 type Slot struct {
 	Kind     Kind `json:"kind"`
 	DelayMs  int  `json:"delay_ms,omitempty"`  // KindDelay: pre-I/O latency
@@ -250,10 +250,14 @@ func (c *Chaos) grant(addr string) Slot {
 	return s
 }
 
-// DialPeer dials a contact connection from node `from` to node `to`,
+// DialPeer opens one contact attempt from node `from` to node `to`,
 // applying the partition schedule and the next connection profile.
-// dialer performs the underlying dial (the cluster passes its own so
-// obs accounting and timeouts stay in one place).
+// dialer hands back the underlying connection: a fresh dial, or the
+// caller's idle connection to the peer, so a reused connection still
+// meets the partition check and consumes one slot per attempt (the
+// cluster passes its own dialer so obs accounting and timeouts stay in
+// one place). A faulted slot wraps the connection for this attempt
+// only; the caller must not reuse a connection it got back wrapped.
 func (c *Chaos) DialPeer(from, to int, addr string, dialer func(addr string) (net.Conn, error)) (net.Conn, error) {
 	if wait := c.partitionWait(from, to, time.Since(c.start)); wait > 0 {
 		countInjected()

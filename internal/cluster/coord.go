@@ -40,7 +40,7 @@ func (co *Coordinator) conn(addr string) (net.Conn, error) {
 		_ = c.SetDeadline(time.Now().Add(co.timeout))
 		return c, nil
 	}
-	c, err := dial(addr, co.timeout, 0)
+	c, err := dial(addr, co.timeout)
 	if err != nil {
 		return nil, err
 	}

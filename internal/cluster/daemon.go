@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -35,10 +37,12 @@ type DaemonConfig struct {
 	// keeps making progress may run longer than Timeout while a stalled
 	// one is torn down within it (default 10s).
 	Timeout time.Duration
-	// ContactBudget caps the total wall time of one contact connection
-	// (0 = uncapped). Per-I/O refresh treats any progress as liveness,
-	// so without a budget a maliciously slow peer trickling one byte
-	// per second can pin a contact forever.
+	// ContactBudget caps the total wall time of one contact (0 =
+	// uncapped); both sides re-arm it at each hello, so a connection
+	// that carries many contacts gives each the full budget. Per-I/O
+	// refresh treats any progress as liveness, so without a budget a
+	// maliciously slow peer trickling one byte per second can pin a
+	// contact forever.
 	ContactBudget time.Duration
 	// JoinWait is how long a starting (or revalidating) daemon keeps
 	// retrying its directory registration with backoff before giving
@@ -66,9 +70,12 @@ type Daemon struct {
 	dirIncarnation uint64   // last directory incarnation seen in a welcome
 	viewDigest     [32]byte // digest of the first welcome's partition + keys
 	conns          map[net.Conn]struct{}
-	closed         bool
-	quit           chan struct{} // closed when the current incarnation stops
-	wg             sync.WaitGroup
+	// idle holds at most one open outbound contact connection per peer
+	// this daemon has called, parked between contacts (see peerConn).
+	idle   map[contact.NodeID]*peerConn
+	closed bool
+	quit   chan struct{} // closed when the current incarnation stops
+	wg     sync.WaitGroup
 
 	// Self-healing state (retry.go): per-peer circuit breakers and the
 	// timing-jitter stream, both created lazily under retryMu.
@@ -93,6 +100,7 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	d := &Daemon{
 		cfg:   cfg,
 		conns: make(map[net.Conn]struct{}),
+		idle:  make(map[contact.NodeID]*peerConn),
 	}
 	if err := d.open(1, false); err != nil {
 		return nil, err
@@ -112,13 +120,16 @@ func (d *Daemon) open(incarnation uint64, preserveCustody bool) error {
 		_ = lis.Close()
 		return err
 	}
-	digest, err := welcomeDigest(welcome)
+	// Each layer key is recovered from its shares once per join; the
+	// view and the digest are both built from the recovered keys.
+	groupKeys, nodeKeys, err := recoverKeys(welcome)
 	if err != nil {
 		_ = lis.Close()
 		return err
 	}
+	digest := welcomeDigest(welcome, groupKeys, nodeKeys)
 	if d.node == nil {
-		dir, err := buildView(welcome)
+		dir, err := buildView(welcome, groupKeys, nodeKeys)
 		if err != nil {
 			_ = lis.Close()
 			return err
@@ -159,8 +170,9 @@ func (d *Daemon) open(incarnation uint64, preserveCustody bool) error {
 }
 
 // buildView reconstructs the client-side directory from a welcome:
-// partition from the assignment, layer keys from the threshold shares.
-func buildView(w *welcomeMsg) (*groups.Directory, error) {
+// partition from the assignment, layer keys as recovered from its
+// threshold shares.
+func buildView(w *welcomeMsg, groupKeys map[onion.GroupID][]byte, nodeKeys [][]byte) (*groups.Directory, error) {
 	byNode := make([]onion.GroupID, len(w.Assignment))
 	for i, gid := range w.Assignment {
 		byNode[i] = onion.GroupID(gid)
@@ -168,10 +180,6 @@ func buildView(w *welcomeMsg) (*groups.Directory, error) {
 	dir, err := groups.NewFromAssignment(byNode, w.G)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: rebuild partition: %w", err)
-	}
-	groupKeys, nodeKeys, err := recoverKeys(w)
-	if err != nil {
-		return nil, err
 	}
 	if err := dir.InstallSymmetricKeys(groupKeys, nodeKeys); err != nil {
 		return nil, fmt.Errorf("cluster: install keys: %w", err)
@@ -189,9 +197,9 @@ func (d *Daemon) dialDir() (net.Conn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return withIODeadline(raw, d.cfg.Timeout, 0), nil
+		return withIODeadline(raw, d.cfg.Timeout), nil
 	}
-	return dial(d.cfg.DirAddr, d.cfg.Timeout, 0)
+	return dial(d.cfg.DirAddr, d.cfg.Timeout)
 }
 
 // register joins the directory once and returns the welcome.
@@ -253,13 +261,10 @@ func (d *Daemon) registerWithRetry(addr string, incarnation uint64) (*welcomeMsg
 }
 
 // welcomeDigest condenses a welcome's routing-relevant content — the
-// partition and every recovered layer key — into one comparable value.
-// Two welcomes with equal digests produce byte-identical node views.
-func welcomeDigest(w *welcomeMsg) ([32]byte, error) {
-	groupKeys, nodeKeys, err := recoverKeys(w)
-	if err != nil {
-		return [32]byte{}, err
-	}
+// partition and the layer keys recovered from it — into one comparable
+// value. Two welcomes with equal digests produce byte-identical node
+// views.
+func welcomeDigest(w *welcomeMsg, groupKeys map[onion.GroupID][]byte, nodeKeys [][]byte) [32]byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "n=%d g=%d t=%d;", w.N, w.G, w.Threshold)
 	for _, gid := range w.Assignment {
@@ -273,7 +278,7 @@ func welcomeDigest(w *welcomeMsg) ([32]byte, error) {
 	}
 	var out [32]byte
 	copy(out[:], h.Sum(nil))
-	return out, nil
+	return out
 }
 
 // Revalidate re-registers with the directory at the next incarnation
@@ -297,11 +302,11 @@ func (d *Daemon) Revalidate() error {
 	if err != nil {
 		return err
 	}
-	digest, err := welcomeDigest(w)
+	groupKeys, nodeKeys, err := recoverKeys(w)
 	if err != nil {
 		return err
 	}
-	if digest != prevDigest {
+	if welcomeDigest(w, groupKeys, nodeKeys) != prevDigest {
 		return fmt.Errorf("cluster: daemon %d revalidate: directory returned with a different partition or keys", d.cfg.ID)
 	}
 	if w.DirIncarnation < prevDirInc {
@@ -341,10 +346,11 @@ func (d *Daemon) Send(spec node.SendSpec, pathStream *rng.Stream) (string, error
 	return d.node.Send(spec, pathStream)
 }
 
-// Kill abruptly closes the listener and every open connection without
-// deregistering — the networked analogue of pulling the plug. Peers
-// mid-contact observe a torn connection; custody they have not heard
-// an accept-verdict for stays with them.
+// Kill abruptly closes the listener, every open inbound connection and
+// every idle outbound one without deregistering — the networked
+// analogue of pulling the plug. Peers mid-contact observe a torn
+// connection; custody they have not heard an accept-verdict for stays
+// with them.
 func (d *Daemon) Kill() {
 	d.mu.Lock()
 	if !d.closed {
@@ -354,6 +360,10 @@ func (d *Daemon) Kill() {
 	lis := d.lis
 	for conn := range d.conns {
 		_ = conn.Close()
+	}
+	for peer, pc := range d.idle {
+		_ = pc.raw.Close()
+		delete(d.idle, peer)
 	}
 	d.mu.Unlock()
 	if lis != nil {
@@ -396,7 +406,7 @@ func (d *Daemon) Close() error {
 	}
 	inc := d.incarnation
 	d.mu.Unlock()
-	if conn, err := dial(d.cfg.DirAddr, d.cfg.Timeout, 0); err == nil {
+	if conn, err := dial(d.cfg.DirAddr, d.cfg.Timeout); err == nil {
 		_ = writeJSON(conn, mLeave, leaveMsg{ID: d.cfg.ID, Incarnation: inc})
 		_ = readExpect(conn, mOK, nil)
 		_ = conn.Close()
@@ -428,8 +438,13 @@ func (d *Daemon) acceptLoop(lis net.Listener) {
 	}
 }
 
-// serve handles one inbound connection: a contact session when it
-// opens with a hello, a control session otherwise.
+// serve handles one inbound connection: a control session when it
+// opens with anything but a hello, a contact session otherwise. A
+// contact session carries one contact per hello for as long as the
+// initiator keeps the socket open; between contacts it waits for the
+// next hello under Timeout alone, so a peer's idle socket simply times
+// out. Every read goes through one reader that lives as long as the
+// connection.
 func (d *Daemon) serve(conn net.Conn) {
 	defer d.wg.Done()
 	defer func() {
@@ -441,22 +456,31 @@ func (d *Daemon) serve(conn net.Conn) {
 	// Per-I/O deadline refresh: progress keeps the connection alive, a
 	// stall still times out within Timeout. The raw conn stays in
 	// d.conns so Kill() can tear it down.
-	rw := withIODeadline(conn, d.cfg.Timeout, 0)
-	typ, body, err := readMsg(rw)
+	rw := withIODeadline(conn, d.cfg.Timeout)
+	r := bufio.NewReader(rw)
+	typ, body, err := readMsg(r)
 	if err != nil {
 		return
 	}
-	if typ == mHello {
-		// Contact sessions additionally get the per-contact wall budget;
-		// control sessions stay open for a whole replay and must not.
-		d.serveContact(withIODeadline(conn, d.cfg.Timeout, d.cfg.ContactBudget), body)
-		return
+	if typ != mHello {
+		for {
+			if err := d.serveControl(rw, typ, body); err != nil {
+				return
+			}
+			if typ, body, err = readMsg(r); err != nil {
+				return
+			}
+		}
 	}
 	for {
-		if err := d.serveControl(rw, typ, body); err != nil {
+		// Each contact gets the per-contact wall budget from its hello
+		// on; control sessions stay open for a whole replay and must not.
+		rw.arm(d.cfg.ContactBudget)
+		if !d.serveContact(rw, r, body) {
 			return
 		}
-		if typ, body, err = readMsg(rw); err != nil {
+		rw.arm(0)
+		if typ, body, err = readMsg(r); err != nil || typ != mHello {
 			return
 		}
 	}
@@ -527,19 +551,106 @@ func (d *Daemon) serveControl(conn net.Conn, typ byte, body []byte) error {
 	}
 }
 
-// dialContact opens one contact connection to a peer, through the
-// chaos layer when one is configured, with the per-contact wall budget.
-func (d *Daemon) dialContact(peer contact.NodeID, addr string) (net.Conn, error) {
-	if ch := d.cfg.Chaos; ch != nil {
-		raw, err := ch.DialPeer(d.cfg.ID, int(peer), addr, func(a string) (net.Conn, error) {
-			return rawDial(a, d.cfg.Timeout)
-		})
+// peerConn is one outbound contact connection. Between contacts it is
+// parked in Daemon.idle for the next contact to the same peer; a
+// contact takes it out, and puts it back only when the contact ended
+// cleanly with nothing left buffered. Any error closes it.
+type peerConn struct {
+	raw  net.Conn // the socket
+	addr string   // the address it was dialed to
+	// io refreshes the deadline around this contact's view of raw: raw
+	// itself, or the chaos layer's per-attempt wrapper over it.
+	io ioDeadlineConn
+	// r reads through io for the socket's whole life, so the frames of
+	// a contact cost one read each and no buffer is allocated per contact.
+	r *bufio.Reader
+	// faulted is set when this attempt's chaos slot wrapped the socket;
+	// such a connection is never parked again.
+	faulted bool
+}
+
+func newPeerConn(raw net.Conn, addr string, timeout time.Duration) *peerConn {
+	pc := &peerConn{raw: raw, addr: addr, io: ioDeadlineConn{Conn: raw, timeout: timeout}}
+	pc.r = bufio.NewReader(&pc.io)
+	return pc
+}
+
+// hello opens a contact on pc: it arms the contact's wall budget,
+// writes the hello and reads the hello ack. stale reports a failure
+// before any byte of the ack arrived — on a parked connection, the
+// sign of a peer that closed it while it sat idle.
+func (pc *peerConn) hello(m helloMsg, budget time.Duration) (ack helloAckMsg, stale bool, err error) {
+	pc.io.arm(budget)
+	if err := writeJSON(&pc.io, mHello, m); err != nil {
+		return ack, true, err
+	}
+	if _, err := pc.r.Peek(1); err != nil {
+		return ack, true, err
+	}
+	return ack, false, readExpect(pc.r, mHelloAck, &ack)
+}
+
+// takeIdle removes and returns the parked connection to peer when it
+// was dialed to addr; one to an older address of the peer is closed.
+func (d *Daemon) takeIdle(peer contact.NodeID, addr string) *peerConn {
+	d.mu.Lock()
+	pc := d.idle[peer]
+	delete(d.idle, peer)
+	d.mu.Unlock()
+	if pc != nil && pc.addr != addr {
+		_ = pc.raw.Close()
+		return nil
+	}
+	return pc
+}
+
+// park keeps pc for the next contact to peer, unless the daemon has
+// stopped or another connection to the peer is already parked.
+func (d *Daemon) park(peer contact.NodeID, pc *peerConn) {
+	pc.io.Conn = pc.raw
+	d.mu.Lock()
+	_, taken := d.idle[peer]
+	if !d.closed && !taken {
+		d.idle[peer] = pc
+		pc = nil
+	}
+	d.mu.Unlock()
+	if pc != nil {
+		_ = pc.raw.Close()
+	}
+}
+
+// dialContact returns a connection for one contact attempt to peer:
+// the parked one when there is one (reused), a fresh dial otherwise.
+// Under chaos the parked connection is handed back through the chaos
+// dialer, so every attempt still meets the partition schedule and
+// consumes one slot, and a faulted slot wraps the socket for this
+// attempt only.
+func (d *Daemon) dialContact(peer contact.NodeID, addr string) (pc *peerConn, reused bool, err error) {
+	dialer := func(a string) (net.Conn, error) {
+		if pc = d.takeIdle(peer, a); pc != nil {
+			reused = true
+			return pc.raw, nil
+		}
+		raw, err := rawDial(a, d.cfg.Timeout)
 		if err != nil {
 			return nil, err
 		}
-		return withIODeadline(raw, d.cfg.Timeout, d.cfg.ContactBudget), nil
+		pc = newPeerConn(raw, a, d.cfg.Timeout)
+		return raw, nil
 	}
-	return dial(addr, d.cfg.Timeout, d.cfg.ContactBudget)
+	ch := d.cfg.Chaos
+	if ch == nil {
+		_, err = dialer(addr)
+		return pc, reused, err
+	}
+	conn, err := ch.DialPeer(d.cfg.ID, int(peer), addr, dialer)
+	if err != nil {
+		return nil, false, err
+	}
+	pc.io.Conn = conn
+	pc.faulted = conn != pc.raw
+	return pc, reused, nil
 }
 
 // Contact runs one live contact as the initiator, mirroring
@@ -594,34 +705,47 @@ func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (node.Me
 // contactOnce is one attempt at a contact. progressed reports whether
 // custody negotiation had begun — an offer written, or a peer offer
 // received — before the failure; un-progressed attempts are safe to
-// retry on a fresh connection.
+// retry. A parked connection that fails before any byte of its hello
+// ack is stale (the peer closed it while it sat idle): it is redialed
+// once, at once, within this attempt.
 func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep node.MeetReport, progressed bool, err error) {
-	conn, err := d.dialContact(peer, addr)
+	pc, reused, err := d.dialContact(peer, addr)
 	if err != nil {
 		return rep, false, err
 	}
-	defer conn.Close()
 	d.node.Expire(now)
 	offers := d.node.OffersTo(peer, d.cfg.Spray)
 	hello := helloMsg{Version: protoVersion, From: d.cfg.ID, To: int(peer), Now: now, IDs: offers}
-	if err := writeJSON(conn, mHello, hello); err != nil {
-		return rep, false, err
+	ack, stale, err := pc.hello(hello, d.cfg.ContactBudget)
+	if err != nil && stale && reused && !pc.faulted {
+		_ = pc.raw.Close()
+		raw, derr := rawDial(addr, d.cfg.Timeout)
+		if derr != nil {
+			return rep, false, derr
+		}
+		pc = newPeerConn(raw, addr, d.cfg.Timeout)
+		ack, _, err = pc.hello(hello, d.cfg.ContactBudget)
 	}
-	var ack helloAckMsg
-	if err := readExpect(conn, mHelloAck, &ack); err != nil {
+	if err != nil {
+		_ = pc.raw.Close()
 		return rep, false, fmt.Errorf("cluster: contact %d->%d: %w", d.cfg.ID, peer, err)
 	}
-	x := exchange{conn: conn, rep: node.MeetReport{Contacts: 1}, frames: 2}
+	x := exchange{w: &pc.io, r: pc.r, rep: node.MeetReport{Contacts: 1}, frames: 2}
 	err = checkFlags(ack.Seen, len(offers))
 	if err == nil && !ack.Done {
 		err = d.offer(&x, unseen(offers, ack.Seen))
 		if err == nil {
 			x.frames++
-			err = writeJSON(conn, mEndOffers, endOffersMsg{Seen: d.node.Seen(ack.IDs)})
+			err = writeJSON(x.w, mEndOffers, endOffersMsg{Seen: d.node.Seen(ack.IDs)})
 		}
 		if err == nil {
 			_, err = d.take(&x, mContactDone)
 		}
+	}
+	if err != nil || pc.faulted || pc.r.Buffered() > 0 {
+		_ = pc.raw.Close()
+	} else {
+		d.park(peer, pc)
 	}
 	if errors.Is(err, errUnexpected) {
 		err = fmt.Errorf("cluster: contact %d->%d: %w", d.cfg.ID, peer, err)
@@ -638,22 +762,23 @@ func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep
 	return x.rep, x.progressed, nil
 }
 
-// serveContact is the passive side of a contact: it answers the
+// serveContact is the passive side of one contact: it answers the
 // hello's inventory with its own, takes the initiator's offers, then
-// offers its own unseen copies.
-func (d *Daemon) serveContact(conn net.Conn, helloBody []byte) {
+// offers its own unseen copies. It reports whether the contact ended
+// cleanly, leaving the socket ready for the next hello.
+func (d *Daemon) serveContact(w io.Writer, r *bufio.Reader, helloBody []byte) bool {
 	var hello helloMsg
 	if err := unmarshalStrict(helloBody, &hello); err != nil {
-		sendErr(conn, err)
-		return
+		sendErr(w, err)
+		return false
 	}
 	if hello.Version != protoVersion {
-		sendErr(conn, fmt.Errorf("protocol version %d, want %d", hello.Version, protoVersion))
-		return
+		sendErr(w, fmt.Errorf("protocol version %d, want %d", hello.Version, protoVersion))
+		return false
 	}
 	if hello.To != d.cfg.ID {
-		sendErr(conn, fmt.Errorf("contact addressed to node %d, reached node %d", hello.To, d.cfg.ID))
-		return
+		sendErr(w, fmt.Errorf("contact addressed to node %d, reached node %d", hello.To, d.cfg.ID))
+		return false
 	}
 	peer := contact.NodeID(hello.From)
 	d.node.Expire(hello.Now)
@@ -664,13 +789,12 @@ func (d *Daemon) serveContact(conn net.Conn, helloBody []byte) {
 		// side's share is observed before the ack releases the peer.
 		ack.Done = true
 		node.MeetReport{}.Observe(obs.Active(), d.node.BufferLen())
-		_ = writeJSON(conn, mHelloAck, ack)
-		return
+		return writeJSON(w, mHelloAck, ack) == nil
 	}
-	if err := writeJSON(conn, mHelloAck, ack); err != nil {
-		return
+	if err := writeJSON(w, mHelloAck, ack); err != nil {
+		return false
 	}
-	x := exchange{conn: conn}
+	x := exchange{w: w, r: r}
 	body, err := d.take(&x, mEndOffers)
 	var end endOffersMsg
 	if err == nil {
@@ -682,27 +806,29 @@ func (d *Daemon) serveContact(conn net.Conn, helloBody []byte) {
 	}
 	if err != nil {
 		if errors.Is(err, errUnexpected) {
-			sendErr(conn, fmt.Errorf("%w during offers", err))
+			sendErr(w, fmt.Errorf("%w during offers", err))
 		}
-		return
+		return false
 	}
 	if d.offer(&x, unseen(offers, end.Seen)) != nil {
-		return
+		return false
 	}
 	// The initiator observes the contact and both directions' hand-offs;
 	// only this side knows its own re-offer drops and occupancy. Both
 	// are read before the peer is released to its next contact.
 	node.MeetReport{Dropped: x.rep.Dropped}.Observe(obs.Active(), d.node.BufferLen())
-	_ = writeMsg(conn, mContactDone, nil)
+	return writeMsg(w, mContactDone, nil) == nil
 }
 
 // exchange is one side's state in a live contact; both halves of the
 // custody exchange run on it.
 type exchange struct {
-	conn net.Conn
-	rep  node.MeetReport
-	// progressed turns true at the first offer byte either way: from
-	// then on a failure is custody-ambiguous and the attempt is final.
+	w   io.Writer
+	r   *bufio.Reader
+	rep node.MeetReport
+	// progressed turns true at the first offer byte of this contact
+	// either way: from then on a failure is custody-ambiguous and the
+	// attempt is final.
 	progressed bool
 	frames     int // frames read and written
 }
@@ -743,11 +869,11 @@ func (d *Daemon) offer(x *exchange, ids []string) error {
 		// From the first offer byte on, a failure is custody-ambiguous:
 		// the peer may or may not have ingested the copy, so no retry.
 		x.progressed = true
-		if err := writeMsg(x.conn, mOffer, offerBody(hops, frame)); err != nil {
+		if err := writeMsg(x.w, mOffer, offerBody(hops, frame)); err != nil {
 			return err
 		}
 		var m verdictMsg
-		if err := readExpect(x.conn, mVerdict, &m); err != nil {
+		if err := readExpect(x.r, mVerdict, &m); err != nil {
 			return err
 		}
 		x.frames += 2
@@ -762,7 +888,7 @@ func (d *Daemon) offer(x *exchange, ids []string) error {
 // returns.
 func (d *Daemon) take(x *exchange, end byte) ([]byte, error) {
 	for {
-		typ, body, err := readMsg(x.conn)
+		typ, body, err := readMsg(x.r)
 		if err != nil {
 			return nil, err
 		}
@@ -787,7 +913,7 @@ func (d *Daemon) take(x *exchange, end byte) ([]byte, error) {
 		if v.Err != nil {
 			m.Reason = v.Err.Error()
 		}
-		if err := writeJSON(x.conn, mVerdict, m); err != nil {
+		if err := writeJSON(x.w, mVerdict, m); err != nil {
 			return nil, err
 		}
 		x.frames++

@@ -308,7 +308,7 @@ func (d *Dir) serve(raw net.Conn) {
 	// Per-I/O deadline refresh: a slow-but-progressing welcome download
 	// survives, a stalled peer is torn down within Timeout. The raw
 	// conn stays keyed in d.conns so Close() can tear it down.
-	conn := withIODeadline(raw, d.cfg.Timeout, 0)
+	conn := withIODeadline(raw, d.cfg.Timeout)
 	typ, body, err := readMsg(conn)
 	if err != nil {
 		return

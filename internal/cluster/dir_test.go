@@ -68,7 +68,11 @@ func TestWelcomeRebuildsReferencePartition(t *testing.T) {
 	if w.N != 12 || w.G != 4 {
 		t.Fatalf("welcome shape %d/%d", w.N, w.G)
 	}
-	view, err := buildView(w)
+	groupKeys, nodeKeys, err := recoverKeys(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := buildView(w, groupKeys, nodeKeys)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -127,14 +127,41 @@ func TestVersionOneHelloRefused(t *testing.T) {
 }
 
 // TestIdleContactEndsAfterHello: when every listed copy is seen and
-// the responder has nothing to offer, the hello ack is the last frame.
+// the responder has nothing to offer, the hello ack is the contact's
+// last frame. The socket then carries the next contact: a second hello
+// gets its own ack, and closing the initiator's side ends the
+// responder's handler.
 func TestIdleContactEndsAfterHello(t *testing.T) {
 	c := launchTrio(t)
-	conn, ack := rawHello(t, c.Daemon(1).Addr(), 0, 1, 0)
+	d1 := c.Daemon(1)
+	conn, ack := rawHello(t, d1.Addr(), 0, 1, 0)
 	if !ack.Done || len(ack.IDs) != 0 {
 		t.Fatalf("hello ack = %+v, want the contact done", ack)
 	}
-	if rest, err := io.ReadAll(conn); err != nil || len(rest) != 0 {
-		t.Fatalf("after a done ack the responder sent %d bytes (err %v), want a clean close", len(rest), err)
+	_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	var one [1]byte
+	if n, err := conn.Read(one[:]); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("after a done ack the responder sent %d bytes (err %v), want silence", n, err)
 	}
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeJSON(conn, mHello, helloMsg{Version: protoVersion, From: 0, To: 1, Now: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var again helloAckMsg
+	if err := readExpect(conn, mHelloAck, &again); err != nil {
+		t.Fatalf("second hello on the same socket: %v", err)
+	}
+	if !again.Done || len(again.IDs) != 0 {
+		t.Fatalf("second hello ack = %+v, want the contact done", again)
+	}
+	handlers := func() int {
+		d1.mu.Lock()
+		defer d1.mu.Unlock()
+		return len(d1.conns)
+	}
+	if n := handlers(); n != 1 {
+		t.Fatalf("responder has %d open handlers, want the one serving this socket", n)
+	}
+	_ = conn.Close()
+	waitStable(t, func() bool { return handlers() == 0 })
 }

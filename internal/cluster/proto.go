@@ -8,9 +8,11 @@
 //     (internal/shamir), the bulletin-board shape of the related
 //     pi_t-experiment repo;
 //   - a node daemon (Daemon) that speaks the internal/bundle wire
-//     format over length-framed TCP (bundle.WriteFrame/ReadFrame), so
-//     the PR 2 truncation/tamper classification applies to real socket
-//     tears;
+//     format over length-framed TCP (the bundle.ReadFrame framing, each
+//     frame written with one Write), so the bundle layer's
+//     truncation/tamper classification applies to real socket tears. A
+//     daemon keeps one idle outbound connection per peer it has called,
+//     so a contact is a hello on an open socket, not a fresh dial;
 //   - a control-plane client (Coordinator) with which cmd/dtndir
 //     injects a workload into remote daemons and replays the same
 //     trace files internal/trace parses as real contacts between them;
@@ -25,6 +27,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -69,8 +72,10 @@ const (
 // protoVersion guards against skew between daemons built from
 // different revisions; Hello and Register carry it. Version 2 added
 // the seen-flag inventory to the contact preamble; version 3 dropped
-// the send request's expiry, which was always 0.
-const protoVersion = 3
+// the send request's expiry, which was always 0; version 4 keeps a
+// contact connection open after the contact ends, so the responder
+// waits for the next hello where it used to close.
+const protoVersion = 4
 
 // The contact preamble is a summary-vector exchange: each side lists
 // the IDs of the copies it would offer, the other answers with one
@@ -192,21 +197,28 @@ type deliveryRespWire struct {
 	Hops  int    `json:"hops"`
 }
 
-// writeMsg frames and writes one typed message.
+// writeMsg frames and writes one typed message with a single Write:
+// the length prefix bundle.ReadFrame expects, the type byte and the
+// body share one buffer.
 func writeMsg(w io.Writer, typ byte, body []byte) error {
-	payload := make([]byte, 1+len(body))
-	payload[0] = typ
-	copy(payload[1:], body)
+	n := 1 + len(body)
+	if n > bundle.MaxFrame {
+		return fmt.Errorf("cluster: message %d of %d bytes exceeds the frame limit %d", typ, n, bundle.MaxFrame)
+	}
+	frame := make([]byte, bundle.FramePrefixSize+n)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	frame[bundle.FramePrefixSize] = typ
+	copy(frame[bundle.FramePrefixSize+1:], body)
 	// The frame counts toward the collector installed when its write
 	// began: the peer may act on the frame, and a new collector be
 	// installed, before this goroutine returns from the write.
 	c := obs.Active()
-	if err := bundle.WriteFrame(w, payload); err != nil {
-		return err
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("cluster: write message %d: %w", typ, err)
 	}
 	if c != nil {
 		c.Add(obs.ClusterFramesOut, 1)
-		c.Add(obs.ClusterBytesOut, int64(len(payload)))
+		c.Add(obs.ClusterBytesOut, int64(n))
 	}
 	return nil
 }
@@ -220,7 +232,9 @@ func writeJSON(w io.Writer, typ byte, body any) error {
 	return writeMsg(w, typ, raw)
 }
 
-// readMsg reads one typed message.
+// readMsg reads one typed message. Daemons pass the bufio.Reader that
+// lives as long as the connection, so a frame costs one read syscall,
+// not one for the prefix and one for the payload.
 func readMsg(r io.Reader) (byte, []byte, error) {
 	payload, err := bundle.ReadFrame(r)
 	if err != nil {
@@ -312,16 +326,26 @@ func decodeOffer(body []byte) (hops int, frame []byte, err error) {
 //
 // Progress-as-liveness alone lets a maliciously slow peer — one byte
 // per second is still progress — pin a contact forever. The optional
-// wall cap bounds the whole connection: every refreshed deadline is
-// clamped to it, so a contact exceeding its ContactBudget dies with a
-// deadline error no matter how steadily bytes trickle.
+// wall cap bounds one contact: arm sets it at each hello, every
+// refreshed deadline is clamped to it, so a contact exceeding its
+// ContactBudget dies with a deadline error no matter how steadily
+// bytes trickle.
 type ioDeadlineConn struct {
 	net.Conn
 	timeout time.Duration
-	wall    time.Time // zero = no per-connection wall cap
+	wall    time.Time // zero = no wall cap
 }
 
-func (c ioDeadlineConn) deadline() time.Time {
+// arm caps the connection's I/O at budget from now, for the contact
+// that starts here; budget 0 lifts the cap.
+func (c *ioDeadlineConn) arm(budget time.Duration) {
+	c.wall = time.Time{}
+	if budget > 0 {
+		c.wall = time.Now().Add(budget)
+	}
+}
+
+func (c *ioDeadlineConn) deadline() time.Time {
 	dl := time.Now().Add(c.timeout)
 	if !c.wall.IsZero() && dl.After(c.wall) {
 		dl = c.wall
@@ -329,14 +353,14 @@ func (c ioDeadlineConn) deadline() time.Time {
 	return dl
 }
 
-func (c ioDeadlineConn) Read(p []byte) (int, error) {
+func (c *ioDeadlineConn) Read(p []byte) (int, error) {
 	if err := c.Conn.SetReadDeadline(c.deadline()); err != nil {
 		return 0, err
 	}
 	return c.Conn.Read(p)
 }
 
-func (c ioDeadlineConn) Write(p []byte) (int, error) {
+func (c *ioDeadlineConn) Write(p []byte) (int, error) {
 	if err := c.Conn.SetWriteDeadline(c.deadline()); err != nil {
 		return 0, err
 	}
@@ -344,20 +368,10 @@ func (c ioDeadlineConn) Write(p []byte) (int, error) {
 }
 
 // withIODeadline wraps conn so every I/O operation gets a fresh
-// deadline of timeout from now, clamped to a total wall budget when
-// budget > 0.
-func withIODeadline(conn net.Conn, timeout, budget time.Duration) net.Conn {
-	if timeout <= 0 && budget <= 0 {
-		return conn
-	}
-	if timeout <= 0 {
-		timeout = budget
-	}
-	c := ioDeadlineConn{Conn: conn, timeout: timeout}
-	if budget > 0 {
-		c.wall = time.Now().Add(budget)
-	}
-	return c
+// deadline of timeout from now; every caller defaults timeout to a
+// positive value.
+func withIODeadline(conn net.Conn, timeout time.Duration) *ioDeadlineConn {
+	return &ioDeadlineConn{Conn: conn, timeout: timeout}
 }
 
 // rawDial opens a plain connection with the configured dial timeout
@@ -374,14 +388,13 @@ func rawDial(addr string, timeout time.Duration) (net.Conn, error) {
 }
 
 // dial opens a connection with the configured timeout; every I/O on it
-// refreshes its deadline (see ioDeadlineConn), clamped to the wall
-// budget when budget > 0.
-func dial(addr string, timeout, budget time.Duration) (net.Conn, error) {
+// refreshes its deadline (see ioDeadlineConn).
+func dial(addr string, timeout time.Duration) (net.Conn, error) {
 	conn, err := rawDial(addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return withIODeadline(conn, timeout, budget), nil
+	return withIODeadline(conn, timeout), nil
 }
 
 // sendErr best-effort reports a request failure to the peer.

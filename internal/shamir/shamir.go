@@ -81,22 +81,25 @@ func Combine(shares []Share) ([]byte, error) {
 			return nil, fmt.Errorf("shamir: share length mismatch: %d vs %d", len(s.Y), length)
 		}
 	}
-	secret := make([]byte, length)
-	for i := range secret {
-		var v byte
-		for j, sj := range shares {
-			// Lagrange basis at x = 0.
-			num, den := byte(1), byte(1)
-			for m, sm := range shares {
-				if m == j {
-					continue
-				}
-				num = gfMul(num, sm.X)
-				den = gfMul(den, sj.X^sm.X)
+	// The Lagrange basis at x = 0 depends only on the share points, so
+	// it is computed once and applied to every secret byte.
+	basis := make([]byte, len(shares))
+	for j, sj := range shares {
+		num, den := byte(1), byte(1)
+		for m, sm := range shares {
+			if m == j {
+				continue
 			}
-			v ^= gfMul(sj.Y[i], gfMul(num, gfInv(den)))
+			num = gfMul(num, sm.X)
+			den = gfMul(den, sj.X^sm.X)
 		}
-		secret[i] = v
+		basis[j] = gfMul(num, gfInv(den))
+	}
+	secret := make([]byte, length)
+	for j, sj := range shares {
+		for i, y := range sj.Y {
+			secret[i] ^= gfMul(y, basis[j])
+		}
 	}
 	return secret, nil
 }

@@ -61,6 +61,89 @@ func TestAnyKSharesSuffice(t *testing.T) {
 	}
 }
 
+// TestEveryThreeOfFiveRecovers: with threshold 3, every one of the ten
+// 3-subsets of five shares recovers the secret, in any point order.
+func TestEveryThreeOfFiveRecovers(t *testing.T) {
+	secret := []byte("a 32-byte layer key, in 5 pieces")
+	shares, err := Split(secret, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subsets := 0
+	for a := 0; a < 5; a++ {
+		for b := a + 1; b < 5; b++ {
+			for c := b + 1; c < 5; c++ {
+				subsets++
+				got, err := Combine([]Share{shares[c], shares[a], shares[b]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, secret) {
+					t.Fatalf("subset {%d,%d,%d} recovered %x", a, b, c, got)
+				}
+			}
+		}
+	}
+	if subsets != 10 {
+		t.Fatalf("tried %d subsets, want 10", subsets)
+	}
+}
+
+// combinePerByte is the reference Combine: the textbook Lagrange
+// interpolation at x = 0, with the basis recomputed for every byte.
+func combinePerByte(shares []Share) []byte {
+	secret := make([]byte, len(shares[0].Y))
+	for i := range secret {
+		var v byte
+		for j, sj := range shares {
+			num, den := byte(1), byte(1)
+			for m, sm := range shares {
+				if m == j {
+					continue
+				}
+				num = gfMul(num, sm.X)
+				den = gfMul(den, sj.X^sm.X)
+			}
+			v ^= gfMul(sj.Y[i], gfMul(num, gfInv(den)))
+		}
+		secret[i] = v
+	}
+	return secret
+}
+
+// TestCombineMatchesPerByteReference: on random share values at random
+// distinct points — threshold or not — Combine returns exactly what the
+// per-byte reference interpolates.
+func TestCombineMatchesPerByteReference(t *testing.T) {
+	f := func(seed []byte, rawCount, rawLen uint8) bool {
+		count := int(rawCount%8) + 1
+		length := int(rawLen%40) + 1
+		points := make([]byte, 255)
+		for i := range points {
+			points[i] = byte(i + 1)
+		}
+		shares := make([]Share, count)
+		for j := range shares {
+			// A seed-driven permutation step picks distinct points.
+			k := j
+			if len(seed) > 0 {
+				k += int(seed[j%len(seed)]) % (len(points) - j)
+			}
+			points[j], points[k] = points[k], points[j]
+			y := make([]byte, length)
+			if _, err := rand.Read(y); err != nil {
+				return false
+			}
+			shares[j] = Share{X: points[j], Y: y}
+		}
+		got, err := Combine(shares)
+		return err == nil && bytes.Equal(got, combinePerByte(shares))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFewerThanKSharesGarbage(t *testing.T) {
 	secret := bytes.Repeat([]byte{0xAB}, 64)
 	shares, err := Split(secret, 5, 3)
