@@ -122,8 +122,8 @@ const (
 )
 
 // maxCut caps reset/tear cut offsets strictly below the smallest
-// possible hello frame (4-byte length prefix + 1 type byte + a 31-byte
-// JSON body when the hello lists no offer IDs), so a cut always lands
+// possible hello frame (4-byte length prefix + 1 type byte + a 24-byte
+// binary body when the hello lists no offer IDs), so a cut always lands
 // inside the hello, the first frame a dialer writes, and never between
 // an offer and its verdict.
 const maxCut = 28

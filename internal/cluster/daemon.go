@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -444,7 +443,8 @@ func (d *Daemon) acceptLoop(lis net.Listener) {
 // initiator keeps the socket open; between contacts it waits for the
 // next hello under Timeout alone, so a peer's idle socket simply times
 // out. Every read goes through one reader that lives as long as the
-// connection.
+// connection, and one seen memo holds what the initiator is known to
+// have seen for as long as the connection lives.
 func (d *Daemon) serve(conn net.Conn) {
 	defer d.wg.Done()
 	defer func() {
@@ -472,11 +472,12 @@ func (d *Daemon) serve(conn net.Conn) {
 			}
 		}
 	}
+	var memo seenMemo
 	for {
 		// Each contact gets the per-contact wall budget from its hello
 		// on; control sessions stay open for a whole replay and must not.
 		rw.arm(d.cfg.ContactBudget)
-		if !d.serveContact(rw, r, body) {
+		if !d.serveContact(rw, r, body, &memo) {
 			return
 		}
 		rw.arm(0)
@@ -567,6 +568,9 @@ type peerConn struct {
 	// faulted is set when this attempt's chaos slot wrapped the socket;
 	// such a connection is never parked again.
 	faulted bool
+	// memo holds the offers the peer is known to have seen; it lives
+	// and dies with the socket.
+	memo seenMemo
 }
 
 func newPeerConn(raw net.Conn, addr string, timeout time.Duration) *peerConn {
@@ -581,13 +585,17 @@ func newPeerConn(raw net.Conn, addr string, timeout time.Duration) *peerConn {
 // sign of a peer that closed it while it sat idle.
 func (pc *peerConn) hello(m helloMsg, budget time.Duration) (ack helloAckMsg, stale bool, err error) {
 	pc.io.arm(budget)
-	if err := writeJSON(&pc.io, mHello, m); err != nil {
+	if err := writeFrame(&pc.io, m.frame()); err != nil {
 		return ack, true, err
 	}
 	if _, err := pc.r.Peek(1); err != nil {
 		return ack, true, err
 	}
-	return ack, false, readExpect(pc.r, mHelloAck, &ack)
+	body, err := readBody(pc.r, mHelloAck)
+	if err == nil {
+		ack, err = decodeHelloAck(body)
+	}
+	return ack, false, err
 }
 
 // takeIdle removes and returns the parked connection to peer when it
@@ -707,7 +715,8 @@ func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (node.Me
 // received — before the failure; un-progressed attempts are safe to
 // retry. A parked connection that fails before any byte of its hello
 // ack is stale (the peer closed it while it sat idle): it is redialed
-// once, at once, within this attempt.
+// once, at once, within this attempt, and the hello on the new socket
+// lists every offer, since the old socket's memo went with it.
 func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep node.MeetReport, progressed bool, err error) {
 	pc, reused, err := d.dialContact(peer, addr)
 	if err != nil {
@@ -715,7 +724,7 @@ func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep
 	}
 	d.node.Expire(now)
 	offers := d.node.OffersTo(peer, d.cfg.Spray)
-	hello := helloMsg{Version: protoVersion, From: d.cfg.ID, To: int(peer), Now: now, IDs: offers}
+	hello := helloMsg{Version: protoVersion, From: d.cfg.ID, To: int(peer), Now: now, IDs: pc.memo.list(offers)}
 	ack, stale, err := pc.hello(hello, d.cfg.ContactBudget)
 	if err != nil && stale && reused && !pc.faulted {
 		_ = pc.raw.Close()
@@ -724,19 +733,20 @@ func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep
 			return rep, false, derr
 		}
 		pc = newPeerConn(raw, addr, d.cfg.Timeout)
+		hello.IDs = offers
 		ack, _, err = pc.hello(hello, d.cfg.ContactBudget)
 	}
 	if err != nil {
 		_ = pc.raw.Close()
 		return rep, false, fmt.Errorf("cluster: contact %d->%d: %w", d.cfg.ID, peer, err)
 	}
-	x := exchange{w: &pc.io, r: pc.r, rep: node.MeetReport{Contacts: 1}, frames: 2}
-	err = checkFlags(ack.Seen, len(offers))
+	x := exchange{w: &pc.io, r: pc.r, memo: &pc.memo, rep: node.MeetReport{Contacts: 1}, frames: 2}
+	ids, err := pc.memo.unseen(hello.IDs, ack.Seen)
 	if err == nil && !ack.Done {
-		err = d.offer(&x, unseen(offers, ack.Seen))
+		err = d.offer(&x, ids)
 		if err == nil {
 			x.frames++
-			err = writeJSON(x.w, mEndOffers, endOffersMsg{Seen: d.node.Seen(ack.IDs)})
+			err = writeFrame(x.w, endOffersMsg{Seen: d.node.Seen(ack.IDs)}.frame())
 		}
 		if err == nil {
 			_, err = d.take(&x, mContactDone)
@@ -766,14 +776,10 @@ func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep
 // hello's inventory with its own, takes the initiator's offers, then
 // offers its own unseen copies. It reports whether the contact ended
 // cleanly, leaving the socket ready for the next hello.
-func (d *Daemon) serveContact(w io.Writer, r *bufio.Reader, helloBody []byte) bool {
-	var hello helloMsg
-	if err := unmarshalStrict(helloBody, &hello); err != nil {
+func (d *Daemon) serveContact(w io.Writer, r *bufio.Reader, helloBody []byte, memo *seenMemo) bool {
+	hello, err := decodeHello(helloBody)
+	if err != nil {
 		sendErr(w, err)
-		return false
-	}
-	if hello.Version != protoVersion {
-		sendErr(w, fmt.Errorf("protocol version %d, want %d", hello.Version, protoVersion))
 		return false
 	}
 	if hello.To != d.cfg.ID {
@@ -781,27 +787,34 @@ func (d *Daemon) serveContact(w io.Writer, r *bufio.Reader, helloBody []byte) bo
 		return false
 	}
 	peer := contact.NodeID(hello.From)
+	if memo.peer != peer {
+		*memo = seenMemo{peer: peer}
+	}
 	d.node.Expire(hello.Now)
 	offers := d.node.OffersTo(peer, d.cfg.Spray)
+	if len(offers) > 0 {
+		// The initiator holds, so has seen, every copy it lists.
+		memo.add(hello.IDs...)
+	}
+	offers = memo.list(offers)
 	ack := helloAckMsg{Seen: d.node.Seen(hello.IDs), IDs: offers}
 	if len(offers) == 0 && !slices.Contains(ack.Seen, false) {
 		// Nothing moves either way, so the ack ends the contact. This
 		// side's share is observed before the ack releases the peer.
 		ack.Done = true
 		node.MeetReport{}.Observe(obs.Active(), d.node.BufferLen())
-		return writeJSON(w, mHelloAck, ack) == nil
+		return writeFrame(w, ack.frame()) == nil
 	}
-	if err := writeJSON(w, mHelloAck, ack); err != nil {
+	if err := writeFrame(w, ack.frame()); err != nil {
 		return false
 	}
-	x := exchange{w: w, r: r}
+	x := exchange{w: w, r: r, memo: memo}
 	body, err := d.take(&x, mEndOffers)
-	var end endOffersMsg
+	var ids []string
 	if err == nil {
-		if err = json.Unmarshal(body, &end); err != nil {
-			err = fmt.Errorf("%w: end of offers: %v", errUnexpected, err)
-		} else {
-			err = checkFlags(end.Seen, len(offers))
+		var end endOffersMsg
+		if end, err = decodeEndOffers(body); err == nil {
+			ids, err = memo.unseen(offers, end.Seen)
 		}
 	}
 	if err != nil {
@@ -810,7 +823,7 @@ func (d *Daemon) serveContact(w io.Writer, r *bufio.Reader, helloBody []byte) bo
 		}
 		return false
 	}
-	if d.offer(&x, unseen(offers, end.Seen)) != nil {
+	if d.offer(&x, ids) != nil {
 		return false
 	}
 	// The initiator observes the contact and both directions' hand-offs;
@@ -823,9 +836,10 @@ func (d *Daemon) serveContact(w io.Writer, r *bufio.Reader, helloBody []byte) bo
 // exchange is one side's state in a live contact; both halves of the
 // custody exchange run on it.
 type exchange struct {
-	w   io.Writer
-	r   *bufio.Reader
-	rep node.MeetReport
+	w    io.Writer
+	r    *bufio.Reader
+	memo *seenMemo // remembers the copies the peer accepts
+	rep  node.MeetReport
 	// progressed turns true at the first offer byte of this contact
 	// either way: from then on a failure is custody-ambiguous and the
 	// attempt is final.
@@ -836,23 +850,67 @@ type exchange struct {
 // errUnexpected marks a peer that broke the contact protocol.
 var errUnexpected = errors.New("protocol violation")
 
-// unseen keeps the offered IDs whose seen flag is false.
-func unseen(ids []string, seen []bool) []string {
-	var out []string
-	for i, id := range ids {
-		if !seen[i] {
-			out = append(out, id)
+// seenMemo is one side's record, on one contact connection, of which
+// of its own offers the peer is known to have seen: a seen flag of
+// true, an ID the peer listed itself (it holds that copy), or an
+// accept verdict (a message ID has one spelling, so the peer's seen
+// log holds the ID as listed). A refusal proves nothing. A node's seen
+// log only grows within its process, and a process's sockets die with
+// it, so leaving a remembered ID out of an inventory has the outcome
+// asking for its flag would have had: true, and no offer. list
+// rebuilds the memo from each contact's inventory, so it never
+// outgrows this side's offers to the peer.
+type seenMemo struct {
+	peer contact.NodeID // the responder's memo is for one initiator
+	ids  map[string]struct{}
+}
+
+func (m *seenMemo) add(ids ...string) {
+	for _, id := range ids {
+		if m.ids == nil {
+			m.ids = make(map[string]struct{})
 		}
+		m.ids[id] = struct{}{}
 	}
+}
+
+// list narrows the memo to offers and returns, in order, the offers
+// the peer is not known to have seen.
+func (m *seenMemo) list(offers []string) []string {
+	if len(m.ids) == 0 {
+		return offers
+	}
+	var out []string
+	var kept map[string]struct{}
+	for _, id := range offers {
+		if _, ok := m.ids[id]; !ok {
+			out = append(out, id)
+			continue
+		}
+		if kept == nil {
+			kept = make(map[string]struct{})
+		}
+		kept[id] = struct{}{}
+	}
+	m.ids = kept
 	return out
 }
 
-// checkFlags requires one seen flag per listed offer ID.
-func checkFlags(seen []bool, ids int) error {
-	if len(seen) != ids {
-		return fmt.Errorf("%w: %d seen flags for %d offer IDs", errUnexpected, len(seen), ids)
+// unseen requires one seen flag per listed ID, remembers the flagged
+// IDs and returns the others, in order.
+func (m *seenMemo) unseen(ids []string, seen []bool) ([]string, error) {
+	if len(seen) != len(ids) {
+		return nil, fmt.Errorf("%w: %d seen flags for %d offer IDs", errUnexpected, len(seen), len(ids))
 	}
-	return nil
+	var out []string
+	for i, id := range ids {
+		if seen[i] {
+			m.add(id)
+		} else {
+			out = append(out, id)
+		}
+	}
+	return out, nil
 }
 
 // offer is the sending half of a contact: every copy the peer has not
@@ -869,15 +927,22 @@ func (d *Daemon) offer(x *exchange, ids []string) error {
 		// From the first offer byte on, a failure is custody-ambiguous:
 		// the peer may or may not have ingested the copy, so no retry.
 		x.progressed = true
-		if err := writeMsg(x.w, mOffer, offerBody(hops, frame)); err != nil {
+		if err := writeFrame(x.w, offerFrame(hops, frame)); err != nil {
 			return err
 		}
-		var m verdictMsg
-		if err := readExpect(x.r, mVerdict, &m); err != nil {
+		body, err := readBody(x.r, mVerdict)
+		if err != nil {
+			return err
+		}
+		m, err := decodeVerdict(body)
+		if err != nil {
 			return err
 		}
 		x.frames += 2
-		v := node.Verdict{Accepted: m.Accepted, Delivered: m.Delivered, BufferFull: m.BufferFull}
+		v := node.Verdict{Accepted: m.Accepted, Delivered: m.Delivered, BufferFull: m.BufferFull, Damaged: m.Damaged}
+		if v.Accepted {
+			x.memo.add(id)
+		}
 		x.rep.Count(v, d.node.Settle(id, v))
 	}
 	return nil
@@ -909,11 +974,11 @@ func (d *Daemon) take(x *exchange, end byte) ([]byte, error) {
 		}
 		// The peer settles its copy; a drop is in its own report.
 		x.rep.Count(v, false)
-		m := verdictMsg{Accepted: v.Accepted, Delivered: v.Delivered, BufferFull: v.BufferFull}
+		m := verdictMsg{Accepted: v.Accepted, Delivered: v.Delivered, BufferFull: v.BufferFull, Damaged: v.Damaged}
 		if v.Err != nil {
 			m.Reason = v.Err.Error()
 		}
-		if err := writeJSON(x.w, mVerdict, m); err != nil {
+		if err := writeFrame(x.w, m.frame()); err != nil {
 			return nil, err
 		}
 		x.frames++

@@ -40,14 +40,32 @@ func rawHello(t *testing.T, addr string, from, to int, now float64, ids ...strin
 	}
 	t.Cleanup(func() { _ = conn.Close() })
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeJSON(conn, mHello, helloMsg{Version: protoVersion, From: from, To: to, Now: now, IDs: ids}); err != nil {
-		t.Fatal(err)
-	}
-	var ack helloAckMsg
-	if err := readExpect(conn, mHelloAck, &ack); err != nil {
+	ack, err := helloOn(conn, helloMsg{Version: protoVersion, From: from, To: to, Now: now, IDs: ids})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return conn, ack
+}
+
+// helloOn writes a hello on conn and reads the hello ack.
+func helloOn(conn net.Conn, m helloMsg) (helloAckMsg, error) {
+	if err := writeFrame(conn, m.frame()); err != nil {
+		return helloAckMsg{}, err
+	}
+	body, err := readBody(conn, mHelloAck)
+	if err != nil {
+		return helloAckMsg{}, err
+	}
+	return decodeHelloAck(body)
+}
+
+// readVerdict reads and decodes one verdict.
+func readVerdict(conn net.Conn) (verdictMsg, error) {
+	body, err := readBody(conn, mVerdict)
+	if err != nil {
+		return verdictMsg{}, err
+	}
+	return decodeVerdict(body)
 }
 
 // fakePeerStealOffer opens a contact with the daemon at addr,
@@ -59,7 +77,7 @@ func fakePeerStealOffer(t *testing.T, addr string, from, to int) []byte {
 	t.Helper()
 	conn, ack := rawHello(t, addr, from, to, 0)
 	defer conn.Close()
-	if err := writeJSON(conn, mEndOffers, endOffersMsg{Seen: make([]bool, len(ack.IDs))}); err != nil {
+	if err := writeFrame(conn, endOffersMsg{Seen: make([]bool, len(ack.IDs))}.frame()); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err := readMsg(conn)
@@ -165,8 +183,8 @@ func TestCustodySurvivesTearsAndCrash(t *testing.T) {
 	if err := writeMsg(conn, mOffer, finalOffer); err != nil {
 		t.Fatal(err)
 	}
-	var v verdictMsg
-	if err := readExpect(conn, mVerdict, &v); err != nil {
+	v, err := readVerdict(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Accepted {
@@ -177,7 +195,7 @@ func TestCustodySurvivesTearsAndCrash(t *testing.T) {
 	}
 	// Claim node 1's offer as seen: the contact winds down with no
 	// further offer.
-	if err := writeJSON(conn, mEndOffers, endOffersMsg{Seen: []bool{true}}); err != nil {
+	if err := writeFrame(conn, endOffersMsg{Seen: []bool{true}}.frame()); err != nil {
 		t.Fatal(err)
 	}
 	if err := readExpect(conn, mContactDone, nil); err != nil {
@@ -185,6 +203,45 @@ func TestCustodySurvivesTearsAndCrash(t *testing.T) {
 	}
 	if got := d1.Node().Stats().Delivered; got != 1 {
 		t.Fatalf("delivered %d times, want exactly once", got)
+	}
+}
+
+// TestForgedHopCounterGetsDamagedVerdict: an offer's hop counter is a
+// signed 32-bit value, so a prefix of 0xFFFFFFFF is a negative counter,
+// not 4.3e9 hops. The offer gets a damaged verdict and custody stays
+// with the sender; the same frame under its genuine counter is taken.
+func TestForgedHopCounterGetsDamagedVerdict(t *testing.T) {
+	c := launchTrio(t)
+	d0, d2 := c.Daemon(0), c.Daemon(2)
+	spec := node.SendSpec{Dst: 1, Payload: []byte("forged hops"), Relays: 1, Copies: 1, ID: faultMsgID}
+	if _, err := d0.Send(spec, PathStream(21, 0)); err != nil {
+		t.Fatal(err)
+	}
+	genuine := fakePeerStealOffer(t, d0.Addr(), 2, 0)
+	forged := append([]byte{0xff, 0xff, 0xff, 0xff}, genuine[4:]...)
+
+	conn, ack := rawHello(t, d2.Addr(), 0, 2, 1, faultMsgID)
+	if len(ack.Seen) != 1 || ack.Seen[0] {
+		t.Fatalf("hello ack = %+v, want the copy unseen", ack)
+	}
+	if err := writeMsg(conn, mOffer, forged); err != nil {
+		t.Fatal(err)
+	}
+	v, err := readVerdict(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Accepted || !v.Damaged {
+		t.Fatalf("offer with a forged hop counter: verdict %+v, want damaged", v)
+	}
+	if d2.Node().BufferLen() != 0 || d0.Node().BufferLen() != 1 || d0.Node().Stats().Forwarded != 0 {
+		t.Fatalf("custody moved on a forged offer: buffers %d/%d", d0.Node().BufferLen(), d2.Node().BufferLen())
+	}
+	if err := writeMsg(conn, mOffer, genuine); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := readVerdict(conn); err != nil || !v.Accepted {
+		t.Fatalf("genuine offer after the forged one: verdict %+v (err %v), want accepted", v, err)
 	}
 }
 

@@ -10,9 +10,12 @@
 //   - a node daemon (Daemon) that speaks the internal/bundle wire
 //     format over length-framed TCP (the bundle.ReadFrame framing, each
 //     frame written with one Write), so the bundle layer's
-//     truncation/tamper classification applies to real socket tears. A
-//     daemon keeps one idle outbound connection per peer it has called,
-//     so a contact is a hello on an open socket, not a fresh dial;
+//     truncation/tamper classification applies to real socket tears.
+//     The contact messages have fixed binary layouts; the directory and
+//     coordinator control plane speaks JSON. A daemon keeps one idle
+//     outbound connection per peer it has called, so a contact is a
+//     hello on an open socket, not a fresh dial, and each side of that
+//     socket remembers which of its copies the other has seen;
 //   - a control-plane client (Coordinator) with which cmd/dtndir
 //     injects a workload into remote daemons and replays the same
 //     trace files internal/trace parses as real contacts between them;
@@ -29,9 +32,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"time"
 
@@ -40,8 +43,8 @@ import (
 )
 
 // Message types. Every wire message is one bundle-framed payload whose
-// first byte is the type; control bodies are JSON, hand-off bodies are
-// binary (hop counter + marshaled bundle).
+// first byte is the type. Contact bodies are binary (see the layouts
+// below); directory and coordinator bodies are JSON.
 const (
 	// Node <-> node: the contact protocol.
 	mHello       byte = iota + 1 // contact opening: who calls whom, at what sim time, the initiator's offer IDs
@@ -74,8 +77,10 @@ const (
 // the seen-flag inventory to the contact preamble; version 3 dropped
 // the send request's expiry, which was always 0; version 4 keeps a
 // contact connection open after the contact ends, so the responder
-// waits for the next hello where it used to close.
-const protoVersion = 4
+// waits for the next hello where it used to close; version 5 replaced
+// the JSON contact bodies with binary ones and lets each side of a
+// connection leave out the copies the peer is known to have seen.
+const protoVersion = 5
 
 // The contact preamble is a summary-vector exchange: each side lists
 // the IDs of the copies it would offer, the other answers with one
@@ -84,40 +89,293 @@ const protoVersion = 4
 // verdict already told the sender the peer's seen bit, so the
 // inventory reveals nothing the exchange did not.
 type helloMsg struct {
-	Version int     `json:"v"`
-	From    int     `json:"from"`
-	To      int     `json:"to"`
-	Now     float64 `json:"now"`
-	// IDs lists the initiator's offers to this peer, in custody order.
-	IDs []string `json:"ids,omitempty"`
+	Version int
+	From    int
+	To      int
+	Now     float64
+	// IDs lists the initiator's offers to this peer, in custody order,
+	// less those the peer is known to have seen on this connection.
+	IDs []string
 }
 
 type helloAckMsg struct {
 	// Seen holds one flag per hello ID: true means the responder has
 	// seen that message and the initiator does not offer it.
-	Seen []bool `json:"seen,omitempty"`
+	Seen []bool
 	// IDs lists the responder's offers to the initiator, snapshotted at
-	// hello time.
-	IDs []string `json:"ids,omitempty"`
+	// hello time, less those the initiator is known to have seen.
+	IDs []string
 	// Done ends the contact here: every hello ID was seen and the
 	// responder has nothing to offer, so neither side sends again.
-	Done bool `json:"done,omitempty"`
+	Done bool
 }
 
 type endOffersMsg struct {
 	// Seen holds one flag per hello-ack ID, as helloAckMsg.Seen.
-	Seen []bool `json:"seen,omitempty"`
+	Seen []bool
 }
 
 type verdictMsg struct {
-	Accepted  bool   `json:"accepted"`
-	Delivered bool   `json:"delivered,omitempty"`
-	Reason    string `json:"reason,omitempty"`
+	Accepted  bool
+	Delivered bool
 	// BufferFull distinguishes the backpressure refusal subclass of
 	// rejections: the sender charges the copy's re-offer budget instead
-	// of treating the peer as broken. Verdicts are parsed non-strict,
-	// so older daemons ignore the field.
-	BufferFull bool `json:"buffer_full,omitempty"`
+	// of treating the peer as broken.
+	BufferFull bool
+	// Damaged marks an offer whose body or frame failed to parse.
+	Damaged bool
+	Reason  string
+}
+
+// Contact bodies have fixed binary layouts, big-endian, read front to
+// back:
+//
+//	hello:      version u32 | from u32 | to u32 | now f64 | ids
+//	hello ack:  done u8 | flags | ids
+//	end offers: flags
+//	verdict:    bits u8 | reason (the rest of the body)
+//	offer:      hops i32 | bundle frame (the rest of the body)
+//
+// ids is a u32 count, then each ID as a uvarint length and its bytes;
+// flags is a u32 count, then one byte, 0 or 1, per flag. The verdict
+// bits are the verdict* constants. The version leads at a fixed width,
+// so a hello of any other version, a JSON one included, is refused by
+// its number before anything else is read. Every count is checked
+// against the bytes left before anything is allocated, and a body with
+// bytes left over is refused. The smallest hello frame (29 bytes) must
+// stay longer than every cut point internal/chaos draws, so an
+// injected cut always lands inside the hello.
+const (
+	verdictAccepted byte = 1 << iota
+	verdictDelivered
+	verdictBufferFull
+	verdictDamaged
+)
+
+// helloFixed is the size of a hello body before its IDs.
+const helloFixed = 4 + 4 + 4 + 8
+
+func (m helloMsg) frame() []byte {
+	b := newFrame(mHello, helloFixed+idsSize(m.IDs))
+	b = binary.BigEndian.AppendUint32(b, uint32(m.Version))
+	b = binary.BigEndian.AppendUint32(b, uint32(m.From))
+	b = binary.BigEndian.AppendUint32(b, uint32(m.To))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(m.Now))
+	return appendIDs(b, m.IDs)
+}
+
+func (m helloAckMsg) frame() []byte {
+	b := newFrame(mHelloAck, 1+4+len(m.Seen)+idsSize(m.IDs))
+	b = append(b, boolByte(m.Done))
+	b = appendFlags(b, m.Seen)
+	return appendIDs(b, m.IDs)
+}
+
+func (m endOffersMsg) frame() []byte {
+	return appendFlags(newFrame(mEndOffers, 4+len(m.Seen)), m.Seen)
+}
+
+func (m verdictMsg) frame() []byte {
+	var bits byte
+	for i, set := range []bool{m.Accepted, m.Delivered, m.BufferFull, m.Damaged} {
+		bits |= boolByte(set) << i
+	}
+	b := append(newFrame(mVerdict, 1+len(m.Reason)), bits)
+	return append(b, m.Reason...)
+}
+
+// offerFrame frames a hand-off: the hop counter, then the marshaled
+// bundle frame.
+func offerFrame(hops int, frame []byte) []byte {
+	b := binary.BigEndian.AppendUint32(newFrame(mOffer, 4+len(frame)), uint32(hops))
+	return append(b, frame...)
+}
+
+func decodeHello(body []byte) (helloMsg, error) {
+	r := bodyReader{b: body}
+	m := helloMsg{Version: int(r.u32())}
+	if r.err == nil && m.Version != protoVersion {
+		return m, fmt.Errorf("protocol version %d, want %d", m.Version, protoVersion)
+	}
+	m.From = int(r.u32())
+	m.To = int(r.u32())
+	m.Now = math.Float64frombits(binary.BigEndian.Uint64(r.take(8)))
+	m.IDs = r.ids()
+	return m, r.done("hello")
+}
+
+func decodeHelloAck(body []byte) (helloAckMsg, error) {
+	r := bodyReader{b: body}
+	m := helloAckMsg{Done: r.flag()}
+	m.Seen = r.flags()
+	m.IDs = r.ids()
+	return m, r.done("hello ack")
+}
+
+func decodeEndOffers(body []byte) (endOffersMsg, error) {
+	r := bodyReader{b: body}
+	m := endOffersMsg{Seen: r.flags()}
+	return m, r.done("end of offers")
+}
+
+func decodeVerdict(body []byte) (verdictMsg, error) {
+	if len(body) == 0 {
+		return verdictMsg{}, fmt.Errorf("%w: empty verdict", errUnexpected)
+	}
+	bits := body[0]
+	if bits >= verdictDamaged<<1 {
+		return verdictMsg{}, fmt.Errorf("%w: verdict bits %#x", errUnexpected, bits)
+	}
+	return verdictMsg{
+		Accepted:   bits&verdictAccepted != 0,
+		Delivered:  bits&verdictDelivered != 0,
+		BufferFull: bits&verdictBufferFull != 0,
+		Damaged:    bits&verdictDamaged != 0,
+		Reason:     string(body[1:]),
+	}, nil
+}
+
+// decodeOffer splits a hand-off body into hop counter and frame. The
+// counter is a signed 32-bit value, so a forged negative one is
+// refused rather than read as billions of hops.
+func decodeOffer(body []byte) (hops int, frame []byte, err error) {
+	if len(body) < 5 {
+		return 0, nil, fmt.Errorf("%w: offer body of %d bytes", bundle.ErrTruncated, len(body))
+	}
+	hops = int(int32(binary.BigEndian.Uint32(body)))
+	if hops < 0 {
+		return 0, nil, fmt.Errorf("cluster: negative hop counter %d", hops)
+	}
+	return hops, body[4:], nil
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// idsSize is the encoded size of ids, exact for IDs under 128 bytes
+// (a message ID has 32); it sizes a frame's buffer.
+func idsSize(ids []string) int {
+	n := 4
+	for _, id := range ids {
+		n += 1 + len(id)
+	}
+	return n
+}
+
+func appendIDs(b []byte, ids []string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(ids)))
+	for _, id := range ids {
+		b = binary.AppendUvarint(b, uint64(len(id)))
+		b = append(b, id...)
+	}
+	return b
+}
+
+func appendFlags(b []byte, flags []bool) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(flags)))
+	for _, f := range flags {
+		b = append(b, boolByte(f))
+	}
+	return b
+}
+
+// bodyReader consumes a contact body front to back. The first short
+// or malformed field sticks in err, and every later read returns zero
+// values, so a decoder checks err once, in done.
+type bodyReader struct {
+	b   []byte
+	err error
+}
+
+func (r *bodyReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: "+format, append([]any{errUnexpected}, args...)...)
+	}
+	r.b = nil
+}
+
+// take returns the next n (at most 8) bytes, or zeroes once the body
+// is short.
+func (r *bodyReader) take(n int) []byte {
+	if r.err != nil || n > len(r.b) {
+		r.fail("%d bytes left for a %d-byte field", len(r.b), n)
+		var zero [8]byte
+		return zero[:n]
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *bodyReader) u32() uint32 { return binary.BigEndian.Uint32(r.take(4)) }
+
+func (r *bodyReader) flag() bool {
+	switch v := r.take(1)[0]; v {
+	case 0, 1:
+		return v == 1
+	default:
+		r.fail("flag byte %#x", v)
+		return false
+	}
+}
+
+// count reads a list length and, before the list is allocated,
+// refuses one longer than the bytes left: every element takes at least
+// one byte.
+func (r *bodyReader) count() int {
+	n := uint64(r.u32())
+	if r.err == nil && n > uint64(len(r.b)) {
+		r.fail("count %d exceeds the %d bytes left", n, len(r.b))
+	}
+	if r.err != nil || n == 0 {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *bodyReader) flags() []bool {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = r.flag()
+	}
+	return out
+}
+
+func (r *bodyReader) ids() []string {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		l, k := binary.Uvarint(r.b)
+		if k <= 0 || l > uint64(len(r.b)-k) {
+			r.fail("malformed ID %d", i)
+			return nil
+		}
+		out[i] = string(r.b[k : k+int(l)])
+		r.b = r.b[k+int(l):]
+	}
+	return out
+}
+
+// done reports the first decoding error, or bytes left over.
+func (r *bodyReader) done(what string) error {
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("%d bytes after the end", len(r.b))
+	}
+	if r.err != nil {
+		return fmt.Errorf("%s: %w", what, r.err)
+	}
+	return nil
 }
 
 type registerMsg struct {
@@ -197,18 +455,29 @@ type deliveryRespWire struct {
 	Hops  int    `json:"hops"`
 }
 
-// writeMsg frames and writes one typed message with a single Write:
-// the length prefix bundle.ReadFrame expects, the type byte and the
-// body share one buffer.
+// writeMsg frames and writes one typed message with a single Write.
 func writeMsg(w io.Writer, typ byte, body []byte) error {
-	n := 1 + len(body)
+	return writeFrame(w, append(newFrame(typ, len(body)), body...))
+}
+
+// newFrame starts a frame of type typ with room for a body of size
+// bytes: the length prefix bundle.ReadFrame expects, which writeFrame
+// fills in, then the type byte.
+func newFrame(typ byte, size int) []byte {
+	frame := make([]byte, bundle.FramePrefixSize+1, bundle.FramePrefixSize+1+size)
+	frame[bundle.FramePrefixSize] = typ
+	return frame
+}
+
+// writeFrame completes a frame newFrame started and writes it with a
+// single Write.
+func writeFrame(w io.Writer, frame []byte) error {
+	typ := frame[bundle.FramePrefixSize]
+	n := len(frame) - bundle.FramePrefixSize
 	if n > bundle.MaxFrame {
 		return fmt.Errorf("cluster: message %d of %d bytes exceeds the frame limit %d", typ, n, bundle.MaxFrame)
 	}
-	frame := make([]byte, bundle.FramePrefixSize+n)
 	binary.BigEndian.PutUint32(frame, uint32(n))
-	frame[bundle.FramePrefixSize] = typ
-	copy(frame[bundle.FramePrefixSize+1:], body)
 	// The frame counts toward the collector installed when its write
 	// began: the peer may act on the frame, and a new collector be
 	// installed, before this goroutine returns from the write.
@@ -262,58 +531,40 @@ func unmarshalStrict(body []byte, out any) error {
 	return nil
 }
 
-// readExpect reads one message and requires the given type, decoding a
-// JSON body into out when non-nil. An mOK carrying an error string is
-// surfaced as that error.
-func readExpect(r io.Reader, want byte, out any) error {
+// readBody reads one message, requires the given type and returns its
+// body. An mOK carrying an error string is surfaced as that error.
+func readBody(r io.Reader, want byte) ([]byte, error) {
 	typ, body, err := readMsg(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if typ == mOK {
 		var ok okMsg
 		if err := json.Unmarshal(body, &ok); err == nil && ok.Err != "" {
-			return fmt.Errorf("cluster: peer error: %s", ok.Err)
+			return nil, fmt.Errorf("cluster: peer error: %s", ok.Err)
 		}
 		if want != mOK {
-			return fmt.Errorf("cluster: unexpected ack (want message type %d)", want)
+			return nil, fmt.Errorf("cluster: unexpected ack (want message type %d)", want)
 		}
-		return nil
+		return body, nil
 	}
 	if typ != want {
-		return fmt.Errorf("cluster: unexpected message type %d (want %d)", typ, want)
+		return nil, fmt.Errorf("cluster: unexpected message type %d (want %d)", typ, want)
 	}
-	if out == nil {
-		return nil
+	return body, nil
+}
+
+// readExpect is readBody for a JSON body, decoded into out when
+// non-nil; an ack's body is not decoded.
+func readExpect(r io.Reader, want byte, out any) error {
+	body, err := readBody(r, want)
+	if err != nil || out == nil || want == mOK {
+		return err
 	}
 	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("cluster: decode message type %d: %w", typ, err)
+		return fmt.Errorf("cluster: decode message type %d: %w", want, err)
 	}
 	return nil
-}
-
-// offerBody encodes a hand-off: 4-byte big-endian hop counter followed
-// by the marshaled bundle frame.
-func offerBody(hops int, frame []byte) []byte {
-	body := make([]byte, 4+len(frame))
-	body[0] = byte(hops >> 24)
-	body[1] = byte(hops >> 16)
-	body[2] = byte(hops >> 8)
-	body[3] = byte(hops)
-	copy(body[4:], frame)
-	return body
-}
-
-// decodeOffer splits a hand-off body into hop counter and frame.
-func decodeOffer(body []byte) (hops int, frame []byte, err error) {
-	if len(body) < 5 {
-		return 0, nil, fmt.Errorf("%w: offer body of %d bytes", bundle.ErrTruncated, len(body))
-	}
-	hops = int(body[0])<<24 | int(body[1])<<16 | int(body[2])<<8 | int(body[3])
-	if hops < 0 {
-		return 0, nil, errors.New("cluster: negative hop counter")
-	}
-	return hops, body[4:], nil
 }
 
 // ioDeadlineConn refreshes the socket deadline before every Read and

@@ -3,10 +3,18 @@ package cluster
 // The exact wire-cost gate: a fixed seeded workload with deterministic
 // message IDs replayed serially on a loopback cluster costs a pinned
 // number of dials, frames and bytes. Every quantity is a function of
-// the workload alone — onion sizes, JSON control bodies and the
-// contact sequence are fixed; only AES-GCM nonces vary, never lengths —
-// so any change to what a contact puts on the wire moves these numbers
-// and must be re-pinned deliberately.
+// the workload alone — onion sizes, the binary contact bodies (whose
+// lengths follow from their ID and flag counts) and the contact
+// sequence are fixed; only AES-GCM nonces vary, never lengths — so any
+// change to what a contact puts on the wire moves these numbers and
+// must be re-pinned deliberately. Frames: 709 hellos and 709 hello
+// acks; 34 offers and their 34 verdicts; 21 ends of offers and 21
+// contact-dones, one pair for each contact that moves something
+// either way. Bytes count each frame's type and body, not its length
+// prefix: hellos 709*25 + 23 listed IDs*33 = 18,484; acks 709*10 + 23
+// flags + 29 IDs*33 = 8,070; ends of offers 21*5 + 29 flags = 134;
+// offers 4,290 (unchanged onions); verdicts 34*2 = 68; contact-dones
+// 21.
 
 import (
 	"testing"
@@ -81,8 +89,8 @@ func TestContactWireCostPinned(t *testing.T) {
 	want := map[string]int64{
 		"contacts":  709,
 		"dials":     int64(len(pairs)), // one per initiator/responder pair: no retries on a clean loopback
-		"frames":    2152,
-		"bytes":     82110,
+		"frames":    1528,
+		"bytes":     31067,
 		"transfers": 34,
 		// Without buffer limits or faults every rejection would be a
 		// copy the receiver had already seen; the preamble skips them.

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"repro/internal/contact"
@@ -210,10 +211,11 @@ type SendSpec struct {
 	Copies  int     // L tickets
 	Expiry  float64 // absolute deadline; 0 = never expires
 	PadTo   int     // onion padding target; 0 = no padding
-	// ID optionally fixes the message ID (32 hex characters). The
-	// default draws from crypto/rand; differential harnesses that
-	// compare delivered-message sets across tiers inject deterministic
-	// IDs here so the same workload is identifiable in both.
+	// ID optionally fixes the message ID (32 lowercase hex
+	// characters). The default draws from crypto/rand; differential
+	// harnesses that compare delivered-message sets across tiers inject
+	// deterministic IDs here so the same workload is identifiable in
+	// both.
 	ID string
 }
 
@@ -249,8 +251,11 @@ func (n *Node) Send(spec SendSpec, pathStream *rng.Stream) (string, error) {
 		if msgID, err = newMessageID(); err != nil {
 			return "", err
 		}
-	} else if raw, err := hex.DecodeString(msgID); err != nil || len(raw) != 16 {
-		return "", fmt.Errorf("node: message id %q is not 32 hex characters", msgID)
+	} else if raw, err := hex.DecodeString(msgID); err != nil || len(raw) != 16 || strings.ContainsAny(msgID, "ABCDEF") {
+		// Every copy a peer takes in is keyed by the lowercase encoding
+		// of its bundle ID; an origin keyed otherwise would not find its
+		// own message in a peer's seen log, and could send it twice.
+		return "", fmt.Errorf("node: message id %q is not 32 lowercase hex characters", msgID)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()

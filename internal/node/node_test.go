@@ -65,6 +65,16 @@ func TestSendValidation(t *testing.T) {
 	if _, err := src.Send(SendSpec{Dst: 19, Relays: 99, Copies: 1}, rng.New(1)); err == nil {
 		t.Fatal("accepted impossible relay count")
 	}
+	// A received copy is keyed by the lowercase hex of its bundle ID,
+	// so an origin may use no other spelling.
+	for _, id := range []string{"000102030405060708090A0B0C0D0E0F", "000102030405060708090a0b0c0d0e", "000102030405060708090a0b0c0d0e0g"} {
+		if _, err := src.Send(SendSpec{Dst: 19, Relays: 3, Copies: 1, ID: id}, rng.New(1)); err == nil {
+			t.Fatalf("accepted message id %q", id)
+		}
+	}
+	if _, err := src.Send(SendSpec{Dst: 19, Relays: 3, Copies: 1, ID: "000102030405060708090a0b0c0d0e0f"}, rng.New(1)); err != nil {
+		t.Fatalf("refused a lowercase message id: %v", err)
+	}
 }
 
 func TestEndToEndDelivery(t *testing.T) {

@@ -16,8 +16,12 @@ package node
 // The inventory is exact, not a heuristic: within one direction the
 // sender holds at most one copy per message ID and the receiver's seen
 // log grows only by the IDs it takes in that direction, so flags read
-// once before the offers equal a seen test before each offer. Receive
-// still rejects a seen copy, for a peer that ignores the flags.
+// once before the offers equal a seen test before each offer. A seen
+// log only grows within a process (Crash keeps it), so a flag once
+// true stays true: the live tier leaves out of later inventories, on
+// the same connection, the IDs it has learned the peer has seen, with
+// the outcome reading their flags again would have had. Receive still
+// rejects a seen copy, for a peer that ignores the flags.
 //
 // Custody safety falls out of the verdict discipline: a sender that
 // never hears an accept keeps the onion and re-offers at a later
