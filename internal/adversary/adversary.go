@@ -23,7 +23,7 @@ import (
 // Adversary is a set of compromised nodes within an n-node network.
 type Adversary struct {
 	n           int
-	compromised map[contact.NodeID]bool
+	compromised []bool // indexed by node; length n
 }
 
 // New builds an adversary controlling exactly the given nodes.
@@ -31,7 +31,7 @@ func New(n int, nodes []contact.NodeID) (*Adversary, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("adversary: need at least one node, got %d", n)
 	}
-	a := &Adversary{n: n, compromised: make(map[contact.NodeID]bool, len(nodes))}
+	a := &Adversary{n: n, compromised: make([]bool, n)}
 	for _, v := range nodes {
 		if v < 0 || int(v) >= n {
 			return nil, fmt.Errorf("adversary: node %d out of range [0, %d)", v, n)
@@ -47,11 +47,14 @@ func Random(n, c int, s *rng.Stream) (*Adversary, error) {
 	if c < 0 || c > n {
 		return nil, fmt.Errorf("adversary: cannot compromise %d of %d nodes", c, n)
 	}
-	nodes := make([]contact.NodeID, 0, c)
-	for _, v := range s.Sample(n, c) {
-		nodes = append(nodes, contact.NodeID(v))
+	a, err := New(n, nil)
+	if err != nil {
+		return nil, err
 	}
-	return New(n, nodes)
+	for _, v := range s.Sample(n, c) {
+		a.compromised[v] = true
+	}
+	return a, nil
 }
 
 // RandomFraction compromises round(frac*n) nodes (the paper sweeps
@@ -65,7 +68,10 @@ func RandomFraction(n int, frac float64, s *rng.Stream) (*Adversary, error) {
 }
 
 // IsCompromised reports whether node v is controlled by the adversary.
-func (a *Adversary) IsCompromised(v contact.NodeID) bool { return a.compromised[v] }
+// A node outside [0, n) is not.
+func (a *Adversary) IsCompromised(v contact.NodeID) bool {
+	return uint(v) < uint(len(a.compromised)) && a.compromised[v]
+}
 
 // SenderBits maps a sender sequence to the bit string of Sec. IV-D:
 // bit i is true when sender i is compromised, disclosing the link it
@@ -152,7 +158,6 @@ func SamplePositions(n, k, copies, g int, spray bool, s *rng.Stream) ([][]contac
 	if n < 2+perGroup {
 		return nil, fmt.Errorf("adversary: %d nodes too few for %d relays per hop", n, perGroup)
 	}
-	out := make([][]contact.NodeID, k+1)
 	firstHop := 1
 	if spray {
 		firstHop = copies
@@ -160,20 +165,21 @@ func SamplePositions(n, k, copies, g int, spray bool, s *rng.Stream) ([][]contac
 			firstHop = n - 1
 		}
 	}
-	out[0] = samplePosition(n, firstHop, s)
-	for pos := 1; pos <= k; pos++ {
-		out[pos] = samplePosition(n, perGroup, s)
+	// Every position's occupants share one backing array.
+	out := make([][]contact.NodeID, k+1)
+	nodes := make([]contact.NodeID, 0, firstHop+k*perGroup)
+	for pos := range out {
+		occupancy := perGroup
+		if pos == 0 {
+			occupancy = firstHop
+		}
+		start := len(nodes)
+		for _, p := range s.Sample(n, occupancy) {
+			nodes = append(nodes, contact.NodeID(p))
+		}
+		out[pos] = nodes[start:len(nodes):len(nodes)]
 	}
 	return out, nil
-}
-
-func samplePosition(n, occupancy int, s *rng.Stream) []contact.NodeID {
-	picks := s.Sample(n, occupancy)
-	nodes := make([]contact.NodeID, occupancy)
-	for i, p := range picks {
-		nodes[i] = contact.NodeID(p)
-	}
-	return nodes
 }
 
 // PositionsCompromised counts positions with at least one compromised

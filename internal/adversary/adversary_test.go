@@ -10,6 +10,17 @@ import (
 	"repro/internal/routing"
 )
 
+// compromisedCount is the number of nodes a controls.
+func compromisedCount(a *Adversary) int {
+	c := 0
+	for _, bad := range a.compromised {
+		if bad {
+			c++
+		}
+	}
+	return c
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0, nil); err == nil {
 		t.Fatal("accepted n=0")
@@ -21,11 +32,21 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.compromised) != 2 || a.n != 5 {
-		t.Fatalf("count=%d n=%d", len(a.compromised), a.n)
+	if compromisedCount(a) != 2 || a.n != 5 {
+		t.Fatalf("count=%d n=%d", compromisedCount(a), a.n)
 	}
 	if !a.IsCompromised(1) || a.IsCompromised(2) {
 		t.Fatal("membership wrong")
+	}
+	if a.IsCompromised(-1) || a.IsCompromised(5) {
+		t.Fatal("a node outside [0, n) reported compromised")
+	}
+	dup, err := New(5, []contact.NodeID{3, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compromisedCount(dup) != 1 {
+		t.Fatalf("duplicate node counted %d times", compromisedCount(dup))
 	}
 }
 
@@ -34,8 +55,8 @@ func TestRandomCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.compromised) != 17 {
-		t.Fatalf("count = %d", len(a.compromised))
+	if compromisedCount(a) != 17 {
+		t.Fatalf("count = %d", compromisedCount(a))
 	}
 	if _, err := Random(10, 11, rng.New(1)); err == nil {
 		t.Fatal("accepted c > n")
@@ -50,8 +71,8 @@ func TestRandomFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.compromised) != 10 {
-		t.Fatalf("count = %d, want 10", len(a.compromised))
+	if compromisedCount(a) != 10 {
+		t.Fatalf("count = %d, want 10", compromisedCount(a))
 	}
 	if _, err := RandomFraction(100, 1.5, rng.New(1)); err == nil {
 		t.Fatal("accepted fraction > 1")

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -326,5 +327,13 @@ func (r *ladderRung) place(e event) {
 // sortEvents orders a bucket by (time, seq); seq is unique, so the
 // order is total and the sort deterministic.
 func sortEvents(b []event) {
-	sort.Slice(b, func(i, j int) bool { return b[i].before(b[j]) })
+	slices.SortFunc(b, func(x, y event) int {
+		switch {
+		case x.before(y):
+			return -1
+		case y.before(x):
+			return 1
+		}
+		return 0
+	})
 }

@@ -9,14 +9,20 @@
 package rng
 
 import (
-	"hash/fnv"
+	"math/bits"
 	"math/rand/v2"
 )
 
 // Stream is a deterministic random stream. The zero value is not
 // usable; construct streams with New or Split.
+//
+// A Stream holds its PCG source and the rand.Rand over it by value, so
+// a new stream is one allocation; src points into the same struct.
+// A Stream must therefore only be used through the pointer New, Split
+// or SplitN return, never copied.
 type Stream struct {
-	src *rand.Rand
+	pcg rand.PCG
+	src rand.Rand
 	// seed material retained so the stream can be split.
 	hi, lo uint64
 }
@@ -24,32 +30,42 @@ type Stream struct {
 // New returns a stream seeded from the given root seed.
 func New(seed uint64) *Stream {
 	hi := splitmix(seed)
-	lo := splitmix(hi ^ 0x9e3779b97f4a7c15)
-	return &Stream{src: rand.New(rand.NewPCG(hi, lo)), hi: hi, lo: lo}
+	return newStream(hi, splitmix(hi^0x9e3779b97f4a7c15))
+}
+
+func newStream(hi, lo uint64) *Stream {
+	s := &Stream{hi: hi, lo: lo}
+	s.pcg.Seed(hi, lo)
+	s.src = *rand.New(&s.pcg)
+	return s
 }
 
 // Split derives an independent child stream identified by label.
 // Splitting is deterministic: the same parent seed and label always
 // yield the same child, regardless of how much the parent has been
 // consumed.
-func (s *Stream) Split(label string) *Stream {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(label))
-	d := h.Sum64()
-	hi := splitmix(s.hi ^ d)
-	lo := splitmix(s.lo ^ bitreverse(d))
-	return &Stream{src: rand.New(rand.NewPCG(hi, lo)), hi: hi, lo: lo}
-}
+func (s *Stream) Split(label string) *Stream { return s.child(labelHash(label)) }
 
 // SplitN derives an independent child stream identified by label and an
 // index, for families of streams (one per run, one per node, ...).
 func (s *Stream) SplitN(label string, n int) *Stream {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(label))
-	d := h.Sum64() ^ splitmix(uint64(n)+0x51ed2701)
-	hi := splitmix(s.hi ^ d)
-	lo := splitmix(s.lo ^ bitreverse(d))
-	return &Stream{src: rand.New(rand.NewPCG(hi, lo)), hi: hi, lo: lo}
+	return s.child(labelHash(label) ^ splitmix(uint64(n)+0x51ed2701))
+}
+
+func (s *Stream) child(d uint64) *Stream {
+	return newStream(splitmix(s.hi^d), splitmix(s.lo^bits.Reverse64(d)))
+}
+
+// labelHash is 64-bit FNV-1a (hash/fnv's New64a) over the label's
+// bytes, inlined so a split allocates nothing but the child.
+func labelHash(label string) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= prime64
+	}
+	return h
 }
 
 // Float64 returns a uniform variate in [0, 1).
@@ -95,6 +111,12 @@ func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.src.Shuffle(n, swap) }
 
 // Sample returns k distinct integers drawn uniformly from [0, n).
 // It panics if k > n or k < 0.
+//
+// All three paths run the same partial Fisher-Yates shuffle of the
+// table [0, n): step i draws j = i + IntN(n-i) and swaps entries i and
+// j, and the result is the first k entries. They differ only in how
+// the table is stored, so they make the same draws and return the same
+// values for any (n, k).
 func (s *Stream) Sample(n, k int) []int {
 	if k < 0 || k > n {
 		panic("rng: Sample requires 0 <= k <= n")
@@ -102,9 +124,13 @@ func (s *Stream) Sample(n, k int) []int {
 	if k == 0 {
 		return nil
 	}
-	// Partial Fisher-Yates over an index table; O(n) space, O(k) swaps
-	// once the table exists. For small k relative to n use a map-based
-	// virtual table to avoid allocating n ints.
+	// Small k relative to n: a virtual table whose displaced entries fit
+	// a fixed record on the stack.
+	if k <= smallSample && 4*k < n {
+		return s.sampleSmall(n, k)
+	}
+	// Large n: a virtual table whose displaced entries live in a map,
+	// to avoid allocating n ints.
 	if n > 4096 && k*8 < n {
 		return s.sampleSparse(n, k)
 	}
@@ -116,8 +142,39 @@ func (s *Stream) Sample(n, k int) []int {
 		j := i + s.src.IntN(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
+	return idx[:k:k]
+}
+
+// smallSample is the largest k sampleSmall takes: the size of its swap
+// record.
+const smallSample = 16
+
+// sampleSmall is Sample's Fisher-Yates over a virtual table in which
+// entry p holds p unless the swap record lists it. Step i displaces at
+// most one entry (j's), so k steps need at most k records.
+func (s *Stream) sampleSmall(n, k int) []int {
+	var pos, val [smallSample]int
+	m := 0
 	out := make([]int, k)
-	copy(out, idx[:k])
+	for i := 0; i < k; i++ {
+		j := i + s.src.IntN(n-i)
+		vi, vj, rj := i, j, -1
+		for r := 0; r < m; r++ {
+			if pos[r] == i {
+				vi = val[r]
+			}
+			if pos[r] == j {
+				vj, rj = val[r], r
+			}
+		}
+		out[i] = vj
+		if rj < 0 {
+			rj = m
+			pos[m] = j
+			m++
+		}
+		val[rj] = vi
+	}
 	return out
 }
 
@@ -159,13 +216,4 @@ func splitmix(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-func bitreverse(x uint64) uint64 {
-	var r uint64
-	for i := 0; i < 64; i++ {
-		r = (r << 1) | (x & 1)
-		x >>= 1
-	}
-	return r
 }

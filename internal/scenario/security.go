@@ -126,23 +126,7 @@ func (e *Engine) traceSecurity(s *Scenario) ([]stats.Series, []string, error) {
 		for fi, frac := range fracs {
 			batch := fmt.Sprintf("%s/tracesec/s%d/x%d", s.ID, si, fi)
 			vals, err := Trials(e, batch, opt.SecurityRuns, func(i int) (float64, error) {
-				st := root.SplitN("trial", fi*1000000+i)
-				adv, err := adversary.RandomFraction(n, frac, st.Split("adv"))
-				if err != nil {
-					return 0, err
-				}
-				senders, err := adversary.SampleSenders(n, relays, st.Split("senders"))
-				if err != nil {
-					return 0, err
-				}
-				positions, err := adversary.SamplePositions(n, relays, l, g, l > 1, st.Split("positions"))
-				if err != nil {
-					return 0, err
-				}
-				if s.Measure.Kind == KindSecurityPoint {
-					return model.TraceableRateOfPath(adv.SenderBits(senders)), nil
-				}
-				return model.PathAnonymityExact(n, relays+1, g, float64(adv.PositionsCompromised(positions))), nil
+				return traceSecurityTrial(root.SplitN("trial", fi*1000000+i), s.Measure.Kind, n, g, relays, l, frac)
 			})
 			if err != nil {
 				return nil, nil, err
@@ -156,4 +140,26 @@ func (e *Engine) traceSecurity(s *Scenario) ([]stats.Series, []string, error) {
 		series = append(series, analysis, simulation)
 	}
 	return series, nil, nil
+}
+
+// traceSecurityTrial draws one trace-population sample of the kind's
+// metric from the trial's stream st: an adversary compromising frac of
+// the n nodes, and an L-copy path over relays groups of size g.
+func traceSecurityTrial(st *rng.Stream, kind string, n, g, relays, l int, frac float64) (float64, error) {
+	adv, err := adversary.RandomFraction(n, frac, st.Split("adv"))
+	if err != nil {
+		return 0, err
+	}
+	senders, err := adversary.SampleSenders(n, relays, st.Split("senders"))
+	if err != nil {
+		return 0, err
+	}
+	positions, err := adversary.SamplePositions(n, relays, l, g, l > 1, st.Split("positions"))
+	if err != nil {
+		return 0, err
+	}
+	if kind == KindSecurityPoint {
+		return model.TraceableRateOfPath(adv.SenderBits(senders)), nil
+	}
+	return model.PathAnonymityExact(n, relays+1, g, float64(adv.PositionsCompromised(positions))), nil
 }

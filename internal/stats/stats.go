@@ -178,41 +178,19 @@ func (e *ECDF) At(t float64) float64 {
 	return float64(idx) / float64(n)
 }
 
-// Run is a maximal block of consecutive equal bits.
-type Run struct {
-	Value  bool // the bit value of the block
-	Length int  // number of consecutive positions
-}
-
-// Runs decomposes bits into maximal runs, in order. An empty input
-// yields nil.
-func Runs(bits []bool) []Run {
-	if len(bits) == 0 {
-		return nil
-	}
-	var out []Run
-	cur := Run{Value: bits[0], Length: 1}
-	for _, b := range bits[1:] {
-		if b == cur.Value {
-			cur.Length++
-			continue
-		}
-		out = append(out, cur)
-		cur = Run{Value: b, Length: 1}
-	}
-	return append(out, cur)
-}
-
 // SumSquaredTrueRuns returns the sum over maximal runs of true bits of
 // the squared run length — the numerator of the traceable rate (Eq. 1).
 func SumSquaredTrueRuns(bits []bool) int {
-	total := 0
-	for _, r := range Runs(bits) {
-		if r.Value {
-			total += r.Length * r.Length
+	total, run := 0, 0
+	for _, b := range bits {
+		if b {
+			run++
+			continue
 		}
+		total += run * run
+		run = 0
 	}
-	return total
+	return total + run*run
 }
 
 // Series is a named sequence of (x, y) points with optional

@@ -207,6 +207,31 @@ func TestECDFCurveMonotone(t *testing.T) {
 	}
 }
 
+// Run is a maximal block of consecutive equal bits.
+type Run struct {
+	Value  bool // the bit value of the block
+	Length int  // number of consecutive positions
+}
+
+// Runs decomposes bits into maximal runs, in order; an empty input
+// yields nil. It is the reference SumSquaredTrueRuns is checked against.
+func Runs(bits []bool) []Run {
+	if len(bits) == 0 {
+		return nil
+	}
+	var out []Run
+	cur := Run{Value: bits[0], Length: 1}
+	for _, b := range bits[1:] {
+		if b == cur.Value {
+			cur.Length++
+			continue
+		}
+		out = append(out, cur)
+		cur = Run{Value: b, Length: 1}
+	}
+	return append(out, cur)
+}
+
 func TestRuns(t *testing.T) {
 	cases := []struct {
 		bits []bool
@@ -278,6 +303,21 @@ func TestSumSquaredTrueRuns(t *testing.T) {
 	bits = []bool{true, true, false, true}
 	if got := SumSquaredTrueRuns(bits); got != 5 {
 		t.Fatalf("got %d, want 5", got)
+	}
+}
+
+func TestSumSquaredTrueRunsMatchesRuns(t *testing.T) {
+	f := func(bits []bool) bool {
+		want := 0
+		for _, r := range Runs(bits) {
+			if r.Value {
+				want += r.Length * r.Length
+			}
+		}
+		return SumSquaredTrueRuns(bits) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,8 +81,14 @@ func (t *Trace) Duration() float64 {
 
 // SortByStart sorts contacts chronologically (stable).
 func (t *Trace) SortByStart() {
-	sort.SliceStable(t.Contacts, func(i, j int) bool {
-		return t.Contacts[i].Start < t.Contacts[j].Start
+	slices.SortStableFunc(t.Contacts, func(a, b Contact) int {
+		switch {
+		case a.Start < b.Start:
+			return -1
+		case b.Start < a.Start:
+			return 1
+		}
+		return 0
 	})
 }
 
