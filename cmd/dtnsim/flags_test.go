@@ -51,11 +51,6 @@ func TestPersistenceFlagValidation(t *testing.T) {
 			args:    []string{"-protocol", "epidemic", "-cache", t.TempDir()},
 			wantErr: "only the synthetic-graph onion protocol",
 		},
-		{
-			name:    "non-positive lease ttl",
-			args:    []string{"-cache", t.TempDir(), "-lease-ttl", "0s"},
-			wantErr: "-lease-ttl must be positive",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -133,12 +133,11 @@ func run(args []string, out io.Writer) error {
 		Compromised float64 `json:"compromised"`
 		Trace       string  `json:"trace,omitempty"`
 		Cache       string  `json:"cache,omitempty"`
-		FleetID     string  `json:"fleetId,omitempty"`
 	}
 	mc := manifestConfig{
 		Protocol: *protocol, Nodes: *n, GroupSize: *g, Relays: *k, Copies: *l,
 		Spray: *spray, Deadline: *deadline, Runs: *runs, Compromised: *compromised,
-		Trace: *tracePath, Cache: bf.Cache, FleetID: bf.ManifestFleetID(),
+		Trace: *tracePath, Cache: bf.Cache,
 	}
 	return obsRun.Finish(mc, *seed, 1, *faults)
 }
@@ -255,12 +254,12 @@ func runOnion(out io.Writer, c onionConfig, sess *dispatch.Session) error {
 		}
 		return o, nil
 	}
-	d, closeEntry, err := sess.Open(c.contentKey(), "dtnsim-onion", c.seed)
+	store, err := sess.Open(c.contentKey(), "dtnsim-onion", c.seed)
 	if err != nil {
 		return err
 	}
-	defer closeEntry()
-	trials, err := dispatch.Run(d, sess.Sup, "dtnsim/onion", 1, c.runs, trialFn)
+	defer store.Close()
+	trials, err := dispatch.Run(store, sess.Sup, "dtnsim/onion", 1, c.runs, trialFn)
 	if err != nil {
 		return err
 	}

@@ -154,7 +154,7 @@ func TestOnionCacheResume(t *testing.T) {
 	cache := t.TempDir()
 	args := []string{
 		"-n", "40", "-g", "4", "-k", "2", "-l", "2", "-runs", "30",
-		"-deadline", "300", "-cache", cache, "-fleet-id", "w",
+		"-deadline", "300", "-cache", cache,
 	}
 	var first bytes.Buffer
 	if err := run(args, &first); err != nil {
@@ -197,7 +197,7 @@ func TestOnionCacheResume(t *testing.T) {
 // TestOnionDigestSensitivity pins the content key's inputs: every
 // outcome-affecting parameter — including the seed and the loaded
 // graph's content hash — must change the key, while bookkeeping fields
-// (cache path, fleet id, and notably the graph's *path*, whose content
+// (cache path, and notably the graph's *path*, whose content
 // hash already covers it) must not.
 func TestOnionDigestSensitivity(t *testing.T) {
 	base := onionConfig{

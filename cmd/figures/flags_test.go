@@ -45,11 +45,6 @@ func TestPersistenceFlagValidation(t *testing.T) {
 			args:    []string{"-fig", "fig06", "-checkpoint", t.TempDir(), "-cache", t.TempDir()},
 			wantErr: "flag provided but not defined: -checkpoint",
 		},
-		{
-			name:    "non-positive lease ttl",
-			args:    []string{"-fig", "fig06", "-cache", t.TempDir(), "-lease-ttl", "0s"},
-			wantErr: "-lease-ttl must be positive",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,10 +7,8 @@
 // revision or presentation fields). Runs are crash-safe: an
 // interrupted or killed run resumes by rerunning with the same -cache,
 // and its artifacts are byte-identical to an uninterrupted run.
-// Completed work survives commits and is shared: any number of
-// processes pointed at the same cache directory split the trial range
-// via work-stealing leases and every one emits artifacts
-// byte-identical to a single-process run.
+// Completed work survives commits. One run at a time may use a cache
+// entry: a second run on a held entry fails at once.
 //
 // Usage:
 //
@@ -18,7 +16,6 @@
 //	figures -fig fig11 -runs 1000
 //	figures -fig fig04 -manifest out.json -cpuprofile cpu.prof
 //	figures -fig fig04 -cache .cache         # Ctrl-C safe; rerun to resume
-//	figures -fig fig04 -cache .cache -fleet-id worker-b  # fleet member
 package main
 
 import (
@@ -33,6 +30,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/experiment"
 	"repro/internal/obs"
+	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 )
@@ -174,19 +172,18 @@ func run(args []string, out *os.File) error {
 			return sharedEng.Run(spec)
 		}
 		eng := scenario.NewEngine(opt)
-		var d *dispatch.Dispatcher
+		var store *resultcache.Store
 		if bf.Cache != "" {
 			key, err := scenario.ContentKey(spec, opt)
 			if err != nil {
 				return nil, err
 			}
-			var closeEntry func()
-			if d, closeEntry, err = sess.Open(key, spec.ID, opt.Seed); err != nil {
+			if store, err = sess.Open(key, spec.ID, opt.Seed); err != nil {
 				return nil, err
 			}
-			defer closeEntry()
+			defer store.Close()
 		}
-		eng.Supervise(sess.Sup, d)
+		eng.Supervise(sess.Sup, store)
 		return eng.Run(spec)
 	}
 
@@ -260,7 +257,6 @@ func run(args []string, out *os.File) error {
 		TraceRuns    int      `json:"traceRuns"`
 		Parallel     int      `json:"parallel"`
 		Cache        string   `json:"cache,omitempty"`
-		FleetID      string   `json:"fleetId,omitempty"`
 	}
 	ids := make([]string, len(specs))
 	for i := range specs {
@@ -272,7 +268,7 @@ func run(args []string, out *os.File) error {
 	finishErr := obsRun.Finish(manifestConfig{
 		Figures: ids, Runs: opt.Runs, SecurityRuns: opt.SecurityRuns,
 		TraceRuns: opt.TraceRuns, Parallel: *parallel,
-		Cache: bf.Cache, FleetID: bf.ManifestFleetID(),
+		Cache: bf.Cache,
 	}, opt.Seed, opt.Workers, opt.FaultRate)
 	if firstErr != nil {
 		return firstErr

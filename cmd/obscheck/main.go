@@ -132,9 +132,8 @@ func runCache(out *os.File, dir string, gc bool) error {
 	}
 	now := time.Now()
 	for _, info := range infos {
-		fmt.Fprintf(out, "%-24s %.12s  seed %-6d %5d trials  %d shard(s)  age %s\n",
-			info.SpecID, info.Key, info.Seed, info.Trials, info.Shards,
-			age(now, info.Created))
+		fmt.Fprintf(out, "%-24s %.12s  seed %-6d %5d trials  age %s\n",
+			info.SpecID, info.Key, info.Seed, info.Trials, age(now, info.Created))
 	}
 	fmt.Fprintf(out, "%d entries\n", len(infos))
 	if !gc {

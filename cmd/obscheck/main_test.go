@@ -108,7 +108,7 @@ func synthCache(t *testing.T) (dir string, orphanKey string) {
 	mk := func(salt, spec string, trials int) string {
 		sum := sha256.Sum256([]byte(salt))
 		key := hex.EncodeToString(sum[:])
-		s, err := resultcache.Open(dir, key, spec, 1, "w")
+		s, err := resultcache.Open(dir, key, spec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

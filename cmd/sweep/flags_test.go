@@ -47,11 +47,6 @@ func TestPersistenceFlagValidation(t *testing.T) {
 			args:    []string{"-checkpoint", t.TempDir(), "-cache", t.TempDir()},
 			wantErr: "flag provided but not defined: -checkpoint",
 		},
-		{
-			name:    "non-positive lease ttl",
-			args:    []string{"-cache", t.TempDir(), "-lease-ttl", "-1s"},
-			wantErr: "-lease-ttl must be positive",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/obs"
+	"repro/internal/resultcache"
 	"repro/internal/scenario"
 )
 
@@ -119,19 +120,18 @@ func run(args []string, out io.Writer) error {
 	sess := bf.Start("sweep", obsRun)
 	defer sess.Stop()
 	eng := scenario.NewEngine(opt)
-	var d *dispatch.Dispatcher
+	var store *resultcache.Store
 	if bf.Cache != "" {
 		key, err := scenario.ContentKey(&spec, opt)
 		if err != nil {
 			return err
 		}
-		var closeEntry func()
-		if d, closeEntry, err = sess.Open(key, spec.ID, opt.Seed); err != nil {
+		if store, err = sess.Open(key, spec.ID, opt.Seed); err != nil {
 			return err
 		}
-		defer closeEntry()
+		defer store.Close()
 	}
-	eng.Supervise(sess.Sup, d)
+	eng.Supervise(sess.Sup, store)
 	fig, err := eng.Run(&spec)
 	if err := sess.Finish(err); err != nil {
 		return err
@@ -159,12 +159,11 @@ func run(args []string, out io.Writer) error {
 		Compromised float64   `json:"compromised"`
 		Runs        int       `json:"runs"`
 		Cache       string    `json:"cache,omitempty"`
-		FleetID     string    `json:"fleetId,omitempty"`
 	}
 	mc := manifestConfig{
 		Param: *param, Values: values, Nodes: *n, GroupSize: *g, Relays: *k,
 		Copies: *l, Spray: *spray, Deadline: *deadline, Compromised: *compromised,
-		Runs: *runs, Cache: bf.Cache, FleetID: bf.ManifestFleetID(),
+		Runs: *runs, Cache: bf.Cache,
 	}
 	return obsRun.Finish(mc, *seed, *workers, *faults)
 }

@@ -95,7 +95,7 @@ func TestSweepRejectsBadInput(t *testing.T) {
 func TestSweepCacheResume(t *testing.T) {
 	args := []string{
 		"-param", "g", "-values", "1,5", "-n", "30", "-runs", "10",
-		"-cache", t.TempDir(), "-fleet-id", "w", "-seed", "1",
+		"-cache", t.TempDir(), "-seed", "1",
 	}
 	var first bytes.Buffer
 	if err := run(args, &first); err != nil {

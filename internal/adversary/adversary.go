@@ -120,15 +120,24 @@ func (a *Adversary) ObservedPathAnonymity(g, k int, copies []routing.CopyTrace) 
 	return model.PathAnonymity(a.n, k+1, g, float64(cO))
 }
 
+// CheckSenders returns the error SampleSenders(n, k, ·) fails with,
+// or nil, without drawing.
+func CheckSenders(n, k int) error {
+	if k < 1 {
+		return fmt.Errorf("adversary: need at least one relay, got %d", k)
+	}
+	if n < k+2 {
+		return fmt.Errorf("adversary: %d nodes cannot host a %d-relay acyclic path", n, k)
+	}
+	return nil
+}
+
 // SampleSenders draws a uniform sender sequence for fast-mode security
 // experiments: a source plus one relay per onion group, all distinct
 // (acyclic path assumption). The returned slice has length k+1 = eta.
 func SampleSenders(n, k int, s *rng.Stream) ([]contact.NodeID, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("adversary: need at least one relay, got %d", k)
-	}
-	if n < k+2 {
-		return nil, fmt.Errorf("adversary: %d nodes cannot host a %d-relay acyclic path", n, k)
+	if err := CheckSenders(n, k); err != nil {
+		return nil, err
 	}
 	// k+1 senders (source + K relays); the destination is not a sender.
 	picks := s.Sample(n, k+1)
@@ -137,6 +146,18 @@ func SampleSenders(n, k int, s *rng.Stream) ([]contact.NodeID, error) {
 		out[i] = contact.NodeID(p)
 	}
 	return out, nil
+}
+
+// CheckPositions returns the error SamplePositions(n, k, copies, g,
+// ·, ·) fails with, or nil, without drawing.
+func CheckPositions(n, k, copies, g int) error {
+	if k < 1 || copies < 1 || g < 1 {
+		return fmt.Errorf("adversary: invalid parameters k=%d L=%d g=%d", k, copies, g)
+	}
+	if perGroup := min(copies, g); n < 2+perGroup {
+		return fmt.Errorf("adversary: %d nodes too few for %d relays per hop", n, perGroup)
+	}
+	return nil
 }
 
 // SamplePositions draws the position occupancy of an L-copy message
@@ -148,16 +169,10 @@ func SampleSenders(n, k int, s *rng.Stream) ([]contact.NodeID, error) {
 // the L-1 sprayed relays; otherwise it holds the source alone
 // (Algorithm 2 strict mode).
 func SamplePositions(n, k, copies, g int, spray bool, s *rng.Stream) ([][]contact.NodeID, error) {
-	if k < 1 || copies < 1 || g < 1 {
-		return nil, fmt.Errorf("adversary: invalid parameters k=%d L=%d g=%d", k, copies, g)
+	if err := CheckPositions(n, k, copies, g); err != nil {
+		return nil, err
 	}
-	perGroup := copies
-	if perGroup > g {
-		perGroup = g
-	}
-	if n < 2+perGroup {
-		return nil, fmt.Errorf("adversary: %d nodes too few for %d relays per hop", n, perGroup)
-	}
+	perGroup := min(copies, g)
 	firstHop := 1
 	if spray {
 		firstHop = copies

@@ -22,53 +22,25 @@ import (
 type Flags struct {
 	TrialTimeout time.Duration
 	Cache        string
-	LeaseTTL     time.Duration
-	FleetID      string
 }
 
-// AddFlags registers -trial-timeout, -cache, -lease-ttl and -fleet-id
-// on fs.
+// AddFlags registers -trial-timeout and -cache on fs.
 func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.DurationVar(&f.TrialTimeout, "trial-timeout", 0, "per-trial watchdog: a trial exceeding this is retried once, then quarantined (0 = no watchdog)")
-	fs.StringVar(&f.Cache, "cache", "", "content-addressed result cache directory; completed trials persist across interruptions and commits (rerun to resume), and concurrent processes on the same directory form a work-stealing fleet")
-	fs.DurationVar(&f.LeaseTTL, "lease-ttl", 30*time.Second, "fleet lease staleness bound: a chunk whose holder has not heartbeat within this is stolen")
-	fs.StringVar(&f.FleetID, "fleet-id", defaultFleetID(), "worker name for cache shards and leases (default hostname-pid)")
+	fs.StringVar(&f.Cache, "cache", "", "content-addressed result cache directory; completed trials persist across interruptions and commits (rerun to resume); one run at a time may use an entry")
 	return f
 }
 
-// defaultFleetID names this process's cache shard and leases:
-// hostname-pid, unique per live process on a shared directory.
-func defaultFleetID() string {
-	host, err := os.Hostname()
-	if err != nil {
-		host = "host"
-	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
-}
-
-// Validate fails on persistence flags before any computation: a -cache
-// path occupied by a regular file, or a non-positive -lease-ttl.
+// Validate fails on a -cache path occupied by a regular file before
+// any computation.
 func (f *Flags) Validate() error {
 	if f.Cache != "" {
 		if err := atomicio.EnsureDir(f.Cache); err != nil {
 			return fmt.Errorf("-cache: %w", err)
 		}
 	}
-	if f.LeaseTTL <= 0 {
-		return fmt.Errorf("-lease-ttl must be positive, got %v", f.LeaseTTL)
-	}
 	return nil
-}
-
-// ManifestFleetID is the worker name for the run manifest: set only
-// with -cache, so cacheless manifests stay byte-stable across hosts
-// and PIDs.
-func (f *Flags) ManifestFleetID() string {
-	if f.Cache == "" {
-		return ""
-	}
-	return f.FleetID
 }
 
 // Session is one command invocation's batch-run lifecycle: the
@@ -114,17 +86,17 @@ func (f *Flags) Start(command string, run *obs.Run) *Session {
 // Stop turns the drain off. Safe to call more than once.
 func (s *Session) Stop() { s.stop() }
 
-// Open returns the dispatcher for one cache entry, or nil without
-// -cache. A reopened entry that already holds trials is reported on
-// stderr and recorded as EventResumed. Call the returned close func
-// (never nil on success) once the entry's batches are done.
-func (s *Session) Open(key, specID string, seed uint64) (*Dispatcher, func(), error) {
+// Open returns the open cache entry for key, or nil without -cache
+// (nil is a valid, no-op store for dispatch.Run and Close). A reopened
+// entry that already holds trials is reported on stderr and recorded
+// as EventResumed. Close the store once the entry's batches are done.
+func (s *Session) Open(key, specID string, seed uint64) (*resultcache.Store, error) {
 	if s.flags.Cache == "" {
-		return nil, func() {}, nil
+		return nil, nil
 	}
-	store, err := resultcache.Open(s.flags.Cache, key, specID, seed, s.flags.FleetID)
+	store, err := resultcache.Open(s.flags.Cache, key, specID, seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if n := store.Loaded(); n > 0 {
 		fmt.Fprintf(os.Stderr, "%s: %s: cache entry %.12s holds %d completed trials\n", s.command, specID, key, n)
@@ -133,8 +105,7 @@ func (s *Session) Open(key, specID string, seed uint64) (*Dispatcher, func(), er
 			Detail: fmt.Sprintf("%s: %d trials from cache entry %.12s", specID, n, key),
 		})
 	}
-	d := New(store, Options{Owner: s.flags.FleetID, LeaseTTL: s.flags.LeaseTTL})
-	return d, func() { store.Close() }, nil
+	return store, nil
 }
 
 // Finish records every quarantined trial as a manifest event (the

@@ -6,7 +6,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -72,42 +71,41 @@ func TestSessionFlagsDefaults(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if bf.TrialTimeout != 0 || bf.Cache != "" || bf.LeaseTTL != 30*time.Second {
+	if bf.TrialTimeout != 0 || bf.Cache != "" {
 		t.Fatalf("defaults = %+v", *bf)
-	}
-	if !strings.HasSuffix(bf.FleetID, "-"+strconv.Itoa(os.Getpid())) {
-		t.Fatalf("default fleet id %q is not hostname-pid", bf.FleetID)
 	}
 }
 
 func TestSessionOpenWithoutCacheIsNil(t *testing.T) {
 	sess, _ := newSession(t)
-	d, closeEntry, err := sess.Open(contentKey(t, "nocache"), "spec", 1)
+	store, err := sess.Open(contentKey(t, "nocache"), "spec", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != nil {
-		t.Fatalf("Open without -cache returned a dispatcher")
+	if store != nil {
+		t.Fatalf("Open without -cache returned a store")
 	}
-	closeEntry() // must be callable
+	if err := store.Close(); err != nil { // must be callable
+		t.Fatal(err)
+	}
 }
 
 func TestSessionReopenRecordsResumed(t *testing.T) {
-	sess, finish := newSession(t, "-cache", t.TempDir(), "-fleet-id", "w")
+	sess, finish := newSession(t, "-cache", t.TempDir())
 	key := contentKey(t, "resume")
 	for pass := 0; pass < 2; pass++ {
-		d, closeEntry, err := sess.Open(key, "spec-r", 1)
+		store, err := sess.Open(key, "spec-r", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d == nil {
-			t.Fatal("Open with -cache returned no dispatcher")
+		if store == nil {
+			t.Fatal("Open with -cache returned no store")
 		}
 		half := func(i int) (float64, error) { return float64(i) * 0.5, nil }
-		if _, err := Run(d, sess.Sup, "spec-r/b", 2, 10, half); err != nil {
+		if _, err := Run(store, sess.Sup, "spec-r/b", 2, 10, half); err != nil {
 			t.Fatal(err)
 		}
-		closeEntry()
+		store.Close()
 	}
 	if err := sess.Finish(nil); err != nil {
 		t.Fatal(err)
@@ -153,20 +151,20 @@ func TestSessionInterruptHint(t *testing.T) {
 	for _, cached := range []bool{true, false} {
 		var args []string
 		if cached {
-			args = []string{"-cache", t.TempDir(), "-fleet-id", "w"}
+			args = []string{"-cache", t.TempDir()}
 		}
 		sess, _ := newSession(t, args...)
-		d, closeEntry, err := sess.Open(contentKey(t, "interrupt"), "spec-i", 1)
+		store, err := sess.Open(contentKey(t, "interrupt"), "spec-i", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Run(d, sess.Sup, "spec-i/b", 1, 200, func(i int) (int, error) {
+		_, err = Run(store, sess.Sup, "spec-i/b", 1, 200, func(i int) (int, error) {
 			if i == 40 {
 				sess.Sup.Stop()
 			}
 			return i, nil
 		})
-		closeEntry()
+		store.Close()
 		if !errors.Is(err, runner.ErrInterrupted) {
 			t.Fatalf("cached=%v: batch err = %v; want ErrInterrupted", cached, err)
 		}
@@ -201,16 +199,5 @@ func TestSessionSignalDrains(t *testing.T) {
 	intr := eventsOfKind(finish(), obs.EventInterrupted)
 	if len(intr) != 1 || intr[0].Detail != "interrupt" {
 		t.Fatalf("interrupted events = %+v; want one naming the signal", intr)
-	}
-}
-
-func TestSessionManifestFleetID(t *testing.T) {
-	f := Flags{FleetID: "w", LeaseTTL: time.Second}
-	if got := f.ManifestFleetID(); got != "" {
-		t.Fatalf("cacheless ManifestFleetID = %q; want empty", got)
-	}
-	f.Cache = t.TempDir()
-	if got := f.ManifestFleetID(); got != "w" {
-		t.Fatalf("cached ManifestFleetID = %q; want w", got)
 	}
 }

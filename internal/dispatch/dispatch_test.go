@@ -6,13 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"repro/internal/obs"
 	"repro/internal/resultcache"
 	"repro/internal/runner"
 )
@@ -23,9 +21,9 @@ func contentKey(t *testing.T, salt string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func openStore(t *testing.T, dir, salt, owner string) *resultcache.Store {
+func openStore(t *testing.T, dir, salt string) *resultcache.Store {
 	t.Helper()
-	s, err := resultcache.Open(dir, contentKey(t, salt), "spec", 1, owner)
+	s, err := resultcache.Open(dir, contentKey(t, salt), "spec", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +41,9 @@ func trialFn(calls *atomic.Int64) func(i int) (float64, error) {
 }
 
 func TestRunColdComputesAll(t *testing.T) {
-	s := openStore(t, t.TempDir(), "cold", "w")
-	d := New(s, Options{Owner: "w"})
+	s := openStore(t, t.TempDir(), "cold")
 	var calls atomic.Int64
-	out, err := Run(d, nil, "batch", 2, 70, trialFn(&calls))
+	out, err := Run(s, nil, "batch", 2, 70, trialFn(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,20 +62,19 @@ func TestRunColdComputesAll(t *testing.T) {
 
 func TestRunWarmComputesNothing(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, "warm", "w1")
-	d := New(s, Options{Owner: "w1"})
+	s := openStore(t, dir, "warm")
 	var calls atomic.Int64
-	want, err := Run(d, nil, "batch", 2, 70, trialFn(&calls))
+	want, err := Run(s, nil, "batch", 2, 70, trialFn(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// A second worker over the same entry must serve every trial from
-	// the cache and never invoke the trial function.
-	s2 := openStore(t, dir, "warm", "w2")
-	d2 := New(s2, Options{Owner: "w2"})
+	// A rerun over the same entry must serve every trial from the
+	// cache and never invoke the trial function.
+	s.Close()
+	s2 := openStore(t, dir, "warm")
 	var calls2 atomic.Int64
-	got, err := Run(d2, nil, "batch", 2, 70, trialFn(&calls2))
+	got, err := Run(s2, nil, "batch", 2, 70, trialFn(&calls2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +88,31 @@ func TestRunWarmComputesNothing(t *testing.T) {
 	}
 }
 
+// TestRunCountsHitsAndMisses pins the manifest counters of a partly
+// cached batch: cache.hits and cache.misses split the batch, and
+// experiment.trials counts only the trials computed.
+func TestRunCountsHitsAndMisses(t *testing.T) {
+	s := openStore(t, t.TempDir(), "counters")
+	var calls atomic.Int64
+	if _, err := Run(s, nil, "batch", 2, 30, trialFn(&calls)); err != nil {
+		t.Fatal(err)
+	}
+	c := obs.NewCollector()
+	obs.Install(c)
+	defer obs.Install(nil)
+	if _, err := Run(s, nil, "batch", 2, 50, trialFn(&calls)); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses, trials := c.Get(obs.CacheHits), c.Get(obs.CacheMisses), c.Get(obs.ExpTrials)
+	if hits != 30 || misses != 20 || trials != 20 {
+		t.Fatalf("cache.hits %d, cache.misses %d, experiment.trials %d; want 30, 20, 20", hits, misses, trials)
+	}
+}
+
 func TestRunOddTrialCountAndChunkBoundary(t *testing.T) {
-	s := openStore(t, t.TempDir(), "odd", "w")
-	d := New(s, Options{Owner: "w"})
-	const trials = 2*chunkSize + 7
-	out, err := Run(d, nil, "batch", 1, trials, func(i int) (int, error) { return i * i, nil })
+	s := openStore(t, t.TempDir(), "odd")
+	const trials = 71
+	out, err := Run(s, nil, "batch", 1, trials, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,19 +127,17 @@ func TestRunOddTrialCountAndChunkBoundary(t *testing.T) {
 }
 
 func TestRunZeroTrials(t *testing.T) {
-	s := openStore(t, t.TempDir(), "zero", "w")
-	d := New(s, Options{Owner: "w"})
-	out, err := Run(d, nil, "batch", 1, 0, func(i int) (int, error) { return 0, nil })
+	s := openStore(t, t.TempDir(), "zero")
+	out, err := Run(s, nil, "batch", 1, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || out != nil {
 		t.Fatalf("Run(0 trials) = %v, %v; want nil, nil", out, err)
 	}
 }
 
 func TestRunPropagatesTrialError(t *testing.T) {
-	s := openStore(t, t.TempDir(), "err", "w")
-	d := New(s, Options{Owner: "w"})
+	s := openStore(t, t.TempDir(), "err")
 	boom := errors.New("boom")
-	_, err := Run(d, nil, "batch", 1, 70, func(i int) (int, error) {
+	_, err := Run(s, nil, "batch", 1, 70, func(i int) (int, error) {
 		if i == 37 {
 			return 0, boom
 		}
@@ -134,10 +148,9 @@ func TestRunPropagatesTrialError(t *testing.T) {
 	}
 }
 
-// TestFailuresNameBatchIndex runs 70 trials in chunks of 32 with trial
-// 38 panicking: with and without a dispatcher, supervised or not, the
-// error and the quarantine record name trial 38 of the batch, not its
-// index inside the chunk [32, 64).
+// TestFailuresNameBatchIndex runs 70 trials with trial 38 panicking:
+// with and without a cache, supervised or not, the error and the
+// quarantine record name trial 38 of the batch.
 func TestFailuresNameBatchIndex(t *testing.T) {
 	fn := func(i int) (int, error) {
 		if i == 38 {
@@ -152,11 +165,11 @@ func TestFailuresNameBatchIndex(t *testing.T) {
 				if supervised {
 					sup = runner.NewSupervisor(0)
 				}
-				var d *Dispatcher
+				var s *resultcache.Store
 				if dispatched {
-					d = New(openStore(t, t.TempDir(), "index", "w"), Options{Owner: "w"})
+					s = openStore(t, t.TempDir(), "index")
 				}
-				_, err := Run(d, sup, "batch", 2, 70, fn)
+				_, err := Run(s, sup, "batch", 2, 70, fn)
 				var te *runner.TrialError
 				if !errors.As(err, &te) || te.Trial != 38 {
 					t.Fatalf("err = %v; want a TrialError for trial 38", err)
@@ -180,7 +193,7 @@ func TestFailuresNameBatchIndex(t *testing.T) {
 }
 
 // TestReturnedErrorNamesBatchIndex is the returned-error counterpart:
-// the runner's label carries the batch index under a dispatcher too.
+// the runner's label carries the batch index with a cache too.
 func TestReturnedErrorNamesBatchIndex(t *testing.T) {
 	boom := errors.New("boom")
 	fn := func(i int) (int, error) {
@@ -193,179 +206,20 @@ func TestReturnedErrorNamesBatchIndex(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("plain pool: err = %v; want wrapped boom", err)
 	}
-	d := New(openStore(t, t.TempDir(), "index-err", "w"), Options{Owner: "w"})
-	_, derr := Run(d, nil, "batch", 1, 70, fn)
+	s := openStore(t, t.TempDir(), "index-err")
+	_, derr := Run(s, nil, "batch", 1, 70, fn)
 	if !errors.Is(derr, boom) || derr.Error() != err.Error() {
 		t.Fatalf("dispatched err = %q; want %q", derr, err)
 	}
 }
 
 func TestRunInterrupted(t *testing.T) {
-	s := openStore(t, t.TempDir(), "drain", "w")
-	d := New(s, Options{Owner: "w"})
+	s := openStore(t, t.TempDir(), "drain")
 	sup := runner.NewSupervisor(0)
 	sup.Stop()
-	_, err := Run(d, sup, "batch", 1, 4, func(i int) (int, error) { return i, nil })
+	_, err := Run(s, sup, "batch", 1, 4, func(i int) (int, error) { return i, nil })
 	if !errors.Is(err, runner.ErrInterrupted) {
 		t.Fatalf("err = %v; want ErrInterrupted", err)
-	}
-}
-
-// TestFleetConcurrentWorkers runs several dispatchers over the same
-// entry concurrently and asserts everyone assembles the identical
-// batch with no trial computed more than... once per worker at most —
-// and, in aggregate, every trial at least once.
-func TestFleetConcurrentWorkers(t *testing.T) {
-	dir := t.TempDir()
-	const trials = 8 * chunkSize
-	const fleet = 4
-	var wg sync.WaitGroup
-	results := make([][]float64, fleet)
-	errs := make([]error, fleet)
-	var calls atomic.Int64
-	for w := 0; w < fleet; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			owner := fmt.Sprintf("w%d", w)
-			s, err := resultcache.Open(dir, contentKey(t, "fleet"), "spec", 1, owner)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer s.Close()
-			d := New(s, Options{Owner: owner})
-			results[w], errs[w] = Run(d, nil, "batch", 1, trials, trialFn(&calls))
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	for w := 1; w < fleet; w++ {
-		for i := range results[0] {
-			if results[w][i] != results[0][i] {
-				t.Fatalf("worker %d result %d = %v; worker 0 has %v", w, i, results[w][i], results[0][i])
-			}
-		}
-	}
-	if calls.Load() < trials {
-		t.Fatalf("fleet computed %d trials in aggregate; want >= %d", calls.Load(), trials)
-	}
-}
-
-// TestStaleLeaseStolen plants a lease whose mtime is far in the past —
-// the signature of a SIGKILLed worker — and asserts a new worker
-// steals it and completes the batch.
-func TestStaleLeaseStolen(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, "steal", "victim")
-	d := New(s, Options{Owner: "victim", LeaseTTL: time.Hour})
-	// Forge the dead worker's lease for chunk [0,8) of "batch".
-	path := d.leasePath("batch", &chunk{lo: 0, hi: 8})
-	if err := os.WriteFile(path, []byte("victim\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(path, old, old); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openStore(t, dir, "steal", "stealer")
-	d2 := New(s2, Options{Owner: "stealer", LeaseTTL: time.Hour})
-	out, err := Run(d2, nil, "batch", 1, 8, func(i int) (int, error) { return i + 100, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+100 {
-			t.Fatalf("out[%d] = %d; want %d", i, v, i+100)
-		}
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("stale lease still present after steal: %v", err)
-	}
-}
-
-// TestReleaseSparesStolenLease pins release's owner check: after a
-// TTL steal, the lease at the chunk's path belongs to the stealer, and
-// the slow original holder's release must leave it in place — deleting
-// it would let a third worker re-claim the chunk and triple-compute
-// it. The holder's own lease is still removed.
-func TestReleaseSparesStolenLease(t *testing.T) {
-	s := openStore(t, t.TempDir(), "release", "holder")
-	d := New(s, Options{Owner: "holder"})
-	ch := &chunk{lo: 0, hi: 8}
-	path := d.leasePath("batch", ch)
-
-	if err := os.WriteFile(path, []byte("stealer\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d.release("batch", ch)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("release deleted the stealer's live lease: %v", err)
-	}
-
-	if err := os.WriteFile(path, []byte("holder\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d.release("batch", ch)
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("release kept this worker's own lease: %v", err)
-	}
-}
-
-// TestFreshLeaseBlocksThenServes asserts a live peer's lease is not
-// stolen: the second worker waits until the holder's records appear.
-func TestFreshLeaseBlocksThenServes(t *testing.T) {
-	dir := t.TempDir()
-	holder := openStore(t, dir, "block", "holder")
-	dh := New(holder, Options{Owner: "holder", LeaseTTL: time.Hour})
-	path := dh.leasePath("batch", &chunk{lo: 0, hi: 8})
-	if err := os.WriteFile(path, []byte("holder\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The waiter polls; after a few polls the "holder" publishes its
-	// results and releases, and the waiter assembles without ever
-	// running a trial.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		time.Sleep(30 * time.Millisecond)
-		for i := 0; i < 8; i++ {
-			data, err := EncodeResult(i * 7)
-			if err == nil {
-				err = holder.Save("batch", i, data)
-			}
-			if err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		os.Remove(path)
-	}()
-
-	waiter := openStore(t, dir, "block", "waiter")
-	dw := New(waiter, Options{Owner: "waiter", LeaseTTL: time.Hour})
-	var calls atomic.Int64
-	out, err := Run(dw, nil, "batch", 1, 8, func(i int) (int, error) {
-		calls.Add(1)
-		return i * 7, nil
-	})
-	<-done
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 0 {
-		t.Fatalf("waiter executed %d trials behind a live lease; want 0", calls.Load())
-	}
-	for i, v := range out {
-		if v != i*7 {
-			t.Fatalf("out[%d] = %d; want %d", i, v, i*7)
-		}
 	}
 }
 
@@ -377,9 +231,8 @@ func TestByteIdenticalToSupervised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := openStore(t, t.TempDir(), "pin", "w")
-	d := New(s, Options{Owner: "w"})
-	got, err := Run(d, nil, "batch", 3, 70, fn)
+	s := openStore(t, t.TempDir(), "pin")
+	got, err := Run(s, nil, "batch", 3, 70, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +244,7 @@ func TestByteIdenticalToSupervised(t *testing.T) {
 }
 
 // TestRunNilDispatcherIsPlainPool pins the unpersisted path: a nil
-// dispatcher runs the batch on the supervised pool, touching no disk.
+// store runs the batch on the supervised pool, touching no disk.
 func TestRunNilDispatcherIsPlainPool(t *testing.T) {
 	var calls atomic.Int64
 	out, err := Run[float64](nil, nil, "batch", 3, 10, trialFn(&calls))
@@ -410,15 +263,14 @@ func TestRunNilDispatcherIsPlainPool(t *testing.T) {
 
 // TestResumeFromCacheIsIdentical interrupts a batch partway, then
 // reruns it against the same cache entry at another worker count: the
-// rerun computes only the missing trials — including the rest of the
-// chunk the drain cut short — and its results are bit-identical to an
-// uninterrupted run.
+// rerun computes only the missing trials and its results are
+// bit-identical to an uninterrupted run.
 func TestResumeFromCacheIsIdentical(t *testing.T) {
 	trial := func(i int) (float64, error) {
 		// Irrational-ish values so bit-identity is a real check.
 		return math.Sqrt(float64(i)+2) * math.Pi, nil
 	}
-	const trials, stopAt = 70, 40 // the drain cuts the chunk [32, 64) short
+	const trials, stopAt = 70, 40
 	golden, err := Run[float64](nil, nil, "resume", 1, trials, trial)
 	if err != nil {
 		t.Fatal(err)
@@ -427,8 +279,8 @@ func TestResumeFromCacheIsIdentical(t *testing.T) {
 	dir := t.TempDir()
 	sup := runner.NewSupervisor(0)
 	var ran atomic.Int64
-	d := New(openStore(t, dir, "resume", "w"), Options{Owner: "w"})
-	_, err = Run(d, sup, "resume", 1, trials, func(i int) (float64, error) {
+	s := openStore(t, dir, "resume")
+	_, err = Run(s, sup, "resume", 1, trials, func(i int) (float64, error) {
 		if ran.Add(1) == stopAt {
 			sup.Stop()
 		}
@@ -439,8 +291,9 @@ func TestResumeFromCacheIsIdentical(t *testing.T) {
 	}
 
 	var executed atomic.Int64
-	d2 := New(openStore(t, dir, "resume", "w"), Options{Owner: "w"})
-	out, err := Run(d2, nil, "resume", 4, trials, func(i int) (float64, error) {
+	s.Close()
+	s2 := openStore(t, dir, "resume")
+	out, err := Run(s2, nil, "resume", 4, trials, func(i int) (float64, error) {
 		executed.Add(1)
 		return trial(i)
 	})
@@ -474,12 +327,12 @@ func TestStoreRoundTripsStructs(t *testing.T) {
 			Model:     []float64{float64(i), math.NaN(), math.Inf(1)},
 		}, nil
 	}
-	s := openStore(t, t.TempDir(), "structs", "w")
-	first, err := Run(New(s, Options{Owner: "w"}), nil, "structs", 2, 6, trial)
+	s := openStore(t, t.TempDir(), "structs")
+	first, err := Run(s, nil, "structs", 2, 6, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Run(New(s, Options{Owner: "w"}), nil, "structs", 2, 6,
+	second, err := Run(s, nil, "structs", 2, 6,
 		func(i int) (trialResult, error) {
 			t.Errorf("trial %d executed despite a cache hit", i)
 			return trialResult{}, nil
@@ -497,38 +350,5 @@ func TestStoreRoundTripsStructs(t *testing.T) {
 				t.Fatalf("trial %d model[%d] bits differ (NaN/Inf must round-trip)", i, j)
 			}
 		}
-	}
-}
-
-// TestOwnLeaseReclaimedImmediately pins kill-then-rerun under a fixed
-// worker name: a fresh lease naming this worker's own Owner can only
-// be a killed predecessor's, so it is reclaimed at once instead of
-// waiting out the TTL — while a fresh lease naming anyone else is
-// still respected.
-func TestOwnLeaseReclaimedImmediately(t *testing.T) {
-	s := openStore(t, t.TempDir(), "own", "me")
-	d := New(s, Options{Owner: "me", LeaseTTL: time.Hour})
-	ch := &chunk{lo: 0, hi: 8}
-	path := d.leasePath("batch", ch)
-
-	if err := os.WriteFile(path, []byte("someone-else\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if held, err := d.lease("batch", ch, nil); err != nil || held {
-		t.Fatalf("lease over a fresh foreign lease = %v, %v; want false, nil", held, err)
-	}
-
-	if err := os.WriteFile(path, []byte("me\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if held, err := d.lease("batch", ch, nil); err != nil || !held {
-		t.Fatalf("lease over a fresh own lease = %v, %v; want true, nil", held, err)
-	}
-	if !d.ownLease(path) {
-		t.Fatal("reclaimed lease does not name this worker")
-	}
-	d.release("batch", ch)
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("release kept the reclaimed lease: %v", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/dispatch"
 	"repro/internal/obs"
 	"repro/internal/resultcache"
 	"repro/internal/scenario"
@@ -18,10 +17,10 @@ type cacheRunResult struct {
 	json   []byte
 	hits   int64
 	misses int64
-	trials int64 // obs ExpTrials: trials that entered the worker pool
+	trials int64 // obs ExpTrials: trials executed (cache hits excluded)
 }
 
-func cacheRun(t *testing.T, spec scenario.Scenario, opt Options, cacheDir, owner string) cacheRunResult {
+func cacheRun(t *testing.T, spec scenario.Scenario, opt Options, cacheDir string) cacheRunResult {
 	t.Helper()
 	if obs.Active() != nil {
 		t.Fatal("a collector is already installed")
@@ -34,13 +33,13 @@ func cacheRun(t *testing.T, spec scenario.Scenario, opt Options, cacheDir, owner
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := resultcache.Open(cacheDir, key, spec.ID, opt.Seed, owner)
+	store, err := resultcache.Open(cacheDir, key, spec.ID, opt.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	eng := scenario.NewEngine(opt)
-	eng.Supervise(nil, dispatch.New(store, dispatch.Options{Owner: owner}))
+	eng.Supervise(nil, store)
 	fig, err := eng.Run(&spec)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +76,7 @@ func TestCrossEditInvalidation(t *testing.T) {
 	// Cold: every trial is computed, nothing served from cache.
 	cold := map[string]cacheRunResult{}
 	for id, s := range specs {
-		r := cacheRun(t, s, opt, cacheDir, "cold")
+		r := cacheRun(t, s, opt, cacheDir)
 		if r.misses == 0 {
 			t.Fatalf("%s: cold run computed no trials", id)
 		}
@@ -88,11 +87,11 @@ func TestCrossEditInvalidation(t *testing.T) {
 	}
 
 	// Warm: zero computation. The pinned counters: misses == 0, hits ==
-	// the cold run's miss count, and ExpTrials == 0 because satisfied
-	// chunks never enter the worker pool — the machine-independent
-	// "warm run executed nothing" gate CI uses.
+	// the cold run's miss count, and ExpTrials == 0 because a hit
+	// executes nothing — the machine-independent "warm run executed
+	// nothing" gate CI uses.
 	for id, s := range specs {
-		r := cacheRun(t, s, opt, cacheDir, "warm")
+		r := cacheRun(t, s, opt, cacheDir)
 		if r.misses != 0 {
 			t.Fatalf("%s: warm run recomputed %d trials", id, r.misses)
 		}
@@ -126,11 +125,11 @@ func TestCrossEditInvalidation(t *testing.T) {
 	}
 
 	// Regenerate both: only the edited spec recomputes.
-	rEdited := cacheRun(t, edited, opt, cacheDir, "edit")
+	rEdited := cacheRun(t, edited, opt, cacheDir)
 	if rEdited.misses == 0 {
 		t.Fatal("edited spec served stale cached results")
 	}
-	rOther := cacheRun(t, specs["fig06"], opt, cacheDir, "edit")
+	rOther := cacheRun(t, specs["fig06"], opt, cacheDir)
 	if rOther.misses != 0 {
 		t.Fatalf("unedited spec recomputed %d trials after a foreign edit", rOther.misses)
 	}
@@ -151,7 +150,7 @@ func TestCrossEditInvalidation(t *testing.T) {
 	if cosmeticKey != oldKey {
 		t.Fatal("presentation-only edit changed the content key")
 	}
-	rCosmetic := cacheRun(t, cosmetic, opt, cacheDir, "cosmetic")
+	rCosmetic := cacheRun(t, cosmetic, opt, cacheDir)
 	if rCosmetic.misses != 0 {
 		t.Fatalf("presentation-only edit recomputed %d trials", rCosmetic.misses)
 	}
@@ -230,11 +229,11 @@ func TestContentKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestParentShardServedWarm pins cache compatibility across releases:
-// a fig04 shard written by an earlier release (committed under
-// internal/framelog/testdata) serves a whole run — zero trials enter
-// the pool, zero cache misses — and the figure is byte-identical to a
-// cacheless run.
+// TestParentShardServedWarm pins the cache's on-disk frame format
+// across releases: a fig04 log written by an earlier release
+// (committed under internal/framelog/testdata), planted as the entry's
+// log, serves a whole run — zero trials executed, zero cache misses —
+// and the figure is byte-identical to a cacheless run.
 func TestParentShardServedWarm(t *testing.T) {
 	opt := Options{Seed: 1, Runs: 4, SecurityRuns: 4, TraceRuns: 2, Workers: 2}
 	var spec scenario.Scenario
@@ -255,11 +254,11 @@ func TestParentShardServedWarm(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(cacheDir, key), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(cacheDir, key, "shard-parent.log"), shard, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(cacheDir, key, "trials.log"), shard, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	r := cacheRun(t, spec, opt, cacheDir, "reader")
+	r := cacheRun(t, spec, opt, cacheDir)
 	if r.misses != 0 || r.trials != 0 || r.hits == 0 {
 		t.Fatalf("parent shard: cache.misses = %d, experiment.trials = %d, cache.hits = %d; want 0, 0, > 0", r.misses, r.trials, r.hits)
 	}

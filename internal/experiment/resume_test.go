@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/dispatch"
 	"repro/internal/framelog"
 	"repro/internal/resultcache"
 	"repro/internal/runner"
@@ -23,22 +22,21 @@ func resumeOptions(seed uint64, workers int) Options {
 	return Options{Seed: seed, Runs: 12, SecurityRuns: 40, TraceRuns: 4, Workers: workers}
 }
 
-// runThroughCache evaluates spec with a supervisor and a dispatcher
-// over the cache entry in dir, appending to shard-<owner>.log, and
-// returns the figure JSON.
-func runThroughCache(t *testing.T, spec scenario.Scenario, opt Options, dir, owner string) []byte {
+// runThroughCache evaluates spec with a supervisor over the cache entry
+// in dir and returns the figure JSON.
+func runThroughCache(t *testing.T, spec scenario.Scenario, opt Options, dir string) []byte {
 	t.Helper()
 	key, err := scenario.ContentKey(&spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := resultcache.Open(dir, key, spec.ID, opt.Seed, owner)
+	store, err := resultcache.Open(dir, key, spec.ID, opt.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	eng := scenario.NewEngine(opt)
-	eng.Supervise(runner.NewSupervisor(0), dispatch.New(store, dispatch.Options{Owner: owner}))
+	eng.Supervise(runner.NewSupervisor(0), store)
 	fig, err := eng.Run(&spec)
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +48,9 @@ func runThroughCache(t *testing.T, spec scenario.Scenario, opt Options, dir, own
 	return js
 }
 
-// shardRecords decodes a shard strictly, returning its header length
-// and records.
-func shardRecords(t *testing.T, data []byte) (int, []framelog.Record) {
+// logRecords decodes an entry log strictly, returning its header
+// length and records.
+func logRecords(t *testing.T, data []byte) (int, []framelog.Record) {
 	t.Helper()
 	_, hdrEnd, err := framelog.DecodeHeader(data)
 	if err != nil {
@@ -67,7 +65,7 @@ func shardRecords(t *testing.T, data []byte) (int, []framelog.Record) {
 
 // TestResumeByteIdenticalAcrossRegistry is the resume determinism
 // contract over every figure and ablation spec, at seeds {1, 42} and
-// workers {1, 4}: a run through the result cache whose shard is then
+// workers {1, 4}: a run through the result cache whose log is then
 // cut at a seeded offset inside a frame — the tear a SIGKILL leaves —
 // reruns at a different worker count into a figure byte-identical to
 // the cacheless golden, recomputing exactly the trials past the
@@ -100,16 +98,16 @@ func TestResumeByteIdenticalAcrossRegistry(t *testing.T) {
 					t.Fatal(err)
 				}
 				dir := t.TempDir()
-				if js := runThroughCache(t, spec, opt, dir, "w"); !bytes.Equal(js, goldenJSON) {
+				if js := runThroughCache(t, spec, opt, dir); !bytes.Equal(js, goldenJSON) {
 					t.Fatal("cold cached run differs from the cacheless golden")
 				}
-				shard, err := os.ReadFile(filepath.Join(dir, key, "shard-w.log"))
+				entryLog, err := os.ReadFile(filepath.Join(dir, key, "trials.log"))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 4} {
 					t.Run(fmt.Sprintf("seed%d-workers%d", seed, workers), func(t *testing.T) {
-						cutAndRerun(t, spec, resumeOptions(seed, workers), key, shard, goldenJSON)
+						cutAndRerun(t, spec, resumeOptions(seed, workers), key, entryLog, goldenJSON)
 					})
 				}
 			}
@@ -118,43 +116,43 @@ func TestResumeByteIdenticalAcrossRegistry(t *testing.T) {
 }
 
 // cutAndRerun is one cell of TestResumeByteIdenticalAcrossRegistry: it
-// plants shard, cut at a seeded offset inside a record frame, as the
-// cache entry for key, and reruns at opt.
-func cutAndRerun(t *testing.T, spec scenario.Scenario, opt Options, key string, shard []byte, goldenJSON []byte) {
-	hdrEnd, all := shardRecords(t, shard)
+// plants entryLog, cut at a seeded offset inside a record frame, as
+// the cache entry for key, and reruns at opt.
+func cutAndRerun(t *testing.T, spec scenario.Scenario, opt Options, key string, entryLog []byte, goldenJSON []byte) {
+	hdrEnd, all := logRecords(t, entryLog)
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%d/%d", spec.ID, opt.Seed, opt.Workers)
 	rnd := rand.New(rand.NewSource(int64(h.Sum64())))
-	cut := hdrEnd + 1 + rnd.Intn(len(shard)-hdrEnd-1)
-	survivors, validEnd, err := framelog.DecodeRecordsFrom(shard[:cut], hdrEnd)
+	cut := hdrEnd + 1 + rnd.Intn(len(entryLog)-hdrEnd-1)
+	survivors, validEnd, err := framelog.DecodeRecordsFrom(entryLog[:cut], hdrEnd)
 	if err == nil && validEnd == cut {
 		// On a frame boundary: move one byte into the next frame.
 		cut++
-		survivors, _, err = framelog.DecodeRecordsFrom(shard[:cut], hdrEnd)
+		survivors, _, err = framelog.DecodeRecordsFrom(entryLog[:cut], hdrEnd)
 	}
 	if !errors.Is(err, framelog.ErrTruncated) {
-		t.Fatalf("cut at byte %d of %d is not a torn frame: %v", cut, len(shard), err)
+		t.Fatalf("cut at byte %d of %d is not a torn frame: %v", cut, len(entryLog), err)
 	}
 	dir := t.TempDir()
-	path := filepath.Join(dir, key, "shard-w.log")
+	path := filepath.Join(dir, key, "trials.log")
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, shard[:cut], 0o644); err != nil {
+	if err := os.WriteFile(path, entryLog[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Rerun as the same worker, so Open repairs the torn tail.
-	if js := runThroughCache(t, spec, opt, dir, "w"); !bytes.Equal(js, goldenJSON) {
+	// Rerun: Open repairs the torn tail.
+	if js := runThroughCache(t, spec, opt, dir); !bytes.Equal(js, goldenJSON) {
 		t.Fatalf("rerun after a cut at byte %d differs from the cacheless golden", cut)
 	}
 	// Every trial the rerun computed (a cache miss) is appended to the
-	// shard, so the appended count is the rerun's miss count.
+	// log, so the appended count is the rerun's miss count.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, after := shardRecords(t, data)
+	_, after := logRecords(t, data)
 	if misses, want := len(after)-len(survivors), len(all)-len(survivors); misses != want {
 		t.Fatalf("rerun computed %d trials; want the %d past the %d-record surviving prefix",
 			misses, want, len(survivors))
@@ -176,7 +174,7 @@ func TestSupervisedUninterruptedMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plainJSON, runThroughCache(t, spec, opt, t.TempDir(), "w")) {
+	if !bytes.Equal(plainJSON, runThroughCache(t, spec, opt, t.TempDir())) {
 		t.Fatal("supervised engine changed output with no interruption")
 	}
 }

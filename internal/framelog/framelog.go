@@ -1,5 +1,5 @@
 // Package framelog is the keyed frame log: the append-only file format
-// underneath the content-addressed result cache shards
+// underneath the content-addressed result cache's entry logs
 // (internal/resultcache). A log is a header — magic, format version,
 // one gob-encoded Key frame — followed by zero or more gob-encoded
 // Record frames:
@@ -15,11 +15,12 @@
 //	crc     u32 LE   IEEE CRC-32 of the payload
 //	payload length bytes
 //
-// Writers persist the header atomically and append each record frame
-// with a single write, so a SIGKILL tears at most the trailing frame.
-// Readers distinguish that expected artifact (ErrTruncated — a writer
-// repairs its own log by truncating to the last complete frame, a
-// reader of someone else's log retries later) from actual corruption
+// Writers persist the header with one write and append each record
+// frame with one write, so a SIGKILL tears at most the trailing frame.
+// Readers distinguish that expected artifact (ErrTruncated — the next
+// writer repairs the log by truncating to the last complete frame, a
+// reader of a log being written counts only the complete frames) from
+// actual corruption
 // (ErrCorrupt: CRC mismatch, undecodable gob, or an impossible frame
 // length), which is always rejected loudly.
 //
@@ -87,7 +88,7 @@ type Record struct {
 }
 
 // HeaderBytes serializes a log header (magic, version, key frame) for
-// key. Writers persist it atomically before appending record frames.
+// key. Writers persist it before appending record frames.
 func HeaderBytes(key Key) ([]byte, error) {
 	var hdr bytes.Buffer
 	hdr.Write(magic[:])
@@ -143,10 +144,9 @@ func DecodeHeader(data []byte) (Key, int, error) {
 // previously returned by DecodeHeader or DecodeRecordsFrom), returning
 // the decoded records and the offset of the last byte belonging to a
 // complete frame. On a torn tail the records decoded so far are
-// returned alongside ErrTruncated — incremental readers (resultcache
-// shard refresh) treat that as "a writer is mid-append, retry from
-// validEnd later", while a writer reopening its own log uses validEnd
-// as the repair point.
+// returned alongside ErrTruncated — a reader of a log being written
+// treats that as "a writer is mid-append", while a writer reopening
+// the log uses validEnd as the repair point.
 func DecodeRecordsFrom(data []byte, off int) (records []Record, validEnd int, err error) {
 	validEnd = off
 	for off < len(data) {

@@ -13,8 +13,9 @@ import (
 )
 
 // ManifestVersion identifies the manifest schema. Bump it when a
-// required field is added or changes meaning.
-const ManifestVersion = 1
+// required field or counter is added, removed or changes meaning.
+// Version 2 dropped the dispatch.leases and dispatch.steals counters.
+const ManifestVersion = 2
 
 // Manifest is the audit record one command invocation emits via
 // -manifest: everything needed to trace a reported number back to the

@@ -90,17 +90,14 @@ const (
 	LoadDelivered   // injected messages observed delivered
 	LoadSLOBreaches // epochs that missed a configured SLO
 
-	// internal/resultcache + internal/dispatch: content-addressed trial
-	// cache and work-stealing fleet dispatch (PR 9). Appended after the
-	// load block so earlier manifest consumers keep their positional
-	// prefix.
-	CacheHits      // trial results served from the content-addressed cache (prior runs or fleet peers)
-	CacheMisses    // trials this process executed because no cached result held them
-	DispatchLeases // trial-range leases acquired by this process
-	DispatchSteals // expired leases stolen back from dead or stalled workers
+	// internal/dispatch: the content-addressed trial cache. Appended
+	// after the load block so earlier manifest consumers keep their
+	// positional prefix.
+	CacheHits   // trial results served from the content-addressed cache
+	CacheMisses // trials executed because no cached result held them
 
 	// internal/chaos + cluster self-healing (PR 10). Appended after the
-	// dispatch block so earlier manifest consumers keep their positional
+	// cache block so earlier manifest consumers keep their positional
 	// prefix.
 	ChaosInjected  // chaos faults applied: connection profiles, partition and blackout dial blocks
 	ChaosBlackouts // scheduled directory blackout windows executed by a harness
@@ -155,8 +152,6 @@ var counterNames = [numCounters]string{
 	BreakerOpens:          "breaker.opens",
 	CacheHits:             "cache.hits",
 	CacheMisses:           "cache.misses",
-	DispatchLeases:        "dispatch.leases",
-	DispatchSteals:        "dispatch.steals",
 }
 
 // String returns the manifest key of the counter.

@@ -12,17 +12,16 @@ import (
 )
 
 // EntryInfo summarizes one cache entry for tooling: its identity from
-// meta.json plus counts recovered by scanning the shard logs.
+// meta.json plus the record count recovered by scanning its log.
 type EntryInfo struct {
 	Meta
-	Shards int // shard log files in the entry
-	Trials int // distinct (batch, trial) records across all shards
+	Trials int // distinct (batch, trial) records in the log
 }
 
 // List scans a cache directory and returns a summary of every entry,
 // sorted by spec ID then key. Subdirectories that are not hex sha256
 // names are ignored (the cache root may be shared with other state);
-// an entry with a malformed meta.json or an unreadable shard is
+// an entry with a malformed meta.json or an unreadable log is
 // reported as an error, never skipped silently.
 func List(dir string) ([]EntryInfo, error) {
 	ents, err := os.ReadDir(dir)
@@ -62,30 +61,27 @@ func describe(entry, key string) (EntryInfo, error) {
 	if info.Key != key {
 		return EntryInfo{}, fmt.Errorf("resultcache: entry %s: %s claims key %s", key, metaFile, info.Key)
 	}
-	paths, err := filepath.Glob(filepath.Join(entry, "shard-*.log"))
+	path := filepath.Join(entry, logFile)
+	data, err = os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return EntryInfo{}, fmt.Errorf("resultcache: read %s: %w", path, err)
+	}
+	if len(data) == 0 {
+		return info, nil // created, nothing saved yet
+	}
+	_, off, err := framelog.DecodeHeader(data)
 	if err != nil {
-		return EntryInfo{}, fmt.Errorf("resultcache: entry %s: %w", key, err)
+		return EntryInfo{}, fmt.Errorf("resultcache: %s: %w", path, err)
 	}
-	sort.Strings(paths)
-	seen := make(map[recordKey]struct{})
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return EntryInfo{}, fmt.Errorf("resultcache: read %s: %w", p, err)
-		}
-		_, off, err := framelog.DecodeHeader(data)
-		if err != nil {
-			return EntryInfo{}, fmt.Errorf("resultcache: %s: %w", p, err)
-		}
-		records, _, derr := framelog.DecodeRecordsFrom(data, off)
-		if derr != nil && !errors.Is(derr, framelog.ErrTruncated) {
-			return EntryInfo{}, fmt.Errorf("resultcache: %s: %w", p, derr)
-		}
-		for _, r := range records {
-			seen[recordKey{r.Batch, r.Trial}] = struct{}{}
-		}
+	// A live holder may be mid-append: count the complete frames.
+	records, _, derr := framelog.DecodeRecordsFrom(data, off)
+	if derr != nil && !errors.Is(derr, framelog.ErrTruncated) {
+		return EntryInfo{}, fmt.Errorf("resultcache: %s: %w", path, derr)
 	}
-	info.Shards = len(paths)
+	seen := make(map[recordKey]struct{}, len(records))
+	for _, r := range records {
+		seen[recordKey{r.Batch, r.Trial}] = struct{}{}
+	}
 	info.Trials = len(seen)
 	return info, nil
 }

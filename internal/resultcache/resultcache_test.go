@@ -20,7 +20,7 @@ func testKey(t *testing.T, salt string) string {
 }
 
 func TestOpenRejectsBadKey(t *testing.T) {
-	if _, err := Open(t.TempDir(), "not-a-hash", "spec", 1, "w"); err == nil {
+	if _, err := Open(t.TempDir(), "not-a-hash", "spec", 1); err == nil {
 		t.Fatal("Open accepted a non-sha256 content key")
 	}
 }
@@ -28,7 +28,7 @@ func TestOpenRejectsBadKey(t *testing.T) {
 func TestRoundtripAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(t, "roundtrip")
-	s, err := Open(dir, key, "fig-1", 42, "worker-a")
+	s, err := Open(dir, key, "fig-1", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,15 +41,15 @@ func TestRoundtripAndReopen(t *testing.T) {
 	if got, ok := s.Peek("fig-1/delivery/s0", 3); !ok || string(got) != "r3" {
 		t.Fatalf("Peek = %q, %v; want r3, true", got, ok)
 	}
-	if s.Has("fig-1/delivery/s0", 1) {
-		t.Fatal("Has reported an unsaved trial")
+	if _, ok := s.Peek("fig-1/delivery/s0", 1); ok {
+		t.Fatal("Peek reported an unsaved trial")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A new process with the same owner resumes the same shard.
-	s2, err := Open(dir, key, "fig-1", 42, "worker-a")
+	// A new process resumes the same log.
+	s2, err := Open(dir, key, "fig-1", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,160 +62,10 @@ func TestRoundtripAndReopen(t *testing.T) {
 	}
 }
 
-func TestRefreshSeesOtherWorkersShards(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey(t, "fleet")
-	a, err := Open(dir, key, "fig-1", 1, "worker-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Open(dir, key, "fig-1", 1, "worker-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	if err := a.Save("batch", 0, []byte("from-a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Save("batch", 1, []byte("from-b")); err != nil {
-		t.Fatal(err)
-	}
-	if a.Has("batch", 1) {
-		t.Fatal("worker-a saw worker-b's record before Refresh")
-	}
-	if err := a.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := a.Peek("batch", 1); !ok || string(got) != "from-b" {
-		t.Fatalf("after Refresh, Peek = %q, %v; want from-b, true", got, ok)
-	}
-	// Incremental: a second append is visible on the next Refresh too.
-	if err := b.Save("batch", 2, []byte("more-b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Has("batch", 2) {
-		t.Fatal("incremental Refresh missed a later append")
-	}
-}
-
-func TestRefreshToleratesTornForeignTail(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey(t, "torn")
-	a, err := Open(dir, key, "fig-1", 1, "worker-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Open(dir, key, "fig-1", 1, "worker-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Save("batch", 0, []byte("complete")); err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
-
-	// Simulate worker-b dying mid-append: tear its last frame.
-	shard := filepath.Join(dir, key, "shard-worker-b.log")
-	rec, err := framelog.EncodeRecord(framelog.Record{Batch: "batch", Trial: 1, Data: []byte("torn")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(shard, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(rec[:len(rec)-3]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// The live reader keeps the complete record and ignores the tear.
-	if err := a.Refresh(); err != nil {
-		t.Fatalf("Refresh failed on a foreign torn tail: %v", err)
-	}
-	if !a.Has("batch", 0) {
-		t.Fatal("complete record lost behind a torn tail")
-	}
-	if a.Has("batch", 1) {
-		t.Fatal("torn record surfaced as complete")
-	}
-
-	// The tail "heals" when the bytes complete; Refresh picks it up.
-	f, err = os.OpenFile(shard, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(rec[len(rec)-3:]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if err := a.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := a.Peek("batch", 1); !ok || string(got) != "torn" {
-		t.Fatalf("healed record: Peek = %q, %v; want torn, true", got, ok)
-	}
-}
-
-// TestRefreshReadsOnlyTheTail pins the incremental-scan contract: once
-// a shard's prefix has been scanned, later Refreshes start from the
-// stored offset and never revisit earlier bytes — I/O per poll scales
-// with new appends, not total cache size. Scribbling over the
-// already-scanned header is therefore invisible to the live reader.
-func TestRefreshReadsOnlyTheTail(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey(t, "tail")
-	a, err := Open(dir, key, "fig-1", 1, "worker-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Open(dir, key, "fig-1", 1, "worker-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Save("batch", 0, []byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Destroy the magic bytes of b's already-scanned header in place.
-	// A reader that re-read the file from the start would now fail;
-	// a tail-only reader never looks back.
-	shard := filepath.Join(dir, key, "shard-worker-b.log")
-	f, err := os.OpenFile(shard, os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(make([]byte, 8), 0); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	if err := b.Save("batch", 1, []byte("second")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Refresh(); err != nil {
-		t.Fatalf("Refresh re-read the scanned prefix: %v", err)
-	}
-	if got, ok := a.Peek("batch", 1); !ok || string(got) != "second" {
-		t.Fatalf("tail append missed: Peek = %q, %v; want second, true", got, ok)
-	}
-}
-
 func TestReopenRepairsOwnTornTail(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(t, "self-repair")
-	s, err := Open(dir, key, "fig-1", 1, "w")
+	s, err := Open(dir, key, "fig-1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,27 +74,27 @@ func TestReopenRepairsOwnTornTail(t *testing.T) {
 	}
 	s.Close()
 
-	shard := filepath.Join(dir, key, "shard-w.log")
-	if f, err := os.OpenFile(shard, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+	path := filepath.Join(dir, key, logFile)
+	if f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		t.Fatal(err)
 	} else {
-		f.Write([]byte{9, 0, 0, 0}) // half a frame header
+		f.Write([]byte{9, 0, 0, 0}) // half a frame header, as a killed holder leaves
 		f.Close()
 	}
 
-	s2, err := Open(dir, key, "fig-1", 1, "w")
+	s2, err := Open(dir, key, "fig-1", 1)
 	if err != nil {
-		t.Fatalf("reopen over own torn tail: %v", err)
+		t.Fatalf("reopen over a torn tail: %v", err)
 	}
-	defer s2.Close()
-	if !s2.Has("batch", 0) {
+	if _, ok := s2.Peek("batch", 0); !ok {
 		t.Fatal("repair lost the complete record")
 	}
 	if err := s2.Save("batch", 1, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
+	s2.Close()
 	// The file must be fully valid again.
-	s3, err := Open(dir, key, "fig-1", 1, "reader")
+	s3, err := Open(dir, key, "fig-1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,39 +104,109 @@ func TestReopenRepairsOwnTornTail(t *testing.T) {
 	}
 }
 
-func TestForeignShardKeyRejected(t *testing.T) {
+// TestTornHeaderRewritten: a log holding only a prefix of its header —
+// its creator was killed before the header landed — is reset and
+// written afresh, not rejected.
+func TestTornHeaderRewritten(t *testing.T) {
 	dir := t.TempDir()
-	key := testKey(t, "entry")
-	s, err := Open(dir, key, "fig-1", 1, "w")
+	key := testKey(t, "torn-header")
+	hdr, err := framelog.HeaderBytes(framelog.Key{GitRevision: ContentRevision, SpecHash: key, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, key), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key, logFile), hdr[:len(hdr)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, key, "fig-1", 1)
+	if err != nil {
+		t.Fatalf("open over a torn header: %v", err)
+	}
+	if err := s.Save("b", 0, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	data, err := os.ReadFile(filepath.Join(dir, key, logFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, off, err := framelog.DecodeHeader(data); err != nil {
+		t.Fatal(err)
+	} else if recs, _, err := framelog.DecodeRecordsFrom(data, off); err != nil || len(recs) != 1 {
+		t.Fatalf("rewritten log holds %d records (err %v); want 1", len(recs), err)
+	}
+}
+
+// TestOpenHeldEntryFails pins the one-writer rule: while a Store holds
+// an entry, a second Open of it — here from the same process, which
+// flock(2) treats like another — fails at once and names the entry;
+// after Close it succeeds.
+func TestOpenHeldEntryFails(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(t, "held")
+	s, err := Open(dir, key, "fig-1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, key, "fig-1", 1)
+	if err == nil {
+		t.Fatal("second Open of a held entry succeeded")
+	}
+	for _, want := range []string{key, "fig-1", "in use"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %q; want it to name %q", err, want)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, key, "fig-1", 1)
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	s2.Close()
+}
+
+// TestLegacyShardsIgnored: a shard-*.log an older build left in an
+// entry is never read, even when it is not a frame log.
+func TestLegacyShardsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(t, "legacy")
+	if err := os.MkdirAll(filepath.Join(dir, key), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key, "shard-old.log"), []byte("not a frame log"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, key, "fig-1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if n := s.Loaded(); n != 0 {
+		t.Fatalf("Loaded = %d; want 0", n)
+	}
+}
 
-	// Plant a shard written under a different seed in the same entry.
+func TestForeignShardKeyRejected(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(t, "entry")
+	// Plant a log written under a different seed as the entry's log.
 	hdr, err := framelog.HeaderBytes(framelog.Key{GitRevision: ContentRevision, SpecHash: key, Seed: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, key, "shard-evil.log"), hdr, 0o644); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, key), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	err = s.Refresh()
-	if !errors.Is(err, framelog.ErrKeyMismatch) {
-		t.Fatalf("Refresh over a foreign shard: err = %v; want ErrKeyMismatch", err)
+	if err := os.WriteFile(filepath.Join(dir, key, logFile), hdr, 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestSanitizeOwner(t *testing.T) {
-	for in, want := range map[string]string{
-		"":             "anon",
-		"host-1234":    "host-1234",
-		"my host/12:x": "my-host-12-x",
-		"a.b_c-D9":     "a.b_c-D9",
-	} {
-		if got := SanitizeOwner(in); got != want {
-			t.Errorf("SanitizeOwner(%q) = %q; want %q", in, got, want)
-		}
+	_, err = Open(dir, key, "fig-1", 1)
+	if !errors.Is(err, framelog.ErrKeyMismatch) {
+		t.Fatalf("Open over a foreign log: err = %v; want ErrKeyMismatch", err)
 	}
 }
 
@@ -294,7 +214,7 @@ func TestListAndGC(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(salt, spec string, seed uint64, trials int) string {
 		key := testKey(t, salt)
-		s, err := Open(dir, key, spec, seed, "w")
+		s, err := Open(dir, key, spec, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +249,7 @@ func TestListAndGC(t *testing.T) {
 	for _, info := range infos {
 		byID[info.SpecID] = info
 	}
-	if got := byID["fig-2"]; got.Trials != 5 || got.Shards != 1 || got.Key != keyB {
+	if got := byID["fig-2"]; got.Trials != 5 || got.Key != keyB {
 		t.Fatalf("fig-2 entry = %+v", got)
 	}
 
@@ -353,7 +273,7 @@ func TestListAndGC(t *testing.T) {
 }
 
 func TestSaveAfterCloseFails(t *testing.T) {
-	s, err := Open(t.TempDir(), testKey(t, "closed"), "fig-1", 1, "w")
+	s, err := Open(t.TempDir(), testKey(t, "closed"), "fig-1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,12 +290,13 @@ func TestSaveAfterCloseFails(t *testing.T) {
 
 // TestLastRecordWinsOnDuplicate pins the index's duplicate policy:
 // a later record for the same (batch, trial) replaces an earlier one
-// when a shard is read back. (Racing fleet workers append bit-identical
-// duplicates, so the policy never changes a result.)
+// when a log is read back. (A trial is deterministic in its index, so
+// any duplicate is bit-identical and the policy never changes a
+// result.)
 func TestLastRecordWinsOnDuplicate(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(t, "dup")
-	s, err := Open(dir, key, "fig-1", 1, "w")
+	s, err := Open(dir, key, "fig-1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +307,7 @@ func TestLastRecordWinsOnDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	r, err := Open(dir, key, "fig-1", 1, "reader")
+	r, err := Open(dir, key, "fig-1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,9 @@ func (e *QuarantineError) Unwrap() error { return e.Trials[0] }
 
 // ErrInterrupted is returned (wrapped) by the supervised runner when a
 // drain request stopped the batch before every trial ran. When the
-// batch runs through a dispatcher over a result cache
-// (internal/dispatch), completed trials are already persisted, so a
-// rerun against the same cache picks up exactly where this one stopped.
+// batch runs against a result cache (internal/dispatch), completed
+// trials are already persisted, so a rerun against the same cache
+// picks up exactly where this one stopped.
 var ErrInterrupted = errors.New("interrupted before all trials completed")
 
 // Supervisor carries the run-wide supervision state shared by every
@@ -133,16 +133,6 @@ func (s *Supervisor) note(te *TrialError) {
 // returned error, and nothing per trial is spent beyond the panic
 // shield: no encoding, no locking, no extra goroutine.
 func Supervised[T any](sup *Supervisor, batch string, workers, trials int, trial func(i int) (T, error)) ([]T, error) {
-	return SupervisedRange(sup, batch, workers, 0, trials, trial)
-}
-
-// SupervisedRange is Supervised over the batch's trial indices
-// [lo, hi): trial receives the batch index, every error and
-// quarantined TrialError names it, and the result slice holds trial
-// lo+k at position k. It lets a caller run one slice of a batch (a
-// dispatch chunk) and still report failures by batch index.
-func SupervisedRange[T any](sup *Supervisor, batch string, workers, lo, hi int, trial func(i int) (T, error)) ([]T, error) {
-	trials := hi - lo
 	if trials <= 0 {
 		return nil, nil
 	}
@@ -182,7 +172,7 @@ func SupervisedRange[T any](sup *Supervisor, batch string, workers, lo, hi int, 
 			if k >= trials {
 				return n
 			}
-			v, err, te := attempt(sup, batch, lo+k, c, trial)
+			v, err, te := attempt(sup, batch, k, c, trial)
 			if te != nil && sup != nil {
 				qmu.Lock()
 				quarantine = append(quarantine, te)
@@ -219,7 +209,7 @@ func SupervisedRange[T any](sup *Supervisor, batch string, workers, lo, hi int, 
 	if failed.Load() {
 		for k, err := range errs {
 			if err != nil {
-				return nil, wrapTrialErr(batch, lo+k, err)
+				return nil, wrapTrialErr(batch, k, err)
 			}
 		}
 	}

@@ -11,9 +11,9 @@ var raceEnabled bool
 
 // TestTraceSecurityTrialAllocs pins the exact allocations of one
 // trace-population security trial at the Infocom population (n=41,
-// g=5, K=3): the trial stream and its three splits, the adversary, the
-// sender path, the position occupancy and, for the traceable rate, the
-// sender bits.
+// g=5, K=3): the trial stream, its "adv" split and the adversary, then
+// only what the kind reads — the sender path and its sender bits for
+// the traceable rate, the position occupancy for anonymity.
 func TestTraceSecurityTrialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
@@ -24,9 +24,9 @@ func TestTraceSecurityTrialAllocs(t *testing.T) {
 		copies int
 		want   float64
 	}{
-		{KindSecurityPoint, 1, 16},
-		{KindAnonymity, 1, 15},
-		{KindAnonymity, 5, 15},
+		{KindSecurityPoint, 1, 9},
+		{KindAnonymity, 1, 12},
+		{KindAnonymity, 5, 12},
 	} {
 		i := 0
 		got := testing.AllocsPerRun(100, func() {

@@ -7,8 +7,8 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/model"
+	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -24,13 +24,13 @@ import (
 type Engine struct {
 	opt Options
 
-	// sup and fleet, attached via Supervise, add panic quarantine,
-	// watchdog timeouts and drain-on-signal (sup) and the
-	// content-addressed result cache (fleet) to every Monte Carlo
+	// sup and cache, attached via Supervise, add panic quarantine,
+	// watchdog timeouts and drain-on-signal (sup) and an open entry of
+	// the content-addressed result cache (cache) to every Monte Carlo
 	// batch. Both nil by default: the engine then runs on the plain
 	// pool.
 	sup   *runner.Supervisor
-	fleet *dispatch.Dispatcher
+	cache *resultcache.Store
 
 	mu   sync.Mutex
 	nets map[core.Config]*core.Network

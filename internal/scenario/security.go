@@ -145,21 +145,32 @@ func (e *Engine) traceSecurity(s *Scenario) ([]stats.Series, []string, error) {
 // traceSecurityTrial draws one trace-population sample of the kind's
 // metric from the trial's stream st: an adversary compromising frac of
 // the n nodes, and an L-copy path over relays groups of size g.
+//
+// Each kind draws only the sampler it reads, from its own Split stream,
+// so neither draw depends on the other. Both kinds still reject the
+// parameters either sampler rejects, in the same order, so a spec fails
+// the same way whichever metric it measures.
 func traceSecurityTrial(st *rng.Stream, kind string, n, g, relays, l int, frac float64) (float64, error) {
 	adv, err := adversary.RandomFraction(n, frac, st.Split("adv"))
 	if err != nil {
 		return 0, err
 	}
-	senders, err := adversary.SampleSenders(n, relays, st.Split("senders"))
-	if err != nil {
+	if kind == KindSecurityPoint {
+		senders, err := adversary.SampleSenders(n, relays, st.Split("senders"))
+		if err != nil {
+			return 0, err
+		}
+		if err := adversary.CheckPositions(n, relays, l, g); err != nil {
+			return 0, err
+		}
+		return model.TraceableRateOfPath(adv.SenderBits(senders)), nil
+	}
+	if err := adversary.CheckSenders(n, relays); err != nil {
 		return 0, err
 	}
 	positions, err := adversary.SamplePositions(n, relays, l, g, l > 1, st.Split("positions"))
 	if err != nil {
 		return 0, err
-	}
-	if kind == KindSecurityPoint {
-		return model.TraceableRateOfPath(adv.SenderBits(senders)), nil
 	}
 	return model.PathAnonymityExact(n, relays+1, g, float64(adv.PositionsCompromised(positions))), nil
 }

@@ -8,19 +8,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dispatch"
+	"repro/internal/resultcache"
 	"repro/internal/runner"
 )
 
 // Supervise attaches an optional supervisor (panic quarantine,
-// watchdog, drain) and an optional dispatcher over a content-addressed
-// cache entry (internal/dispatch) to the engine. With a dispatcher,
-// every Monte Carlo batch is served from the cache where possible, the
-// rest is leased in chunks, computed and saved, and other processes
-// sharing the cache directory pick up each other's work. Call before
-// Run; an engine with neither attached runs on the plain pool.
-func (e *Engine) Supervise(sup *runner.Supervisor, d *dispatch.Dispatcher) {
+// watchdog, drain) and an optional open entry of the content-addressed
+// result cache (internal/resultcache) to the engine. With a store,
+// every Monte Carlo batch serves the trials the entry holds and
+// computes and saves the rest (internal/dispatch). Call before Run; an
+// engine with neither attached runs on the plain pool.
+func (e *Engine) Supervise(sup *runner.Supervisor, store *resultcache.Store) {
 	e.sup = sup
-	e.fleet = d
+	e.cache = store
 }
 
 // Trials routes one of the engine's Monte Carlo batches through
@@ -28,7 +28,7 @@ func (e *Engine) Supervise(sup *runner.Supervisor, d *dispatch.Dispatcher) {
 // scenario ID and axis indices, never from map order or timing —
 // because it keys cached results across process lifetimes.
 func Trials[T any](e *Engine, batch string, trials int, fn func(i int) (T, error)) ([]T, error) {
-	return dispatch.Run(e.fleet, e.sup, batch, e.opt.Workers, trials, fn)
+	return dispatch.Run(e.cache, e.sup, batch, e.opt.Workers, trials, fn)
 }
 
 // contentSpec is the canonical form hashed by ContentKey: every spec
@@ -56,9 +56,8 @@ type contentSpec struct {
 // ContentKey derives the content-addressed cache identity of running
 // spec s at options opt: a hex sha256 of the spec's evaluation-
 // affecting inputs. Two runs with equal content keys compute
-// bit-identical trial results on any revision, any worker count, any
-// fleet size — the invariant the result cache (internal/resultcache)
-// rests on.
+// bit-identical trial results on any revision and any worker count —
+// the invariant the result cache (internal/resultcache) rests on.
 func ContentKey(s *Scenario, opt Options) (string, error) {
 	canon, err := json.Marshal(contentSpec{
 		ID:           s.ID,
