@@ -6,9 +6,10 @@
 //
 // Security metrics can be measured two ways, which the tests verify
 // agree: the honest mode evaluates realized routing.CopyTrace paths
-// from actual simulations; the fast mode samples sender sequences
-// directly, which is valid because both metrics are independent of the
-// contact-graph realization (Sec. V-A).
+// from actual simulations; the fast mode (Path.FastTrial) samples
+// sender sequences and position occupancies directly, which is valid
+// because both metrics are independent of the contact-graph
+// realization (Sec. V-A).
 package adversary
 
 import (
@@ -28,8 +29,8 @@ type Adversary struct {
 
 // New builds an adversary controlling exactly the given nodes.
 func New(n int, nodes []contact.NodeID) (*Adversary, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("adversary: need at least one node, got %d", n)
+	if err := checkNodes(n); err != nil {
+		return nil, err
 	}
 	a := &Adversary{n: n, compromised: make([]bool, n)}
 	for _, v := range nodes {
@@ -44,8 +45,8 @@ func New(n int, nodes []contact.NodeID) (*Adversary, error) {
 // Random builds an adversary controlling c distinct nodes chosen
 // uniformly at random.
 func Random(n, c int, s *rng.Stream) (*Adversary, error) {
-	if c < 0 || c > n {
-		return nil, fmt.Errorf("adversary: cannot compromise %d of %d nodes", c, n)
+	if err := checkCount(n, c); err != nil {
+		return nil, err
 	}
 	a, err := New(n, nil)
 	if err != nil {
@@ -60,11 +61,37 @@ func Random(n, c int, s *rng.Stream) (*Adversary, error) {
 // RandomFraction compromises round(frac*n) nodes (the paper sweeps
 // c/n from 1% to 50%).
 func RandomFraction(n int, frac float64, s *rng.Stream) (*Adversary, error) {
-	if frac < 0 || frac > 1 {
-		return nil, fmt.Errorf("adversary: fraction %v out of [0,1]", frac)
+	c, err := fractionCount(n, frac)
+	if err != nil {
+		return nil, err
 	}
-	c := int(frac*float64(n) + 0.5)
 	return Random(n, c, s)
+}
+
+// checkCount returns the error Random(n, c, ·) fails with, or nil,
+// without drawing.
+func checkCount(n, c int) error {
+	if c < 0 || c > n {
+		return fmt.Errorf("adversary: cannot compromise %d of %d nodes", c, n)
+	}
+	return checkNodes(n)
+}
+
+// checkNodes returns the error New(n, ·) fails with for its n, or nil.
+func checkNodes(n int) error {
+	if n < 1 {
+		return fmt.Errorf("adversary: need at least one node, got %d", n)
+	}
+	return nil
+}
+
+// fractionCount is round(frac*n), the number of nodes RandomFraction
+// compromises.
+func fractionCount(n int, frac float64) (int, error) {
+	if frac < 0 || frac > 1 {
+		return 0, fmt.Errorf("adversary: fraction %v out of [0,1]", frac)
+	}
+	return int(frac*float64(n) + 0.5), nil
 }
 
 // IsCompromised reports whether node v is controlled by the adversary.
@@ -118,96 +145,4 @@ func (a *Adversary) CompromisedPositions(copies []routing.CopyTrace, k int) int 
 func (a *Adversary) ObservedPathAnonymity(g, k int, copies []routing.CopyTrace) float64 {
 	cO := a.CompromisedPositions(copies, k)
 	return model.PathAnonymity(a.n, k+1, g, float64(cO))
-}
-
-// CheckSenders returns the error SampleSenders(n, k, ·) fails with,
-// or nil, without drawing.
-func CheckSenders(n, k int) error {
-	if k < 1 {
-		return fmt.Errorf("adversary: need at least one relay, got %d", k)
-	}
-	if n < k+2 {
-		return fmt.Errorf("adversary: %d nodes cannot host a %d-relay acyclic path", n, k)
-	}
-	return nil
-}
-
-// SampleSenders draws a uniform sender sequence for fast-mode security
-// experiments: a source plus one relay per onion group, all distinct
-// (acyclic path assumption). The returned slice has length k+1 = eta.
-func SampleSenders(n, k int, s *rng.Stream) ([]contact.NodeID, error) {
-	if err := CheckSenders(n, k); err != nil {
-		return nil, err
-	}
-	// k+1 senders (source + K relays); the destination is not a sender.
-	picks := s.Sample(n, k+1)
-	out := make([]contact.NodeID, k+1)
-	for i, p := range picks {
-		out[i] = contact.NodeID(p)
-	}
-	return out, nil
-}
-
-// CheckPositions returns the error SamplePositions(n, k, copies, g,
-// ·, ·) fails with, or nil, without drawing.
-func CheckPositions(n, k, copies, g int) error {
-	if k < 1 || copies < 1 || g < 1 {
-		return fmt.Errorf("adversary: invalid parameters k=%d L=%d g=%d", k, copies, g)
-	}
-	if perGroup := min(copies, g); n < 2+perGroup {
-		return fmt.Errorf("adversary: %d nodes too few for %d relays per hop", n, perGroup)
-	}
-	return nil
-}
-
-// SamplePositions draws the position occupancy of an L-copy message
-// for fast-mode anonymity experiments. Each relay position k holds
-// min(L, g) distinct members of that hop's onion group (copies never
-// share a holder: Forward() is false for duplicates). With spray set
-// (the paper's simulated variant, and the regime Eq. 20 models — all
-// eta positions have L-way exposure), position 0 holds the source plus
-// the L-1 sprayed relays; otherwise it holds the source alone
-// (Algorithm 2 strict mode).
-func SamplePositions(n, k, copies, g int, spray bool, s *rng.Stream) ([][]contact.NodeID, error) {
-	if err := CheckPositions(n, k, copies, g); err != nil {
-		return nil, err
-	}
-	perGroup := min(copies, g)
-	firstHop := 1
-	if spray {
-		firstHop = copies
-		if firstHop > n-1 {
-			firstHop = n - 1
-		}
-	}
-	// Every position's occupants share one backing array.
-	out := make([][]contact.NodeID, k+1)
-	nodes := make([]contact.NodeID, 0, firstHop+k*perGroup)
-	for pos := range out {
-		occupancy := perGroup
-		if pos == 0 {
-			occupancy = firstHop
-		}
-		start := len(nodes)
-		for _, p := range s.Sample(n, occupancy) {
-			nodes = append(nodes, contact.NodeID(p))
-		}
-		out[pos] = nodes[start:len(nodes):len(nodes)]
-	}
-	return out, nil
-}
-
-// PositionsCompromised counts positions with at least one compromised
-// occupant in a fast-mode sample.
-func (a *Adversary) PositionsCompromised(positions [][]contact.NodeID) int {
-	count := 0
-	for _, occupants := range positions {
-		for _, v := range occupants {
-			if a.IsCompromised(v) {
-				count++
-				break
-			}
-		}
-	}
-	return count
 }

@@ -1,7 +1,9 @@
 package adversary
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/contact"
@@ -183,9 +185,99 @@ func TestObservedPathAnonymityMatchesModelFormula(t *testing.T) {
 	}
 }
 
+// The materialised fast-mode samplers: each draw is a Stream.Sample
+// turned into a slice. They are the reference Path.FastTrial must
+// reproduce value for value and error for error.
+
+// sampleSenders draws a uniform sender sequence: a source plus one
+// relay per onion group, all distinct. The slice has length k+1 = eta.
+func sampleSenders(n, k int, s *rng.Stream) ([]contact.NodeID, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("adversary: need at least one relay, got %d", k)
+	}
+	if n < k+2 {
+		return nil, fmt.Errorf("adversary: %d nodes cannot host a %d-relay acyclic path", n, k)
+	}
+	picks := s.Sample(n, k+1)
+	out := make([]contact.NodeID, k+1)
+	for i, p := range picks {
+		out[i] = contact.NodeID(p)
+	}
+	return out, nil
+}
+
+// samplePositions draws the position occupancy of an L-copy message:
+// min(L, g) distinct group members at each relay position, and at
+// position 0 the source plus, with spray, the L-1 sprayed relays.
+func samplePositions(n, k, copies, g int, spray bool, s *rng.Stream) ([][]contact.NodeID, error) {
+	if k < 1 || copies < 1 || g < 1 {
+		return nil, fmt.Errorf("adversary: invalid parameters k=%d L=%d g=%d", k, copies, g)
+	}
+	perGroup := min(copies, g)
+	if n < 2+perGroup {
+		return nil, fmt.Errorf("adversary: %d nodes too few for %d relays per hop", n, perGroup)
+	}
+	firstHop := 1
+	if spray {
+		firstHop = min(copies, n-1)
+	}
+	out := make([][]contact.NodeID, k+1)
+	for pos := range out {
+		occupancy := perGroup
+		if pos == 0 {
+			occupancy = firstHop
+		}
+		for _, p := range s.Sample(n, occupancy) {
+			out[pos] = append(out[pos], contact.NodeID(p))
+		}
+	}
+	return out, nil
+}
+
+// positionsCompromised counts positions with at least one compromised
+// occupant.
+func positionsCompromised(a *Adversary, positions [][]contact.NodeID) int {
+	count := 0
+	for _, occupants := range positions {
+		for _, v := range occupants {
+			if a.IsCompromised(v) {
+				count++
+				break
+			}
+		}
+	}
+	return count
+}
+
+// referenceTrial is Path.FastTrial materialised: an Adversary, the
+// sender slice and the position slices, each drawn whatever want names.
+func referenceTrial(p Path, parent *rng.Stream, label string, i int, frac float64, want Metric) (Outcome, error) {
+	s := parent.SplitN(label, i)
+	a, err := RandomFraction(p.Nodes, frac, s.Split("adv"))
+	if err != nil {
+		return Outcome{}, err
+	}
+	senders, err := sampleSenders(p.Nodes, p.Relays, s.Split("senders"))
+	if err != nil {
+		return Outcome{}, err
+	}
+	positions, err := samplePositions(p.Nodes, p.Relays, p.Copies, p.GroupSize, p.Spray, s.Split("positions"))
+	if err != nil {
+		return Outcome{}, err
+	}
+	var out Outcome
+	if want&Traceable != 0 {
+		out.TraceableRate = model.TraceableRateOfPath(a.SenderBits(senders))
+	}
+	if want&Positions != 0 {
+		out.CompromisedPositions = positionsCompromised(a, positions)
+	}
+	return out, nil
+}
+
 func TestSampleSenders(t *testing.T) {
 	s := rng.New(3)
-	senders, err := SampleSenders(100, 3, s)
+	senders, err := sampleSenders(100, 3, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,17 +291,17 @@ func TestSampleSenders(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if _, err := SampleSenders(3, 3, s); err == nil {
+	if _, err := sampleSenders(3, 3, s); err == nil {
 		t.Fatal("accepted too-small population")
 	}
-	if _, err := SampleSenders(10, 0, s); err == nil {
+	if _, err := sampleSenders(10, 0, s); err == nil {
 		t.Fatal("accepted k=0")
 	}
 }
 
 func TestSamplePositions(t *testing.T) {
 	s := rng.New(5)
-	pos, err := SamplePositions(100, 3, 5, 10, false, s)
+	pos, err := samplePositions(100, 3, 5, 10, false, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,14 +317,14 @@ func TestSamplePositions(t *testing.T) {
 		}
 	}
 	// L > g: occupancy caps at g.
-	pos, err = SamplePositions(100, 2, 7, 3, false, s)
+	pos, err = samplePositions(100, 2, 7, 3, false, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pos[1]) != 3 {
 		t.Fatalf("occupancy %d, want g=3", len(pos[1]))
 	}
-	if _, err := SamplePositions(100, 0, 1, 1, false, s); err == nil {
+	if _, err := samplePositions(100, 0, 1, 1, false, s); err == nil {
 		t.Fatal("accepted k=0")
 	}
 }
@@ -243,8 +335,101 @@ func TestPositionsCompromised(t *testing.T) {
 		t.Fatal(err)
 	}
 	positions := [][]contact.NodeID{{0}, {1, 2}, {3, 4}}
-	if got := a.PositionsCompromised(positions); got != 1 {
+	if got := positionsCompromised(a, positions); got != 1 {
 		t.Fatalf("got %d, want 1", got)
+	}
+}
+
+// TestFastTrialMatchesReference runs the kernel and the materialised
+// reference over a grid that reaches all three Sample paths (small k,
+// sparse over n > 4096, dense), sprays and L > g, and every error: the
+// outcomes must be equal and the errors identical.
+func TestFastTrialMatchesReference(t *testing.T) {
+	root := rng.New(17)
+	trials, failed := 0, 0
+	for _, n := range []int{0, 3, 12, 41, 100, 5000} {
+		for _, relays := range []int{0, 1, 3, 10, 20} {
+			for _, copies := range []int{0, 1, 3, 20} {
+				for _, g := range []int{0, 1, 5, 25} {
+					for _, frac := range []float64{-0.1, 0, 0.01, 0.5, 1, 1.5} {
+						for _, spray := range []bool{false, true} {
+							for _, want := range []Metric{Traceable, Positions, Traceable | Positions} {
+								p := Path{Nodes: n, Relays: relays, Copies: copies, GroupSize: g, Spray: spray}
+								i := trials
+								got, gotErr := p.FastTrial(root, "trial", i, frac, want)
+								ref, refErr := referenceTrial(p, root, "trial", i, frac, want)
+								if fmt.Sprint(gotErr) != fmt.Sprint(refErr) {
+									t.Fatalf("%+v frac=%v want=%d: error %v, reference %v", p, frac, want, gotErr, refErr)
+								}
+								if got != ref {
+									t.Fatalf("%+v frac=%v want=%d: %+v, reference %+v", p, frac, want, got, ref)
+								}
+								trials++
+								if gotErr != nil {
+									failed++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if failed == 0 || failed == trials {
+		t.Fatalf("%d of %d trials failed: the grid no longer reaches both outcomes", failed, trials)
+	}
+}
+
+// TestFastTrialConcurrent runs the same trials on several goroutines
+// at once, each drawing on pooled scratch the others return, and checks
+// every outcome against the one a single goroutine measured.
+func TestFastTrialConcurrent(t *testing.T) {
+	p := Path{Nodes: 100, Relays: 10, Copies: 3, GroupSize: 5, Spray: true}
+	root := rng.New(9)
+	const trials, workers = 300, 4
+	want := make([]Outcome, trials)
+	for i := range want {
+		var err error
+		if want[i], err = p.FastTrial(root, "trial", i, 0.3, Traceable|Positions); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				got, err := p.FastTrial(root, "trial", i, 0.3, Traceable|Positions)
+				if err != nil || got != want[i] {
+					t.Errorf("trial %d on a concurrent worker: %+v, %v; want %+v", i, got, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFastTrialRecoversFromAnInterruptedTrial panics one trial between
+// a draw and its undo, as a recovered trial would, and checks that the
+// trials after it measure what they measure without it.
+func TestFastTrialRecoversFromAnInterruptedTrial(t *testing.T) {
+	p := Path{Nodes: 100, Relays: 10, Copies: 3, GroupSize: 5, Spray: true}
+	root := rng.New(5)
+	run := func(i int) Outcome {
+		out, err := p.FastTrial(root, "trial", i, 0.5, Traceable|Positions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := []Outcome{run(1), run(2), run(3)}
+	interruptAfterDraw(t, func() { run(99) })
+	for i, w := range want {
+		if got := run(i + 1); got != w {
+			t.Fatalf("trial %d after an interrupted trial: %+v, want %+v", i+1, got, w)
+		}
 	}
 }
 
@@ -262,16 +447,12 @@ func TestTraceableRateStatisticsMatchModel(t *testing.T) {
 			const runs = 20000
 			sum := 0.0
 			for i := 0; i < runs; i++ {
-				s := root.SplitN("run", i*100+k*10+int(frac*10))
-				a, err := RandomFraction(n, frac, s.Split("adv"))
+				p := Path{Nodes: n, Relays: k, Copies: 1, GroupSize: 1}
+				out, err := p.FastTrial(root, "run", i*100+k*10+int(frac*10), frac, Traceable)
 				if err != nil {
 					t.Fatal(err)
 				}
-				senders, err := SampleSenders(n, k, s.Split("path"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sum += model.TraceableRateOfPath(a.SenderBits(senders))
+				sum += out.TraceableRate
 			}
 			got := sum / runs
 			want := model.TraceableRate(k+1, frac)
@@ -295,17 +476,12 @@ func TestAnonymityStatisticsMatchModel(t *testing.T) {
 			const runs = 20000
 			sum := 0.0
 			for i := 0; i < runs; i++ {
-				s := root.SplitN("run", i*100+copies*10+int(frac*10))
-				a, err := RandomFraction(n, frac, s.Split("adv"))
+				p := Path{Nodes: n, Relays: k, Copies: copies, GroupSize: g, Spray: true}
+				out, err := p.FastTrial(root, "run", i*100+copies*10+int(frac*10), frac, Positions)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pos, err := SamplePositions(n, k, copies, g, true, s.Split("path"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				cO := a.PositionsCompromised(pos)
-				sum += model.PathAnonymity(n, k+1, g, float64(cO))
+				sum += model.PathAnonymity(n, k+1, g, float64(out.CompromisedPositions))
 			}
 			got := sum / runs
 			want := model.PathAnonymityMultiCopy(n, k+1, g, frac, copies)
@@ -316,18 +492,24 @@ func TestAnonymityStatisticsMatchModel(t *testing.T) {
 	}
 }
 
-func BenchmarkTraceableRateFastMode(b *testing.B) {
-	s := rng.New(1)
-	a, err := RandomFraction(100, 0.1, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	senders, err := SampleSenders(100, 3, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = model.TraceableRateOfPath(a.SenderBits(senders))
+func BenchmarkFastTrial(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		p    Path
+		want Metric
+	}{
+		{"K3-traceable", Path{Nodes: 100, Relays: 3, Copies: 1, GroupSize: 5}, Traceable},
+		{"K10-L3-anonymity", Path{Nodes: 100, Relays: 10, Copies: 3, GroupSize: 5, Spray: true}, Positions},
+		{"K3-both", Path{Nodes: 100, Relays: 3, Copies: 1, GroupSize: 5}, Traceable | Positions},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			root := rng.New(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.p.FastTrial(root, "trial", i, 0.25, c.want); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

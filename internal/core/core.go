@@ -281,26 +281,27 @@ func (nw *Network) SecurityFromResult(res routing.Result, frac float64, i int) (
 // of the contact-graph realization (Sec. V-A). This is how the paper's
 // security figures are generated at scale.
 func (nw *Network) FastSecurityTrial(frac float64, i int) (SecurityOutcome, error) {
-	s := nw.root.SplitN("fastsec", i)
-	adv, err := adversary.RandomFraction(nw.cfg.Nodes, frac, s.Split("adv"))
+	return nw.FastSecurity(frac, i, adversary.Traceable|adversary.Positions)
+}
+
+// FastSecurity is FastSecurityTrial drawing only the samplers want
+// names; the fields of a metric not asked for read zero. Each metric's
+// value is the one FastSecurityTrial gives for the same trial.
+func (nw *Network) FastSecurity(frac float64, i int, want adversary.Metric) (SecurityOutcome, error) {
+	p := adversary.Path{
+		Nodes: nw.cfg.Nodes, Relays: nw.cfg.Relays, Copies: nw.cfg.Copies,
+		GroupSize: nw.cfg.GroupSize, Spray: nw.cfg.Spray,
+	}
+	o, err := p.FastTrial(nw.root, "fastsec", i, frac, want)
 	if err != nil {
 		return SecurityOutcome{}, err
 	}
-	senders, err := adversary.SampleSenders(nw.cfg.Nodes, nw.cfg.Relays, s.Split("senders"))
-	if err != nil {
-		return SecurityOutcome{}, err
+	out := SecurityOutcome{TraceableRate: o.TraceableRate}
+	if want&adversary.Positions != 0 {
+		out.CompromisedPositions = o.CompromisedPositions
+		out.PathAnonymity = model.PathAnonymity(nw.cfg.Nodes, nw.cfg.Relays+1, nw.cfg.GroupSize, float64(o.CompromisedPositions))
 	}
-	positions, err := adversary.SamplePositions(
-		nw.cfg.Nodes, nw.cfg.Relays, nw.cfg.Copies, nw.cfg.GroupSize, nw.cfg.Spray, s.Split("positions"))
-	if err != nil {
-		return SecurityOutcome{}, err
-	}
-	cO := adv.PositionsCompromised(positions)
-	return SecurityOutcome{
-		TraceableRate:        model.TraceableRateOfPath(adv.SenderBits(senders)),
-		PathAnonymity:        model.PathAnonymity(nw.cfg.Nodes, nw.cfg.Relays+1, nw.cfg.GroupSize, float64(cO)),
-		CompromisedPositions: cO,
-	}, nil
+	return out, nil
 }
 
 // ModelTraceableRate returns the analytical traceable rate (Eq. 12)

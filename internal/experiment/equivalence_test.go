@@ -14,8 +14,10 @@ func equivalenceOptions(seed uint64, workers int) Options {
 
 // TestEquivalenceAcrossWorkerCounts is the determinism contract of the
 // parallel Monte Carlo harness: for a representative subset of
-// generators — a random-graph delivery figure (Fig. 4), a security
-// figure (Fig. 8), a trace-replay figure (Fig. 14), and the ablations
+// generators — a random-graph delivery figure (Fig. 4), the two
+// random-network security metrics (Figs. 6 and 8) and a trace-population
+// one (Fig. 16), whose trials share the pooled adversary scratch, a
+// trace-replay figure (Fig. 14), and the ablations
 // exercising the remaining trial shapes — the JSON-marshaled Figure
 // must be byte-identical for Workers in {1, 4, GOMAXPROCS}, across two
 // different seeds.
@@ -23,7 +25,7 @@ func TestEquivalenceAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates figures several times")
 	}
-	ids := []string{"fig04", "fig08", "fig14", "fig11", "ablation-baselines", "ablation-predecessor"}
+	ids := []string{"fig04", "fig06", "fig08", "fig16", "fig14", "fig11", "ablation-baselines", "ablation-predecessor"}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, id := range ids {
 		id := id

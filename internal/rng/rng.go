@@ -14,12 +14,16 @@ import (
 )
 
 // Stream is a deterministic random stream. The zero value is not
-// usable; construct streams with New or Split.
+// usable until seeded: construct streams with New, Split or SplitN, or
+// reseed an existing Stream in place with SplitInto or SplitNInto.
 //
 // A Stream holds its PCG source and the rand.Rand over it by value, so
-// a new stream is one allocation; src points into the same struct.
-// A Stream must therefore only be used through the pointer New, Split
-// or SplitN return, never copied.
+// a new stream is one allocation and an in-place split none; src
+// points into the same struct. A Stream must therefore stay where it
+// was seeded and be used through a pointer to it, never copied. A
+// Stream embedded in a longer-lived struct may be reseeded any number
+// of times, each in-place split giving exactly the child Split or
+// SplitN would return.
 type Stream struct {
 	pcg rand.PCG
 	src rand.Rand
@@ -34,10 +38,15 @@ func New(seed uint64) *Stream {
 }
 
 func newStream(hi, lo uint64) *Stream {
-	s := &Stream{hi: hi, lo: lo}
+	s := new(Stream)
+	s.seed(hi, lo)
+	return s
+}
+
+func (s *Stream) seed(hi, lo uint64) {
+	s.hi, s.lo = hi, lo
 	s.pcg.Seed(hi, lo)
 	s.src = *rand.New(&s.pcg)
-	return s
 }
 
 // Split derives an independent child stream identified by label.
@@ -48,12 +57,27 @@ func (s *Stream) Split(label string) *Stream { return s.child(labelHash(label)) 
 
 // SplitN derives an independent child stream identified by label and an
 // index, for families of streams (one per run, one per node, ...).
-func (s *Stream) SplitN(label string, n int) *Stream {
-	return s.child(labelHash(label) ^ splitmix(uint64(n)+0x51ed2701))
+func (s *Stream) SplitN(label string, n int) *Stream { return s.child(indexedLabel(label, n)) }
+
+// SplitInto reseeds dst as the child Split(label) returns, without
+// allocating. dst may be s itself.
+func (s *Stream) SplitInto(dst *Stream, label string) { dst.seed(s.childSeed(labelHash(label))) }
+
+// SplitNInto reseeds dst as the child SplitN(label, n) returns, without
+// allocating. dst may be s itself.
+func (s *Stream) SplitNInto(dst *Stream, label string, n int) {
+	dst.seed(s.childSeed(indexedLabel(label, n)))
 }
 
-func (s *Stream) child(d uint64) *Stream {
-	return newStream(splitmix(s.hi^d), splitmix(s.lo^bits.Reverse64(d)))
+func (s *Stream) child(d uint64) *Stream { return newStream(s.childSeed(d)) }
+
+func (s *Stream) childSeed(d uint64) (hi, lo uint64) {
+	return splitmix(s.hi ^ d), splitmix(s.lo ^ bits.Reverse64(d))
+}
+
+// indexedLabel is the split material of label and index n.
+func indexedLabel(label string, n int) uint64 {
+	return labelHash(label) ^ splitmix(uint64(n)+0x51ed2701)
 }
 
 // labelHash is 64-bit FNV-1a (hash/fnv's New64a) over the label's
@@ -195,6 +219,47 @@ func (s *Stream) sampleSparse(n, k int) []int {
 		repl[j] = vi
 	}
 	return out
+}
+
+// SampleTable is a reusable table [0, n) for Sample's draws without
+// allocation once it has grown to the largest n drawn from. Outside a
+// draw it is the identity; Draw permutes a prefix of it and Undo puts
+// it back. A SampleTable is not safe for concurrent use.
+type SampleTable struct {
+	idx   []int // idx[p] == p outside a draw
+	swaps []int // the j each step of the current draw swapped with
+}
+
+// Draw makes exactly the draws Sample(n, k) makes on s and returns the
+// same values, as a view into the table that stays valid until Undo.
+// It panics if k > n or k < 0, or if the previous draw was not undone.
+func (t *SampleTable) Draw(s *Stream, n, k int) []int {
+	if k < 0 || k > n {
+		panic("rng: Sample requires 0 <= k <= n")
+	}
+	if len(t.swaps) != 0 {
+		panic("rng: SampleTable.Draw before Undo")
+	}
+	for p := len(t.idx); p < n; p++ {
+		t.idx = append(t.idx, p)
+	}
+	idx := t.idx
+	for i := 0; i < k; i++ {
+		j := i + s.src.IntN(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+		t.swaps = append(t.swaps, j)
+	}
+	return idx[:k:k]
+}
+
+// Undo restores the identity by replaying the last draw's swaps in
+// reverse.
+func (t *SampleTable) Undo() {
+	for i := len(t.swaps) - 1; i >= 0; i-- {
+		j := t.swaps[i]
+		t.idx[i], t.idx[j] = t.idx[j], t.idx[i]
+	}
+	t.swaps = t.swaps[:0]
 }
 
 // PickOther returns a uniform integer in [0, n) different from avoid.

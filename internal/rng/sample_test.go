@@ -73,8 +73,75 @@ func TestSampleMatchesDenseAtPathBoundaries(t *testing.T) {
 	}
 }
 
-// splitLabels returns every string literal passed as the first
-// argument of a Split or SplitN call in the repository's Go files.
+// TestSampleTableMatchesDense runs one reused table through draws of
+// every size, on both sides of Sample's path limits and over an n
+// smaller than the table has grown to: each draw must match the dense
+// reference in values and draws, and Undo must leave the identity.
+func TestSampleTableMatchesDense(t *testing.T) {
+	var tab SampleTable
+	check := func(n, k int, seed uint64) {
+		t.Helper()
+		table := func(s *Stream, n, k int) []int {
+			out := slices.Clone(tab.Draw(s, n, k))
+			tab.Undo()
+			return out
+		}
+		checkMatchesDense(t, "SampleTable.Draw", table, n, k, seed)
+		for p, v := range tab.idx {
+			if v != p {
+				t.Fatalf("after Draw(n=%d, k=%d) and Undo, entry %d holds %d", n, k, p, v)
+			}
+		}
+		if len(tab.swaps) != 0 {
+			t.Fatalf("after Draw(n=%d, k=%d) and Undo, %d swaps remain", n, k, len(tab.swaps))
+		}
+	}
+	for _, seed := range []uint64{1, 2} {
+		for n := 1; n <= 60; n++ {
+			for k := 0; k <= n; k++ {
+				check(n, k, seed)
+			}
+		}
+	}
+	for _, c := range [][2]int{{100000, 5}, {100000, 17}, {4097, 513}, {5000, 2500}, {3, 3}, {100, 16}, {100, 17}} {
+		check(c[0], c[1], 7)
+	}
+}
+
+func TestSampleTableAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	var tab SampleTable
+	s := New(1)
+	tab.Draw(s, 5000, 2500)
+	tab.Undo()
+	for _, c := range [][2]int{{100, 1}, {100, 50}, {5000, 17}, {5000, 2500}} {
+		got := testing.AllocsPerRun(100, func() {
+			tab.Draw(s, c[0], c[1])
+			tab.Undo()
+		})
+		if got != 0 {
+			t.Errorf("a warm SampleTable's Draw(%d, %d) allocates %v times, want 0", c[0], c[1], got)
+		}
+	}
+}
+
+func TestSampleTableRefusesADrawBeforeUndo(t *testing.T) {
+	var tab SampleTable
+	s := New(1)
+	tab.Draw(s, 10, 3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Draw before Undo did not panic")
+		}
+	}()
+	tab.Draw(s, 10, 3)
+}
+
+// splitLabels returns every string literal passed as the label of a
+// Split, SplitN, SplitInto or SplitNInto call in the repository's Go
+// files.
 func splitLabels(t *testing.T) []string {
 	t.Helper()
 	var labels []string
@@ -98,14 +165,25 @@ func splitLabels(t *testing.T) []string {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
+			if !ok {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Split" && sel.Sel.Name != "SplitN") {
+			if !ok {
 				return true
 			}
-			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			arg := 0
+			switch sel.Sel.Name {
+			case "Split", "SplitN":
+			case "SplitInto", "SplitNInto":
+				arg = 1
+			default:
+				return true
+			}
+			if len(call.Args) <= arg {
+				return true
+			}
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				if s, err := strconv.Unquote(lit.Value); err == nil {
 					labels = append(labels, s)
 				}
@@ -127,7 +205,7 @@ func TestSplitLabelHashMatchesFNV(t *testing.T) {
 		return h.Sum64()
 	}
 	labels := splitLabels(t)
-	if !slices.Contains(labels, "fastsec") || !slices.Contains(labels, "trial") {
+	if !slices.Contains(labels, "fastsec") || !slices.Contains(labels, "trial") || !slices.Contains(labels, "senders") {
 		t.Fatalf("the source scan found %d labels but missed known ones", len(labels))
 	}
 	t.Logf("%d label literals in the source", len(labels))
@@ -178,6 +256,50 @@ func TestSplitAllocatesOnce(t *testing.T) {
 	} {
 		if got := testing.AllocsPerRun(100, split); got != 1 {
 			t.Errorf("%s allocates %v times, want 1", name, got)
+		}
+	}
+}
+
+// TestSplitIntoMatchesSplit reseeds one Stream in place, over a
+// partly drained earlier child and over its own parent, and checks each
+// reseed against the allocating split of the same label and index.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	const prefix = 16
+	root := New(11)
+	var dst Stream
+	for _, label := range []string{"adv", "senders", "positions", ""} {
+		root.SplitInto(&dst, label)
+		if got, want := drain(&dst, prefix), drain(root.Split(label), prefix); !slices.Equal(got, want) {
+			t.Fatalf("SplitInto(%q) differs from Split(%q)", label, label)
+		}
+		for _, n := range []int{0, 1, 1000003, 1 << 30} {
+			root.SplitNInto(&dst, label, n)
+			if got, want := drain(&dst, prefix), drain(root.SplitN(label, n), prefix); !slices.Equal(got, want) {
+				t.Fatalf("SplitNInto(%q, %d) differs from SplitN(%q, %d)", label, n, label, n)
+			}
+		}
+	}
+	self := New(11)
+	want := drain(New(11).SplitN("trial", 5).Split("adv"), prefix)
+	self.SplitNInto(self, "trial", 5)
+	self.SplitInto(self, "adv")
+	if got := drain(self, prefix); !slices.Equal(got, want) {
+		t.Fatal("splitting a stream into itself differs from the allocating splits")
+	}
+}
+
+func TestSplitIntoAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	s := New(1)
+	var dst Stream
+	for name, split := range map[string]func(){
+		"SplitInto":  func() { s.SplitInto(&dst, "positions") },
+		"SplitNInto": func() { s.SplitNInto(&dst, "fastsec", 12345) },
+	} {
+		if got := testing.AllocsPerRun(100, split); got != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, got)
 		}
 	}
 }

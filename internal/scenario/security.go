@@ -10,24 +10,23 @@ import (
 	"repro/internal/stats"
 )
 
-// securityMetric selects the sampled metric for one outcome.
-func securityMetric(kind string, o core.SecurityOutcome) float64 {
+// securityPoint measures one fast-mode security point of the kind's
+// metric, drawing only the sampler that metric reads. Samples are drawn
+// concurrently on opt.Workers workers and accumulated in trial order.
+func (e *Engine) securityPoint(nw *core.Network, kind string, frac float64, runs, salt int, batch string) (stats.Summary, error) {
+	want := adversary.Positions
 	if kind == KindSecurityPoint {
-		return o.TraceableRate
+		want = adversary.Traceable
 	}
-	return o.PathAnonymity
-}
-
-// securityPoint measures one fast-mode security point. Samples are
-// drawn concurrently on opt.Workers workers and accumulated in trial
-// order.
-func (e *Engine) securityPoint(nw *core.Network, frac float64, runs, salt int, batch string, metric func(core.SecurityOutcome) float64) (stats.Summary, error) {
 	vals, err := Trials(e, batch, runs, func(i int) (float64, error) {
-		out, err := nw.FastSecurityTrial(frac, salt*1000003+i)
+		out, err := nw.FastSecurity(frac, salt*1000003+i, want)
 		if err != nil {
 			return 0, err
 		}
-		return metric(out), nil
+		if want == adversary.Traceable {
+			return out.TraceableRate, nil
+		}
+		return out.PathAnonymity, nil
 	})
 	if err != nil {
 		return stats.Summary{}, err
@@ -84,8 +83,7 @@ func (e *Engine) securitySweep(s *Scenario) ([]stats.Series, []string, error) {
 			analysis.Append(xv, modelVal, 0)
 			salt := s.Series.saltKey(si, false)*s.Measure.SeriesSaltStride + s.X.saltKey(xi, true)
 			batch := fmt.Sprintf("%s/security/s%d/x%d", s.ID, si, xi)
-			sum, err := e.securityPoint(nw, frac, opt.SecurityRuns, salt, batch,
-				func(o core.SecurityOutcome) float64 { return securityMetric(s.Measure.Kind, o) })
+			sum, err := e.securityPoint(nw, s.Measure.Kind, frac, opt.SecurityRuns, salt, batch)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -126,7 +124,7 @@ func (e *Engine) traceSecurity(s *Scenario) ([]stats.Series, []string, error) {
 		for fi, frac := range fracs {
 			batch := fmt.Sprintf("%s/tracesec/s%d/x%d", s.ID, si, fi)
 			vals, err := Trials(e, batch, opt.SecurityRuns, func(i int) (float64, error) {
-				return traceSecurityTrial(root.SplitN("trial", fi*1000000+i), s.Measure.Kind, n, g, relays, l, frac)
+				return traceSecurityTrial(root, fi*1000000+i, s.Measure.Kind, n, g, relays, l, frac)
 			})
 			if err != nil {
 				return nil, nil, err
@@ -143,34 +141,23 @@ func (e *Engine) traceSecurity(s *Scenario) ([]stats.Series, []string, error) {
 }
 
 // traceSecurityTrial draws one trace-population sample of the kind's
-// metric from the trial's stream st: an adversary compromising frac of
-// the n nodes, and an L-copy path over relays groups of size g.
-//
-// Each kind draws only the sampler it reads, from its own Split stream,
-// so neither draw depends on the other. Both kinds still reject the
-// parameters either sampler rejects, in the same order, so a spec fails
-// the same way whichever metric it measures.
-func traceSecurityTrial(st *rng.Stream, kind string, n, g, relays, l int, frac float64) (float64, error) {
-	adv, err := adversary.RandomFraction(n, frac, st.Split("adv"))
-	if err != nil {
-		return 0, err
-	}
+// metric from the trial stream root.SplitN("trial", i): an adversary
+// compromising frac of the n nodes, and an L-copy path over relays
+// groups of size g. Only the sampler the kind reads is drawn; both
+// kinds reject the parameters either sampler rejects, in the same
+// order, so a spec fails the same way whichever metric it measures.
+func traceSecurityTrial(root *rng.Stream, i int, kind string, n, g, relays, l int, frac float64) (float64, error) {
+	p := adversary.Path{Nodes: n, Relays: relays, Copies: l, GroupSize: g, Spray: l > 1}
 	if kind == KindSecurityPoint {
-		senders, err := adversary.SampleSenders(n, relays, st.Split("senders"))
+		out, err := p.FastTrial(root, "trial", i, frac, adversary.Traceable)
 		if err != nil {
 			return 0, err
 		}
-		if err := adversary.CheckPositions(n, relays, l, g); err != nil {
-			return 0, err
-		}
-		return model.TraceableRateOfPath(adv.SenderBits(senders)), nil
+		return out.TraceableRate, nil
 	}
-	if err := adversary.CheckSenders(n, relays); err != nil {
-		return 0, err
-	}
-	positions, err := adversary.SamplePositions(n, relays, l, g, l > 1, st.Split("positions"))
+	out, err := p.FastTrial(root, "trial", i, frac, adversary.Positions)
 	if err != nil {
 		return 0, err
 	}
-	return model.PathAnonymityExact(n, relays+1, g, float64(adv.PositionsCompromised(positions))), nil
+	return model.PathAnonymityExact(n, relays+1, g, float64(out.CompromisedPositions)), nil
 }
